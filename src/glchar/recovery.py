@@ -14,11 +14,16 @@ gate fails (QConditionViolated): outside the gate the uniqueness guarantee
 is void and no output would be trustworthy.
 
 Performance note: the subset scan dominates.  Subsets of size <= 2 are
-screened with pure integer arithmetic on cached shifted value vectors (the
-first sample equation is divided by the first character, which turns the
-2x2 solve into one pivot division); every surviving candidate is still
-verified against every regular element, so the screen affects speed only,
-never which expansions are accepted.
+screened with pure integer arithmetic on shifted value vectors
+f(s) * zeta^{-theta_a(s)}, memoized once per call and shared by the one-
+and two-term scans.  The two-term scan does not walk all K(K-1)/2 pairs:
+for each first character a, the sample equations on a few separating
+samples fix both coefficients and the second character through index
+lookups (see _scan_pairs).  Every pair that satisfies those sample
+equations is enumerated, and every candidate is still verified against
+every regular element, so the screen affects speed only, never which
+expansions are accepted, and the exhaustive uniqueness check still sees
+every valid expansion.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
@@ -190,14 +195,28 @@ class RecoveryReport:
 
 # -- solver tables ----------------------------------------------------------
 
+def _direction(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(primitive integer direction, signed multiplier) of a nonzero vector.
+
+    The direction has content 1 and a positive first nonzero entry, so two
+    vectors are proportional exactly when their directions are equal.
+    """
+    g = math.gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec), g
+
+
 class _TorusSolver:
     """Immutable per-(torus, level) tables shared by every decomposition.
 
     table[i][s] is the exponent of zeta_level taken by character i at the
     s-th regular element; exponents are linear in the character index, so
-    the column of pairwise differences of two characters is the table row
-    of their difference character.  probes and pair pivots are cached here
-    because they do not depend on the input function.
+    theta_b = theta_a * theta_delta with delta = b - a in every coordinate,
+    and the table row of the difference character delta gives the ratio
+    of the two columns.  Probes, pair pivots and the pair index are built
+    on first use and cached here because they do not depend on the input
+    function.
     """
 
     def __init__(self, ttype: TorusType, level: int):
@@ -214,44 +233,13 @@ class _TorusSolver:
         self.red = ctx.red
         self.phi = ctx.phi
         lift = level // L
-        cexps = list(product(*(range(m) for m in grp.moduli)))
-        self.chars = tuple(AbChar(grp, ce) for ce in cexps)
+        self.chars = tuple(AbChar(grp, ce) for ce in
+                           product(*(range(m) for m in grp.moduli)))
         self.table = [
             [lift * ch.value_exponent(e) % level for e in self.regs]
             for ch in self.chars
         ]
-        # mixed-radix index of the difference character, per ordered pair
-        strides = []
-        acc = 1
-        for m in reversed(grp.moduli):
-            strides.append(acc)
-            acc *= m
-        strides.reverse()
-        moduli = grp.moduli
-        self.delta_idx = [
-            [sum((b - a) % m * st for a, b, m, st
-                 in zip(ca, cb, moduli, strides))
-             for cb in cexps]
-            for ca in cexps
-        ]
-        # probe[d]: first sample where the difference character d moves off
-        # its value at sample 0; -1 = constant on the locus, -2 = unset
-        self._probe = [-2] * len(cexps)
         self._pivot: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
-
-    def probe(self, di: int) -> int:
-        s1 = self._probe[di]
-        if s1 != -2:
-            return s1
-        rowd = self.table[di]
-        d0 = rowd[0]
-        s1 = -1
-        for s in range(1, len(rowd)):
-            if rowd[s] != d0:
-                s1 = s
-                break
-        self._probe[di] = s1
-        return s1
 
     def pivot(self, d0: int, d1: int) -> tuple[int, int, tuple[int, ...]]:
         """First nonzero coordinate of zeta^d1 - zeta^d0, with the full row."""
@@ -262,6 +250,96 @@ class _TorusSolver:
             out = (i0, w[i0], w)
             self._pivot[(d0, d1)] = out
         return out
+
+    def times(self, ia: int, di: int) -> int:
+        """Index of the character theta_ia * theta_di (mixed radix)."""
+        out = 0
+        for x, y, m in zip(self.chars[ia].cexps, self.chars[di].cexps,
+                           self.group.moduli):
+            out = out * m + (x + y) % m
+        return out
+
+    @cached_property
+    def sep(self) -> tuple[int, ...]:
+        """Separating samples: sample 0, then, in locus order, each sample
+        that tells apart more characters than the ones before it, until the
+        value tuple on these samples is injective on characters.
+
+        Two samples on the split GL_2 torus and one on the elliptic one.
+        Under the density gate the regular locus holds more than half of
+        the group, so a character trivial on it is trivial and the whole
+        locus always separates.
+        """
+        table = self.table
+        sep = [0]
+        keys = [(row[0],) for row in table]
+        classes = len(set(keys))
+        for s in range(1, len(self.regs)):
+            if classes == len(table):
+                break
+            ext = [k + (row[s],) for k, row in zip(keys, table)]
+            n = len(set(ext))
+            if n > classes:
+                sep.append(s)
+                keys, classes = ext, n
+        if classes < len(table):
+            raise ValueError(
+                f"the regular locus of {self.ttype.label} does not "
+                f"separate its characters")
+        return tuple(sep)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Sample order of full verification: separating samples first."""
+        first = set(self.sep)
+        return self.sep + tuple(
+            s for s in range(len(self.regs)) if s not in first)
+
+    @cached_property
+    def probes(self) -> list[int]:
+        """probes[d]: first sample where the difference character d moves
+        off its value at sample 0; -1 = constant on the locus."""
+        return [next((s for s, v in enumerate(row) if v != row[0]), -1)
+                for row in self.table]
+
+    @cached_property
+    def pin(self) -> dict[tuple[int, ...], int]:
+        """Difference character by its exponents on the separating samples.
+
+        Characters constant on the locus are left out: a pair differing by
+        one is dependent there, which the density gate rules out.
+        """
+        table, sep, probes = self.table, self.sep, self.probes
+        return {tuple(table[di][s] for s in sep): di
+                for di in range(len(table)) if probes[di] >= 0}
+
+    @cached_property
+    def rational(self) -> tuple[int, ...]:
+        """Non-constant difference characters with zeta^{d(s0)} = +-1."""
+        red, table = self.red, self.table
+        return tuple(di for di in self.pin.values()
+                     if not any(red[table[di][0]][1:]))
+
+    @cached_property
+    def dirs(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        """Primitive direction of the power-basis tail of zeta^d -> [(d, k)].
+
+        Only exponents d taken at sample 0 by some difference character in
+        pin are listed; the tail of zeta^d is k times its direction.
+        """
+        out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        red, table = self.red, self.table
+        for d in sorted({table[di][0] for di in self.pin.values()}):
+            tail = red[d][1:]
+            if any(tail):
+                key, k = _direction(tail)
+                out.setdefault(key, []).append((d, k))
+        return out
+
+    @cached_property
+    def exp_of(self) -> dict[tuple[int, ...], int]:
+        """Exponent of a root of unity by its power-basis vector."""
+        return {self.red[e]: e for e in range(self.level)}
 
 
 @lru_cache(maxsize=None)
@@ -284,11 +362,34 @@ def _mul_root(vec: Sequence[int], e: int, red, N: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _shifter(solver: _TorusSolver, fvec):
+    """shift(s, e) = f(s) * zeta^-e, memoized for one input function.
+
+    One decomposition shares it between the one- and two-term scans.  On
+    the split torus theta_a(s) takes q - 1 values, so K characters cost
+    only q - 1 products per sample.
+    """
+    N, red = solver.level, solver.red
+    cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def shift(s: int, e: int) -> tuple[int, ...]:
+        v = cache.get((s, e))
+        if v is None:
+            v = cache[(s, e)] = _mul_root(fvec[s], (N - e) % N, red, N)
+        return v
+
+    return shift
+
+
 def _verify(solver: _TorusSolver, fvec, idxs, coeffs) -> bool:
-    """Exact check of sum c_i theta_i = f on every regular element."""
+    """Exact check of sum c_i theta_i = f on every regular element.
+
+    Samples run in solver.order: the separating samples, which tell the
+    characters apart, come first, so a wrong candidate fails early.
+    """
     red, table, phi = solver.red, solver.table, solver.phi
     rows = [table[i] for i in idxs]
-    for s in range(len(solver.regs)):
+    for s in solver.order:
         acc = [0] * phi
         for trow, c in zip(rows, coeffs):
             acc = [a + c * r for a, r in zip(acc, red[trow[s]])]
@@ -297,12 +398,15 @@ def _verify(solver: _TorusSolver, fvec, idxs, coeffs) -> bool:
     return True
 
 
-def _scan_singles(solver: _TorusSolver, fvec, cap: int) -> list[tuple[int, int]]:
+def _scan_singles(solver: _TorusSolver, fvec, cap: int,
+                  shift=None) -> list[tuple[int, int]]:
     """All valid one-term expansions (index, coefficient), index order."""
-    red, table, N = solver.red, solver.table, solver.level
+    if shift is None:
+        shift = _shifter(solver, fvec)
+    table = solver.table
     hits: list[tuple[int, int]] = []
     for ia in range(len(solver.chars)):
-        g0 = _mul_root(fvec[0], (N - table[ia][0]) % N, red, N)
+        g0 = shift(0, table[ia][0])
         c = g0[0]
         if c == 0 or any(g0[1:]):
             continue
@@ -313,68 +417,110 @@ def _scan_singles(solver: _TorusSolver, fvec, cap: int) -> list[tuple[int, int]]
     return hits
 
 
+def _pivot_screen(solver: _TorusSolver, shift, ia: int, di: int,
+                  g0) -> tuple[int, int] | None:
+    """(ca, cb) from the sample equations at s0 and at the probe of di.
+
+    c_a + c_b zeta^{d(s)} = f(s) zeta^{-theta_a(s)} at the two samples
+    gives c_b by one pivot division; non-integers or zeros reject.
+    """
+    s1 = solver.probes[di]
+    dcol = solver.table[di]
+    d0 = dcol[0]
+    i0, w0, w = solver.pivot(d0, dcol[s1])
+    g1 = shift(s1, solver.table[ia][s1])
+    cb, rem = divmod(g1[i0] - g0[i0], w0)
+    if rem or cb == 0:
+        return None
+    for t in range(solver.phi):
+        if cb * w[t] != g1[t] - g0[t]:
+            return None
+    row0 = solver.red[d0]
+    ca = g0[0] - cb * row0[0]
+    if ca == 0:
+        return None
+    for t in range(1, solver.phi):
+        if g0[t] != cb * row0[t]:
+            return None
+    return ca, cb
+
+
 def _scan_pairs(solver: _TorusSolver, fvec, stripe: int, step: int,
-                cap: int | None = None) -> list[tuple[int, int, int, int]]:
+                cap: int | None = None,
+                shift=None) -> list[tuple[int, int, int, int]]:
     """All valid two-term expansions (ia, ib, ca, cb) with ia in one stripe.
 
-    Candidates are cut down before any vector work: the two sample equations
-    c_a + c_b zeta^{d} = f(s) zeta^{-u} give c_b by one pivot division, and
-    non-integers or zeros reject immediately.
+    For a first character a, every valid pair satisfies, at each sample s,
+    g_s = f(s) zeta^{-theta_a(s)} = c_a + c_b zeta^{d(s)}, d the difference
+    character b - a.  Instead of walking every b, the pair is read off:
+
+    - If the power-basis tail of g_0 is nonzero, zeta^{d(s0)} is not +-1
+      and its tail is proportional to that of g_0.  The direction lookup
+      lists each exponent d(s0) with that tail direction, and each fixes
+      c_b (exact division) and c_a.  On every further separating sample,
+      (g_s - c_a) / c_b must be a root of unity zeta^{d(s)}; the exponent
+      tuple on the separating samples names d, hence b, through pin.
+    - If the tail is zero, zeta^{d(s0)} = +-1 for every valid pair, and the
+      pivot screen runs over just those difference characters.
+
+    Both branches derive (c_a, c_b) from equations that every valid pair
+    satisfies, so every pair matching the sample equations is enumerated;
+    each one is then verified on the whole locus.  The hit list is exactly
+    that of the pairwise scan, and exhaustive uniqueness still holds.
     """
-    N, red, phi = solver.level, solver.red, solver.phi
-    table, didx, probes = solver.table, solver.delta_idx, solver._probe
-    K = len(solver.chars)
-    pivot = solver.pivot
-    probe = solver.probe
-    shift_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def shift(s: int, e: int) -> tuple[int, ...]:
-        key = (s, e)
-        v = shift_cache.get(key)
-        if v is None:
-            v = _mul_root(fvec[s], (N - e) % N, red, N)
-            shift_cache[key] = v
-        return v
-
+    if shift is None:
+        shift = _shifter(solver, fvec)
+    table, red, K = solver.table, solver.red, len(solver.chars)
+    sep, pin, dirs, exp_of = solver.sep, solver.pin, solver.dirs, solver.exp_of
+    rest = sep[1:]
+    # case-1 candidates (d, ca, cb) by the exponent theta_a(s0); None marks
+    # a rational g0 (case 2)
+    firsts: dict[int, list[tuple[int, int, int]] | None] = {}
     hits: list[tuple[int, int, int, int]] = []
     for ia in range(stripe, K, step):
         ta = table[ia]
         g0 = shift(0, ta[0])
-        drow = didx[ia]
-        for ib in range(ia + 1, K):
-            di = drow[ib]
-            s1 = probes[di]
-            if s1 == -2:
-                s1 = probe(di)
-            if s1 < 0:
-                # difference character constant on the locus: the pair is
-                # dependent there, which the density gate rules out
-                continue
-            dcol = table[di]
-            d0 = dcol[0]
-            d1 = dcol[s1]
-            i0, w0, w = pivot(d0, d1)
-            g1 = shift(s1, ta[s1])
-            cb, rem = divmod(g1[i0] - g0[i0], w0)
-            if rem or cb == 0:
-                continue
-            ok = True
-            for t in range(phi):
-                if cb * w[t] != g1[t] - g0[t]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            row0 = red[d0]
-            ca = g0[0] - cb * row0[0]
-            if ca == 0:
-                continue
-            for t in range(1, phi):
-                if g0[t] != cb * row0[t]:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if ta[0] in firsts:
+            cands = firsts[ta[0]]
+        else:
+            cands = None
+            if any(g0[1:]):
+                key, m = _direction(g0[1:])
+                cands = []
+                for d, k in dirs.get(key, ()):
+                    cb, rem = divmod(m, k)
+                    ca = g0[0] - cb * red[d][0]
+                    if not rem and ca:
+                        cands.append((d, ca, cb))
+            firsts[ta[0]] = cands
+        found: list[tuple[int, int, int]] = []
+        if cands is None:
+            for di in solver.rational:
+                ib = solver.times(ia, di)
+                if ib > ia:
+                    cc = _pivot_screen(solver, shift, ia, di, g0)
+                    if cc is not None:
+                        found.append((ib, *cc))
+        else:
+            for d, ca, cb in cands:
+                key = [d]
+                for s in rest:
+                    v = list(shift(s, ta[s]))
+                    v[0] -= ca
+                    if any(x % cb for x in v):
+                        break
+                    e = exp_of.get(tuple(x // cb for x in v))
+                    if e is None:
+                        break
+                    key.append(e)
+                else:
+                    di = pin.get(tuple(key))
+                    if di is not None:
+                        ib = solver.times(ia, di)
+                        if ib > ia:
+                            found.append((ib, ca, cb))
+        found.sort()
+        for ib, ca, cb in found:
             if _verify(solver, fvec, (ia, ib), (ca, cb)):
                 hits.append((ia, ib, ca, cb))
                 if cap is not None and len(hits) >= cap:
@@ -490,6 +636,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
     K = len(solver.chars)
     bound = min(bound, K)
 
+    shift = _shifter(solver, fvec)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def push(idxs, coeffs) -> bool:
@@ -503,7 +650,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
         done = push((), ())
     if not done and bound >= 1:
         cap = 1 if not exhaustive else 2 - len(found)
-        for ia, c in _scan_singles(solver, fvec, cap):
+        for ia, c in _scan_singles(solver, fvec, cap, shift):
             done = push((ia,), (c,))
             if done:
                 break
@@ -517,7 +664,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
             pair_hits = sorted(h for part in parts for h in part)
         else:
             cap = 1 if not exhaustive else 2 - len(found)
-            pair_hits = _scan_pairs(solver, fvec, 0, 1, cap)
+            pair_hits = _scan_pairs(solver, fvec, 0, 1, cap, shift)
         for ia, ib, ca, cb in pair_hits:
             done = push((ia, ib), (ca, cb))
             if done:

@@ -1,0 +1,112 @@
+"""Reference two-term scan: every ordered character pair, one by one.
+
+This is the O(K^2) pivot screen that the indexed scan in
+glchar.recovery replaced.  It is kept only as a differential oracle, so it
+reads nothing from the solver but its value tables, and it checks every
+candidate on the whole regular locus with its own verifier.
+
+For each pair a < b, with d the difference character b - a, the two sample
+equations c_a + c_b zeta^{d(s)} = f(s) zeta^{-theta_a(s)} at s0 and at the
+first sample s1 where d moves off its value at s0 give c_b by one pivot
+division; non-integers and zeros reject, and survivors are verified.
+"""
+
+from __future__ import annotations
+
+from glchar.recovery import _mul_root
+
+
+def _verify(solver, fvec, idxs, coeffs) -> bool:
+    red, table, phi = solver.red, solver.table, solver.phi
+    rows = [table[i] for i in idxs]
+    for s in range(len(solver.regs)):
+        acc = [0] * phi
+        for trow, c in zip(rows, coeffs):
+            acc = [a + c * r for a, r in zip(acc, red[trow[s]])]
+        if tuple(acc) != fvec[s]:
+            return False
+    return True
+
+
+def _delta_table(solver) -> list[list[int]]:
+    """Index of the difference character b - a, per ordered pair (a, b)."""
+    moduli = solver.group.moduli
+    strides = []
+    acc = 1
+    for m in reversed(moduli):
+        strides.append(acc)
+        acc *= m
+    strides.reverse()
+    cexps = [ch.cexps for ch in solver.chars]
+    return [
+        [sum((b - a) % m * st for a, b, m, st in zip(ca, cb, moduli, strides))
+         for cb in cexps]
+        for ca in cexps
+    ]
+
+
+def scan_pairs_reference(solver, fvec, stripe: int = 0, step: int = 1,
+                         cap: int | None = None
+                         ) -> list[tuple[int, int, int, int]]:
+    """All valid two-term expansions (ia, ib, ca, cb) with ia in one stripe."""
+    N, red, phi = solver.level, solver.red, solver.phi
+    table = solver.table
+    K = len(solver.chars)
+    didx = _delta_table(solver)
+    probes: dict[int, int] = {}
+    pivots: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+    shift_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def probe(di: int) -> int:
+        # first sample where d moves off its value at sample 0; -1 = constant
+        if di not in probes:
+            rowd = table[di]
+            probes[di] = next(
+                (s for s in range(1, len(rowd)) if rowd[s] != rowd[0]), -1)
+        return probes[di]
+
+    def pivot(d0: int, d1: int) -> tuple[int, int, tuple[int, ...]]:
+        out = pivots.get((d0, d1))
+        if out is None:
+            w = tuple(b - a for a, b in zip(red[d0], red[d1]))
+            i0 = next(i for i, v in enumerate(w) if v)
+            out = pivots[(d0, d1)] = (i0, w[i0], w)
+        return out
+
+    def shift(s: int, e: int) -> tuple[int, ...]:
+        v = shift_cache.get((s, e))
+        if v is None:
+            v = shift_cache[(s, e)] = _mul_root(fvec[s], (N - e) % N, red, N)
+        return v
+
+    hits: list[tuple[int, int, int, int]] = []
+    for ia in range(stripe, K, step):
+        ta = table[ia]
+        g0 = shift(0, ta[0])
+        for ib in range(ia + 1, K):
+            di = didx[ia][ib]
+            s1 = probe(di)
+            if s1 < 0:
+                # difference character constant on the locus: the pair is
+                # dependent there, which the density gate rules out
+                continue
+            dcol = table[di]
+            d0 = dcol[0]
+            i0, w0, w = pivot(d0, dcol[s1])
+            g1 = shift(s1, ta[s1])
+            cb, rem = divmod(g1[i0] - g0[i0], w0)
+            if rem or cb == 0:
+                continue
+            if any(cb * w[t] != g1[t] - g0[t] for t in range(phi)):
+                continue
+            row0 = red[d0]
+            ca = g0[0] - cb * row0[0]
+            if ca == 0:
+                continue
+            if any(g0[t] != cb * row0[t] for t in range(1, phi)):
+                continue
+            if _verify(solver, fvec, (ia, ib), (ca, cb)):
+                hits.append((ia, ib, ca, cb))
+                if cap is not None and len(hits) >= cap:
+                    return hits
+    return hits

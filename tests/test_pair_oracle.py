@@ -1,0 +1,130 @@
+"""Differential tests: the indexed two-term scan against the pairwise oracle.
+
+The production scan reads each pair off an index; oracle_pairs walks all
+K(K-1)/2 pairs.  Both must return the same (ia, ib, ca, cb) hit list,
+in the same order, on every input: built-in sheet rows, planted two-term
+functions, and inputs whose shifted first sample is rational (the case the
+index cannot pin, where the scan falls back to the pivot screen).
+"""
+
+import math
+from functools import lru_cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from glchar.abelian import AbChar
+from glchar.cyclotomic import CycNum, root
+from glchar.recovery import _scan_pairs, _shifter, _solver
+from glchar.sheets import build_gl2_sheet
+from glchar.tori import GroupSpec, TorusType, points, regular_elements
+
+from oracle_pairs import scan_pairs_reference
+
+SPEC11 = GroupSpec(2, 11)
+SPEC13 = GroupSpec(2, 13)
+TORI = [TorusType(spec, blocks) for spec in (SPEC11, SPEC13)
+        for blocks in ((1, 1), (2,))]
+
+
+def solver_input(values, tt):
+    """(solver, fvec) for a value map on the regular locus of tt."""
+    regs = regular_elements(tt)
+    level = math.lcm(points(tt, 1).group.exponent,
+                     *(v.level for v in values.values()))
+    return _solver(tt, level), [values[e].lift(level).num for e in regs]
+
+
+def assert_same_hits(values, tt):
+    solver, fvec = solver_input(values, tt)
+    hits = _scan_pairs(solver, fvec, 0, 1)
+    assert hits == scan_pairs_reference(solver, fvec)
+    # the stripes of a pool run, and the capped serial scan
+    for stripe in range(2):
+        assert (_scan_pairs(solver, fvec, stripe, 2)
+                == [h for h in hits if h[0] % 2 == stripe])
+    assert _scan_pairs(solver, fvec, 0, 1, 1) == hits[:1]
+    return solver, fvec, hits
+
+
+def char_fn(tt, planted, level):
+    grp = points(tt, 1).group
+    lift = level // grp.exponent
+    out = {}
+    for e in regular_elements(tt):
+        acc = CycNum.zero(level)
+        for cexps, c in planted:
+            acc = acc + root(level, lift * AbChar(grp, cexps).value_exponent(e)) * c
+        out[e] = acc
+    return out
+
+
+@lru_cache(maxsize=None)
+def gl2_sheet(q):
+    return build_gl2_sheet(q)
+
+
+@pytest.mark.parametrize("q, every", [(11, 1), (13, 1), (17, 11)])
+def test_indexed_scan_matches_oracle_on_sheet_rows(q, every):
+    sheet = gl2_sheet(q)
+    for row in sheet.rows[::every]:
+        for tt in sheet.tori:
+            assert_same_hits(row.values[tt.blocks], tt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_indexed_scan_matches_oracle_on_planted_functions(data):
+    tt = data.draw(st.sampled_from(TORI))
+    grp = points(tt, 1).group
+    q = tt.spec.q
+    level = data.draw(st.sampled_from([grp.exponent, q * q - 1]))
+    first = regular_elements(tt)[0]
+    exps = st.tuples(*(st.integers(0, m - 1) for m in grp.moduli))
+    a = data.draw(exps)
+    if data.draw(st.booleans()):
+        # difference character with zeta^{d(s0)} = +-1: rational g0
+        deltas = [d for d in product(*(range(m) for m in grp.moduli))
+                  if 2 * AbChar(grp, d).value_exponent(first) % grp.exponent == 0
+                  and any(d)]
+        d = data.draw(st.sampled_from(deltas))
+    else:
+        d = data.draw(exps.filter(any))
+    b = tuple((x + y) % m for x, y, m in zip(a, d, grp.moduli))
+    coeffs = data.draw(st.lists(st.integers(-4, 4).filter(bool),
+                                min_size=2, max_size=2))
+    planted = sorted(zip((a, b), coeffs))
+    _, _, hits = assert_same_hits(char_fn(tt, planted, level), tt)
+    idx = {ch.cexps: i for i, ch in enumerate(_solver(tt, level).chars)}
+    (ca, c1), (cb, c2) = planted
+    assert (idx[ca], idx[cb], c1, c2) in hits
+
+
+@pytest.mark.parametrize("tt", TORI, ids=lambda t: f"q{t.spec.q}-{t.label}")
+def test_zero_function_takes_rational_branch(tt):
+    zero = {e: CycNum.zero(tt.spec.q ** 2 - 1) for e in regular_elements(tt)}
+    solver, fvec, hits = assert_same_hits(zero, tt)
+    assert hits == []
+    shift = _shifter(solver, fvec)
+    assert all(not any(shift(0, row[0])[1:]) for row in solver.table)
+
+
+@settings(max_examples=10, deadline=None)
+@given(q=st.sampled_from([11, 13]), data=st.data())
+def test_principal_half_shift_rows_take_rational_branch(q, data):
+    # principal:k,k+(q-1)/2 on the split torus: at the first regular point
+    # (0, 1) the two terms differ by zeta^{(q^2-1)/2} = -1, so g0 = 0 for
+    # the character (k, k + (q-1)/2) of the planted pair
+    h = (q - 1) // 2
+    k = data.draw(st.integers(0, h - 1))
+    sheet = gl2_sheet(q)
+    tt = sheet.tori[0]
+    solver, fvec, hits = assert_same_hits(
+        sheet.row(f"principal:{k},{k + h}").values[tt.blocks], tt)
+    ia = next(i for i, ch in enumerate(solver.chars)
+              if ch.cexps == (k, k + h))
+    shift = _shifter(solver, fvec)
+    assert not any(shift(0, solver.table[ia][0])[1:])
+    assert [(solver.chars[i].cexps, solver.chars[j].cexps, ca, cb)
+            for i, j, ca, cb in hits] == [((k, k + h), (k + h, k), 1, 1)]

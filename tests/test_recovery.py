@@ -143,8 +143,8 @@ def test_nonunique_merge_is_reported(monkeypatch):
 
     real = rec._scan_singles
 
-    def fake(solver, fvec, cap):
-        hits = real(solver, fvec, 2)
+    def fake(solver, fvec, cap, shift=None):
+        hits = real(solver, fvec, 2, shift)
         return (hits + [(99, 7)])[:cap]
 
     monkeypatch.setattr(rec, "_scan_singles", fake)
@@ -156,11 +156,13 @@ def test_nonunique_merge_is_reported(monkeypatch):
 
 
 def test_jobs_two_matches_serial():
-    row = build_gl2_sheet(11).row("cuspidal:7")
-    for tt in (SPLIT11, ELL11):
-        serial = sparse_decompose(row.values[tt.blocks], tt, jobs=1)
-        parallel = sparse_decompose(row.values[tt.blocks], tt, jobs=2)
-        assert terms_of(serial) == terms_of(parallel)
+    sheet = build_gl2_sheet(11)
+    for label in ("cuspidal:7", "onedim:3", "principal:2,5"):
+        row = sheet.row(label)
+        for tt in (SPLIT11, ELL11):
+            serial = sparse_decompose(row.values[tt.blocks], tt, jobs=1)
+            parallel = sparse_decompose(row.values[tt.blocks], tt, jobs=2)
+            assert terms_of(serial) == terms_of(parallel), (label, tt.label)
 
 
 # -- dual-route agreement ----------------------------------------------------

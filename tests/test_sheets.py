@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -160,6 +161,21 @@ def test_save_load_roundtrip(tmp_path):
     gl1 = build_gl1_sheet(4)
     save_sheet(gl1, str(path))
     assert load_sheet(str(path)) == gl1
+
+
+def test_sheet_value_triples_are_numerator_denominator_power():
+    # the order the README documents for the file format
+    d = sheet_to_dict(build_gl2_sheet(11))
+    assert d["zeta_level"] == 120
+    rows = {r["label"]: r["values"]["2"] for r in d["irreducibles"]}
+
+    def value_at(label, exps):
+        return next(v["value"] for v in rows[label] if v["element"] == exps)
+
+    assert value_at("onedim:1", [1]) == [[1, 1, 12]]  # zeta^12
+    assert value_at("cuspidal:1", [1]) == [[-1, 1, 1], [-1, 1, 11]]
+    half = CycNum.from_terms(120, {5: Fraction(-3, 2)})
+    assert half.to_triples() == [[-3, 2, 5]]
 
 
 def test_load_rejects_value_on_nonregular_element(tmp_path):
