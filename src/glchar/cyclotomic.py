@@ -476,24 +476,42 @@ class CycNum:
     # -- serialization: list of [numerator, denominator, power] triples --
 
     def to_triples(self) -> list[list[int]]:
+        den = self.den
+        if den == 1:
+            return [[n, 1, i] for i, n in enumerate(self.num) if n]
         out = []
         for i, n in enumerate(self.num):
             if n:
-                f = Fraction(n, self.den)
-                out.append([f.numerator, f.denominator, i])
+                g = math.gcd(n, den)
+                out.append([n // g, den // g, i])
         return out
 
     @classmethod
     def from_triples(cls, level: int, triples: Iterable[Sequence[int]]) -> "CycNum":
+        """Value sum (n/d) * zeta^p over [n, d, p] triples of plain ints.
+
+        Powers index the power basis (0 <= p < phi), so nothing is folded:
+        each n is scaled to the lcm of the denominators and added at p.
+        Powers may repeat.  bool and other int subclasses are rejected.
+        """
+        phi = _context(level).phi
         terms = []
+        common = 1
         for t in triples:
             n, d, p = t
+            if type(n) is not int or type(d) is not int or type(p) is not int:
+                raise TypeError(f"triple {list(t)} is not three integers")
             if d <= 0:
                 raise ValueError("denominator must be positive")
-            if not 0 <= p < _context(level).phi:
+            if not 0 <= p < phi:
                 raise ValueError(f"power {p} outside basis range at level {level}")
-            terms.append((p, Fraction(n, d)))
-        return cls.from_terms(level, terms)
+            if d != 1:
+                common = math.lcm(common, d)
+            terms.append((n, d, p))
+        vec = [0] * phi
+        for n, d, p in terms:
+            vec[p] += n * (common // d)
+        return cls._raw(level, *_normalize(vec, common))
 
 
 def root(N: int, a: int) -> CycNum:

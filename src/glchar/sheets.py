@@ -154,7 +154,7 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     rows = []
     for k in range(q - 1):
         label = IrrLabel.make(spec, "onedim", (k,))
-        vals = {(a,): root(N, k * a) for (a,) in regs}
+        vals = {e: root(N, k * e[0]) for e in regs}
         rows.append(SheetRow(label.format(), 1, {tt.blocks: vals}))
     return CharacterSheet(spec, N, (tt,), rows)
 
@@ -193,26 +193,36 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
                       for c in range(1, N) if c % (q + 1)},
                      key=IrrLabel.sort_key)
 
+    # Every value is sign * (sum of roots); there are only O(N) distinct
+    # ones, so each is computed once and the rows share the immutable
+    # CycNum.  The key is the sign and the sorted exponents mod N.
+    memo: dict[tuple[int, ...], CycNum] = {}
+
+    def val(sign: int, *exps: int) -> CycNum:
+        key = (sign, *sorted(e % N for e in exps))
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = CycNum.from_terms(N, [(e, sign) for e in key[1:]])
+        return v
+
     rows = []
     for lab in sorted(labels, key=IrrLabel.sort_key):
         fam, par = lab.family, lab.params
         if fam == "onedim" or fam == "steinberg":
             k = par[0]
             sign = 1 if fam == "onedim" else -1
-            vsp = {(i, j): root(N, k * (i + j) * (q + 1))
-                   for (i, j) in regs_sp}
-            vel = {(a,): sign * root(N, k * a * (q + 1)) for (a,) in regs_el}
+            vsp = {e: val(1, k * (e[0] + e[1]) * (q + 1)) for e in regs_sp}
+            vel = {e: val(sign, k * e[0] * (q + 1)) for e in regs_el}
         elif fam == "principal":
             k, l = par
-            vsp = {(i, j): root(N, (k * i + l * j) * (q + 1))
-                   + root(N, (k * j + l * i) * (q + 1))
-                   for (i, j) in regs_sp}
-            vel = {(a,): zero for (a,) in regs_el}
+            vsp = {e: val(1, (k * e[0] + l * e[1]) * (q + 1),
+                          (k * e[1] + l * e[0]) * (q + 1))
+                   for e in regs_sp}
+            vel = dict.fromkeys(regs_el, zero)
         else:
             c = par[0]
-            vsp = {(i, j): zero for (i, j) in regs_sp}
-            vel = {(a,): -(root(N, c * a) + root(N, c * q * a))
-                   for (a,) in regs_el}
+            vsp = dict.fromkeys(regs_sp, zero)
+            vel = {e: val(-1, c * e[0], c * q * e[0]) for e in regs_el}
         rows.append(SheetRow(lab.format(), lab.dim(spec),
                              {sp.blocks: vsp, el.blocks: vel}))
     return CharacterSheet(spec, N, (sp, el), rows)
@@ -294,6 +304,7 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
                 orbits.append(orb)
         orbit_cache[tt.blocks] = orbits
 
+    reg_sets = {tt.blocks: set(regular_elements(tt)) for tt in sheet.tori}
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
             bad.append(f"row {r.label}: value maps keyed by "
@@ -303,7 +314,7 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
             vals = r.values[tt.blocks]
             regs = regular_elements(tt)
             missing = [e for e in regs if e not in vals]
-            extra = [e for e in vals if e not in set(regs)]
+            extra = [e for e in vals if e not in reg_sets[tt.blocks]]
             if missing:
                 bad.append(f"row {r.label}, torus {tt.label}: missing "
                            f"regular elements, e.g. {missing[0]}")
@@ -320,7 +331,8 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
             for orb in orbit_cache[tt.blocks]:
                 v0 = vals[orb[0]]
                 for e in orb[1:]:
-                    if vals[e] != v0:
+                    v = vals[e]
+                    if v is not v0 and v != v0:
                         bad.append(f"row {r.label}, torus {tt.label}: not "
                                    f"constant on the class of {orb[0]} "
                                    f"(differs at {e})")
@@ -368,8 +380,11 @@ def sheet_from_dict(data) -> CharacterSheet:
     except ValueError as e:
         raise SheetFormatError(str(e)) from None
     zeta_level = need(data, "zeta_level", int)
-    if zeta_level < 1:
-        raise SheetFormatError("zeta_level must be positive")
+    # before any value is parsed: parsing allocates tables sized by the level
+    level = zeta_level_for(spec)
+    if zeta_level != level:
+        raise SheetFormatError(f"zeta_level {zeta_level} != lcm of torus "
+                               f"exponents {level}")
     tori = []
     for lab in need(data, "tori", list):
         if not isinstance(lab, str):
@@ -378,6 +393,10 @@ def sheet_from_dict(data) -> CharacterSheet:
             tori.append(torus_from_label(spec, lab))
         except ValueError as e:
             raise SheetFormatError(str(e)) from None
+    # Per load, equal elements and equal values share one object.  Keys are
+    # type-checked first, so 1.0 or True never hits the entry of a 1.
+    elements: dict[tuple[int, ...], tuple[int, ...]] = {}
+    interned: dict[tuple[tuple[int, int, int], ...], CycNum] = {}
     rows = []
     for item in need(data, "irreducibles", list):
         label = need(item, "label", str)
@@ -395,16 +414,21 @@ def sheet_from_dict(data) -> CharacterSheet:
             rank = len(points(tt, 1).group.moduli)
             for ent in entries:
                 e = need(ent, "element", list)
-                if len(e) != rank or not all(isinstance(x, int) for x in e):
+                key = tuple(e)
+                if len(key) != rank or not all(type(x) is int for x in key):
                     raise SheetFormatError(
                         f"row {label!r}, torus {tt.label}: bad element {e}")
+                key = elements.setdefault(key, key)
                 triples = need(ent, "value", list)
                 try:
-                    v = CycNum.from_triples(zeta_level, triples)
+                    tkey = _triples_key(triples)
+                    v = interned.get(tkey)
+                    if v is None:
+                        v = interned[tkey] = CycNum.from_triples(zeta_level,
+                                                                 tkey)
                 except (ValueError, TypeError) as err:
                     raise SheetFormatError(
                         f"row {label!r}: bad value triples: {err}") from None
-                key = tuple(e)
                 if key in vals:
                     raise SheetFormatError(
                         f"row {label!r}, torus {tt.label}: duplicate "
@@ -421,9 +445,63 @@ def sheet_from_dict(data) -> CharacterSheet:
     return sheet
 
 
+def _triples_key(triples: list) -> tuple[tuple[int, int, int], ...]:
+    """Hashable copy of value triples; TypeError unless each is three ints."""
+    key = tuple(map(tuple, triples))
+    for t in key:
+        if len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is int):
+            raise TypeError(f"triple {list(t)} is not three integers")
+    return key
+
+
 def sheet_to_json_text(sheet: CharacterSheet) -> str:
-    """Deterministic JSON rendering; files are byte-comparable."""
-    return json.dumps(sheet_to_dict(sheet), indent=1) + "\n"
+    """Deterministic JSON rendering; files are byte-comparable.
+
+    The text equals json.dumps(sheet_to_dict(sheet), indent=1) + "\n".  It
+    is assembled from pieces: every entry's element and value sit at the
+    same depth, so each distinct element tuple and value object is
+    rendered once there (memoized by identity; build and load share them)
+    and the rows are joined around them.
+    """
+    dumps = json.dumps
+    entry_depth = "\n      "
+    texts: dict[int, str] = {}  # id(element or value) -> JSON at entry depth
+
+    def text(obj, as_json) -> str:
+        t = texts.get(id(obj))
+        if t is None:
+            t = texts[id(obj)] = dumps(as_json(obj),
+                                       indent=1).replace("\n", entry_depth)
+        return t
+
+    def triples(v: CycNum) -> list[list[int]]:
+        return v.to_triples()
+
+    def block(brackets: str, items: list[str], depth: int) -> str:
+        # a container laid out as indent=1 does, closed at the given depth
+        if not items:
+            return brackets
+        return (f"{brackets[0]}\n" + ",\n".join(items) + "\n"
+                + " " * depth + brackets[1])
+
+    rows = []
+    for r in sheet.rows:
+        values = {}
+        for tt in sheet.tori:
+            vals = r.values[tt.blocks]
+            values[tt.label] = block("[]", [
+                f'     {{\n      "element": {text(e, list)},'
+                f'\n      "value": {text(vals[e], triples)}'
+                f'\n     }}' for e in sorted(vals)], 4)
+        body = block("{}", [f"    {dumps(k)}: {v}" for k, v in values.items()],
+                     3)
+        rows.append(f'  {{\n   "label": {dumps(r.label)},\n   "dim": '
+                    f'{dumps(r.dim)},\n   "values": {body}\n  }}')
+    head = dumps({"group": "GL", "n": sheet.spec.n, "q": sheet.spec.q,
+                  "zeta_level": sheet.zeta_level,
+                  "tori": [t.label for t in sheet.tori]}, indent=1)
+    return (f'{head[:-2]},\n "irreducibles": {block("[]", rows, 1)}'
+            "\n}\n")
 
 
 def save_sheet(sheet: CharacterSheet, path: str) -> None:

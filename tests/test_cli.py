@@ -299,6 +299,21 @@ def test_invalid_sheet_file_exits_3(capsys, tmp_path):
     assert "sheet rejected" in err
 
 
+def test_huge_zeta_level_exits_3_before_values_are_parsed(tmp_path):
+    # parsing values at level 10**6 would allocate ~4e11 ints; the level
+    # must be refused first (the timeout only guards against a hang)
+    data = sheet_to_dict(build_gl2_sheet(3))
+    data["zeta_level"] = 1000000
+    path = tmp_path / "huge-level.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glchar", "recover", "--sheet", str(path),
+         "--rho", "onedim:0"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "zeta_level 1000000 != lcm of torus exponents 8" in proc.stderr
+
+
 def test_unrecoverable_class_function_exits_4(capsys, tmp_path):
     # a 0/1 indicator on one Weyl orbit is a perfectly valid class function
     # but is not an integer combination of at most |W| characters

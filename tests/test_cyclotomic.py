@@ -211,6 +211,30 @@ def test_triples_roundtrip_random(x):
 
 
 @given(st.sampled_from(LEVELS), st.data())
+def test_integer_from_triples_matches_fraction_terms(N, data):
+    # powers may repeat and denominators mix; from_terms sums Fractions
+    phi = euler_phi(N)
+    triples = data.draw(st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(1, 12),
+                  st.integers(0, phi - 1)), max_size=8))
+    got = CycNum.from_triples(N, triples)
+    want = CycNum.from_terms(N, [(p, Fraction(n, d)) for n, d, p in triples])
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_from_triples_sums_repeated_powers_over_mixed_denominators():
+    got = CycNum.from_triples(12, [[1, 2, 3], [1, 3, 3], [-1, 6, 0], [0, 5, 1]])
+    assert got == CycNum.from_terms(12, {3: Fraction(5, 6), 0: Fraction(-1, 6)})
+    assert (got.num, got.den) == ((-1, 0, 0, 5), 6)
+
+
+def test_from_triples_takes_plain_ints_only():
+    for bad in ([True, 1, 0], [1.0, 1, 0], [1, 1, "0"], [1, Fraction(1), 0]):
+        with pytest.raises(TypeError):
+            CycNum.from_triples(4, [bad])
+
+
+@given(st.sampled_from(LEVELS), st.data())
 def test_packed_convolution_matches_schoolbook(N, data):
     from glchar.cyclotomic import _context
     ctx = _context(N)

@@ -11,6 +11,7 @@ from glchar.sheets import (
     CharacterSheet,
     IrrLabel,
     SheetFormatError,
+    SheetRow,
     SheetValidationError,
     build_gl1_sheet,
     build_gl2_sheet,
@@ -19,6 +20,7 @@ from glchar.sheets import (
     save_sheet,
     sheet_from_dict,
     sheet_to_dict,
+    sheet_to_json_text,
     validate_sheet,
     zeta_level_for,
 )
@@ -176,6 +178,95 @@ def test_sheet_value_triples_are_numerator_denominator_power():
     assert value_at("cuspidal:1", [1]) == [[-1, 1, 1], [-1, 1, 11]]
     half = CycNum.from_terms(120, {5: Fraction(-3, 2)})
     assert half.to_triples() == [[-3, 2, 5]]
+
+
+def _oracle_text(sheet):
+    return json.dumps(sheet_to_dict(sheet), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 11), (2, 13),
+                                 (1, 4), (1, 5)])
+def test_emitter_matches_json_dumps(n, q):
+    sheet = build_sheet(n, q)
+    assert sheet_to_json_text(sheet) == _oracle_text(sheet)
+    loaded = sheet_from_dict(json.loads(_oracle_text(sheet)))
+    assert sheet_to_json_text(loaded) == _oracle_text(sheet)
+
+
+def test_emitter_matches_json_dumps_on_direct_sheets():
+    spec = GroupSpec(1, 5)
+    (tt,) = enumerate_tori(spec)
+    regs = regular_elements(tt)
+    values = [CycNum.from_terms(4, {1: Fraction(1, 2), 0: Fraction(-3, 4)}),
+              CycNum.one(4), CycNum.zero(4)]
+    row = SheetRow('say "hé"', 1,
+                   {tt.blocks: {e: values[i % 3]
+                                for i, e in enumerate(regs)}})
+    # new element tuples and values in every slot: nothing shared
+    fresh = SheetRow("fresh", 2, {tt.blocks: {
+        (e[0],): CycNum.from_terms(4, {e[0]: Fraction(e[0], 3)})
+        for e in regs}})
+    empty = SheetRow("empty", 1, {tt.blocks: {}})
+    no_tori = SheetRow("no tori", 1, {})
+    for sheet in (CharacterSheet(spec, 4, (tt,), [row, fresh, empty]),
+                  CharacterSheet(spec, 4, (tt,), []),
+                  CharacterSheet(spec, 4, (), [no_tori])):
+        assert sheet_to_json_text(sheet) == _oracle_text(sheet)
+    assert '"label": "say \\"h\\u00e9\\""' in sheet_to_json_text(
+        CharacterSheet(spec, 4, (tt,), [row]))
+
+
+@pytest.mark.parametrize("bad", [[1.0, 1, 0], ["1", 1, 0], [True, 1, 0],
+                                 [1, 1.0, 0], [1, True, 0], [1, 1, 0.0],
+                                 [1, 1, "0"], [1, 1], [1, 1, 0, 0], 1])
+def test_hostile_triple_rejected_wherever_it_sits(bad):
+    # every onedim:0 value is [[1, 1, 0]]: the bad triple is equal (or close)
+    # to an interned one when it comes second, and meets an empty cache first
+    data = sheet_to_dict(build_gl2_sheet(3))
+    entries = data["irreducibles"][0]["values"]["1+1"]
+    assert entries[0]["value"] == entries[1]["value"] == [[1, 1, 0]]
+    messages = []
+    for pos in (0, 1):
+        hostile = copy.deepcopy(data)
+        hostile["irreducibles"][0]["values"]["1+1"][pos]["value"] = [bad]
+        with pytest.raises(SheetFormatError) as exc:
+            sheet_from_dict(hostile)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "bad value triples" in messages[0]
+
+
+def test_bool_element_rejected_after_equal_int_element():
+    data = sheet_to_dict(build_gl2_sheet(3))
+    entries = data["irreducibles"][1]["values"]["2"]
+    assert entries[0]["element"] == [1]
+    entries[0]["element"] = [True]
+    with pytest.raises(SheetFormatError) as exc:
+        sheet_from_dict(data)
+    assert "bad element" in str(exc.value)
+
+
+def test_load_shares_equal_values_and_elements():
+    sheet = sheet_from_dict(sheet_to_dict(build_gl2_sheet(5)))
+    sp = sheet.tori[0]
+    a = sheet.row("onedim:0").values[sp.blocks]
+    b = sheet.row("steinberg:0").values[sp.blocks]
+    (ea, va), (eb, vb) = next(iter(a.items())), next(iter(b.items()))
+    assert ea is eb and va is vb
+
+
+def test_zeta_level_checked_before_values_are_parsed(monkeypatch):
+    import glchar.sheets as sheets_mod
+
+    def no_parse(*args):
+        raise AssertionError("a value was parsed before the level check")
+
+    monkeypatch.setattr(sheets_mod.CycNum, "from_triples", no_parse)
+    data = sheet_to_dict(build_gl2_sheet(3))
+    data["zeta_level"] = 24
+    with pytest.raises(SheetFormatError) as exc:
+        sheet_from_dict(data)
+    assert "zeta_level 24 != lcm of torus exponents 8" in str(exc.value)
 
 
 def test_load_rejects_value_on_nonregular_element(tmp_path):
