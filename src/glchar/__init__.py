@@ -5,16 +5,24 @@ indexes an irreducible character of a finite general linear group by a
 geometric conjugacy class of torus characters, using nothing but the
 character's values on regular semisimple torus elements.  The layers:
 
-cyclotomic  exact arithmetic in Q(zeta_N) on the power basis
-abelian     finite abelian groups, characters, homs in exponent coordinates
-tori        maximal torus types, norm maps, regularity, conjugacy deciders
+cyclotomic  exact arithmetic in Q(zeta_N) on the power basis, Laplace
+            determinants (no field inversion, no linear solving)
+abelian     finite abelian groups and their characters in exponent
+            coordinates
+tori        maximal torus types, regularity, the density gate, Weyl orbits,
+            and the canonical class invariant geom_class_id
 sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
-recovery    sparse expansion search, class assembly, unipotence, audits
+recovery    expansion search of at most two terms (|W| <= 2 wherever the
+            gate passes within the enumeration budget), class assembly,
+            unipotence, audits
 cli         deterministic command line front end
+
+The independent cross-checks (norm/pullback class decider, Bareiss
+determinants, the rational subset solver) live in the tests as oracles.
 """
 
-from .abelian import AbChar, AbHom, FinAbGroup, GrpElt, pullback
-from .cyclotomic import CycMatrix, CycNum, root, solve_exact
+from .abelian import AbChar, FinAbGroup, GrpElt
+from .cyclotomic import CycMatrix, CycNum, root
 from .recovery import (
     ConsistencyReport,
     Expansion,
@@ -52,9 +60,7 @@ from .tori import (
     check_q_condition,
     enumerate_tori,
     geom_class_id,
-    geometric_conjugate,
     is_regular,
-    norm_hom,
     regular_elements,
     weyl_orbit,
 )
@@ -62,8 +68,8 @@ from .tori import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbChar", "AbHom", "FinAbGroup", "GrpElt", "pullback",
-    "CycMatrix", "CycNum", "root", "solve_exact",
+    "AbChar", "FinAbGroup", "GrpElt",
+    "CycMatrix", "CycNum", "root",
     "ConsistencyReport", "Expansion", "GramReport", "NoExpansionError",
     "NonUniqueError", "QConditionViolated", "RecoveryInconsistencyError",
     "RecoveryReport", "gram_independence", "is_unipotent", "recover_E",
@@ -73,8 +79,7 @@ __all__ = [
     "load_sheet", "save_sheet", "sheet_from_dict", "sheet_to_dict",
     "validate_sheet",
     "GeomClassId", "GroupSpec", "QConditionReport", "TorusType",
-    "check_q_condition", "enumerate_tori", "geom_class_id",
-    "geometric_conjugate", "is_regular", "norm_hom", "regular_elements",
-    "weyl_orbit",
+    "check_q_condition", "enumerate_tori", "geom_class_id", "is_regular",
+    "regular_elements", "weyl_orbit",
     "__version__",
 ]

@@ -1,11 +1,11 @@
-"""Finite abelian groups in exponent coordinates, with duals and homs.
+"""Finite abelian groups in exponent coordinates, with their duals.
 
 A group is presented as Z/m_1 x ... x Z/m_r by its tuple of moduli.
 Elements and characters are both exponent tuples reduced componentwise;
 the character (c_1, ..., c_r) takes the value zeta_L^{sum c_i a_i (L/m_i)}
 on the element (a_1, ..., a_r), where L = lcm(m_i).  Keeping everything in
-exponent form means equality, orbits and pullbacks are integer arithmetic;
-no value table is ever materialized.
+exponent form means equality and evaluation are integer arithmetic; no
+value table is ever materialized.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .cyclotomic import CycNum, root
 
@@ -116,135 +116,6 @@ class AbChar:
         return root(self.group.exponent, self.value_exponent(g.exps))
 
 
-@dataclass(frozen=True)
-class AbHom:
-    source: FinAbGroup
-    target: FinAbGroup
-    images: tuple[tuple[int, ...], ...]  # image of each source generator
-
-    def __post_init__(self):
-        if len(self.images) != self.source.rank:
-            raise ValueError("one image per source generator required")
-        imgs = []
-        for i, img in enumerate(self.images):
-            e = GrpElt(self.target, tuple(img))
-            # well-defined: the i-th generator has order m_i in the source
-            if any(self.source.moduli[i] * a % m for a, m in
-                   zip(e.exps, self.target.moduli)):
-                raise ValueError(f"generator {i} image violates its order")
-            imgs.append(e.exps)
-        object.__setattr__(self, "images", tuple(imgs))
-
-    def apply(self, g: GrpElt) -> GrpElt:
-        if g.group != self.source:
-            raise ValueError("element not in the source group")
-        acc = [0] * self.target.rank
-        for a, img in zip(g.exps, self.images):
-            if a:
-                for j, b in enumerate(img):
-                    acc[j] += a * b
-        return GrpElt(self.target, tuple(acc))
-
-    def compose(self, inner: "AbHom") -> "AbHom":
-        """self after inner (source of self = target of inner)."""
-        if inner.target != self.source:
-            raise ValueError("homs not composable")
-        return AbHom(inner.source, self.target,
-                     tuple(self.apply(GrpElt(self.source, img)).exps
-                           for img in inner.images))
-
-    def is_surjective(self) -> bool:
-        """Image = target, decided by integer lattice reduction.
-
-        The image is (M Z^s + D Z^r)/D Z^r with M the column matrix of
-        generator images and D = diag(target moduli); it is everything iff
-        the column lattice of [M | D] is all of Z^r.
-        """
-        r = self.target.rank
-        if r == 0:
-            return True
-        rows = [[img[i] for img in self.images] for i in range(r)]
-        for i in range(r):
-            rows[i].extend(self.target.moduli[j] if j == i else 0
-                           for j in range(r))
-        return _column_lattice_index(rows) == 1
-
-
-def _column_lattice_index(rows: list[list[int]]) -> int:
-    """Index in Z^r of the lattice spanned by the columns (0 if not full rank)."""
-    mat = [row[:] for row in rows]
-    r = len(mat)
-    c = len(mat[0])
-    index = 1
-    for i in range(r):
-        # euclidean column reduction on row i, columns i..
-        while True:
-            jmin = None
-            for j in range(i, c):
-                if mat[i][j] and (jmin is None or
-                                  abs(mat[i][j]) < abs(mat[i][jmin])):
-                    jmin = j
-            if jmin is None:
-                return 0
-            if jmin != i:
-                for k in range(r):
-                    mat[k][i], mat[k][jmin] = mat[k][jmin], mat[k][i]
-            piv = mat[i][i]
-            done = True
-            for j in range(i + 1, c):
-                if mat[i][j]:
-                    f = mat[i][j] // piv
-                    for k in range(r):
-                        mat[k][j] -= f * mat[k][i]
-                    if mat[i][j]:
-                        done = False
-            if done:
-                break
-        index *= abs(mat[i][i])
-    return index
-
-
-def pullback(chi: AbChar, h: AbHom) -> AbChar:
-    """The character chi o h on the source of h.
-
-    Computed on generators: the image of source generator i pairs with chi
-    to a root of unity whose order divides m_i, which pins the i-th
-    exponent of the pullback; each exponent is then verified pointwise.
-    """
-    if chi.group != h.target:
-        raise ValueError("character not on the target of the hom")
-    Lt = h.target.exponent
-    out = []
-    for i, img in enumerate(h.images):
-        mi = h.source.moduli[i]
-        e = chi.value_exponent(img)  # chi(h(gen_i)) = zeta_Lt^e
-        # chi(h(gen_i)) must be an m_i-th root: e * m_i = 0 mod Lt
-        num = e * mi
-        if num % Lt:
-            raise AssertionError("pullback exponent not integral")
-        out.append((num // Lt) % mi)
-    pb = AbChar(h.source, tuple(out))
-    Ls = h.source.exponent
-    for i, img in enumerate(h.images):
-        gen = [0] * h.source.rank
-        gen[i] = 1
-        lhs = pb.value_exponent(gen)
-        rhs = chi.value_exponent(img)
-        if (lhs * Lt - rhs * Ls) % (Ls * Lt):
-            raise AssertionError("pullback failed pointwise check")
-    return pb
-
-
-def enumerate_elements(G: FinAbGroup,
-                       budget: int = DEFAULT_BUDGET) -> Iterator[GrpElt]:
-    """All elements in lexicographic exponent order, identity first."""
-    if G.order > budget:
-        raise EnumerationBudgetError(
-            f"group of order {G.order} exceeds budget {budget}")
-    for exps in product(*(range(m) for m in G.moduli)):
-        yield GrpElt(G, exps)
-
-
 def enumerate_chars(G: FinAbGroup,
                     budget: int = DEFAULT_BUDGET) -> Iterator[AbChar]:
     if G.order > budget:
@@ -253,36 +124,3 @@ def enumerate_chars(G: FinAbGroup,
     for cexps in product(*(range(m) for m in G.moduli)):
         yield AbChar(G, cexps)
 
-
-def orbit(chi: AbChar, perms: Iterable[Sequence[int]]) -> tuple[AbChar, ...]:
-    """Orbit of chi under the group generated by coordinate permutations.
-
-    Each permutation p sends coordinate i to p[i] and must match equal
-    moduli; the closure is taken, so passing generators is enough.
-    """
-    m = chi.group.moduli
-    perms = [tuple(p) for p in perms]
-    for p in perms:
-        if sorted(p) != list(range(len(m))):
-            raise ValueError(f"not a permutation: {p}")
-        if any(m[p[i]] != m[i] for i in range(len(m))):
-            raise ValueError(f"permutation {p} mixes unequal moduli")
-
-    def act(p: tuple[int, ...], cexps: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(cexps)
-        for i, c in enumerate(cexps):
-            out[p[i]] = c
-        return tuple(out)
-
-    seen = {chi.cexps}
-    frontier = [chi.cexps]
-    while frontier:
-        nxt = []
-        for ce in frontier:
-            for p in perms:
-                im = act(p, ce)
-                if im not in seen:
-                    seen.add(im)
-                    nxt.append(im)
-        frontier = nxt
-    return tuple(AbChar(chi.group, ce) for ce in sorted(seen))

@@ -13,11 +13,9 @@ Conventions used throughout:
 - Values are immutable.  Arithmetic requires both operands at the same
   level; combine levels explicitly with `lift` (allowed exactly when the
   source level divides the target level).
-- Complex conjugation is deliberately absent: callers that need inverse
-  root values invert on the group side (s -> s^-1) instead.  The one
-  place a multiplicative inverse is required (linear solving) uses the
-  product of the nontrivial Galois conjugates, which stays inside pure
-  power-basis arithmetic.
+- Complex conjugation and field inversion are deliberately absent:
+  callers that need inverse root values invert on the group side
+  (s -> s^-1) instead, and determinants are division-free.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -139,17 +137,8 @@ class _Context:
             prod = self._conv_school(a, b)
         else:
             prod = self._conv_packed(a, b)
-        out = list(prod[:phi])
-        red = self.red
-        for e in range(phi, 2 * phi - 1):
-            c = prod[e]
-            if c:
-                row = red[e]
-                for i in range(phi):
-                    ri = row[i]
-                    if ri:
-                        out[i] += c * ri
-        return out
+        tail = _fold(self.red, zip(range(phi, 2 * phi - 1), prod[phi:]))
+        return [a + b for a, b in zip(prod, tail)]
 
     def _conv_school(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         phi = self.phi
@@ -199,6 +188,22 @@ class _Context:
 @lru_cache(maxsize=None)
 def _context(N: int) -> _Context:
     return _Context(N)
+
+
+def _fold(red: Sequence[Sequence[int]],
+          terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Power-basis vector of sum c * zeta^e over integer (e, c) terms.
+
+    red is a level's reduction table (_Context.red) and every e indexes it.
+    """
+    acc = None
+    for e, c in terms:
+        if c:
+            if acc is None:
+                acc = [c * r for r in red[e]]
+            else:
+                acc = [a + c * r for a, r in zip(acc, red[e])]
+    return [0] * len(red[0]) if acc is None else acc
 
 
 def _normalize(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -283,15 +288,7 @@ class CycNum:
         for c in acc.values():
             if isinstance(c, Fraction):
                 den = math.lcm(den, c.denominator)
-        vec = [0] * ctx.phi
-        for e, c in acc.items():
-            n = int(c * den)
-            if n:
-                row = ctx.red[e]
-                for i in range(ctx.phi):
-                    ri = row[i]
-                    if ri:
-                        vec[i] += n * ri
+        vec = _fold(ctx.red, ((e, int(c * den)) for e, c in acc.items()))
         return cls._raw(level, *_normalize(vec, den))
 
     # -- predicates and conversions --
@@ -374,47 +371,12 @@ class CycNum:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * Fraction(other.denominator, other.numerator)
-        if not isinstance(other, CycNum):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the product of Galois conjugates.
-
-        b^-1 = (prod_{k != 1} sigma_k(b)) / Norm(b); the norm is rational so
-        only one rational division is ever performed.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        N = self.level
-        prod = CycNum.one(N)
-        for k in range(2, N + 1):
-            if math.gcd(k, N) == 1:
-                prod = prod * self.galois(k)
-        norm = self * prod
-        r = norm.as_rational()  # norm of a nonzero element is a nonzero rational
-        return prod * Fraction(r.denominator, r.numerator)
-
-    def galois(self, k: int) -> "CycNum":
-        """Image under sigma_k: zeta -> zeta^k, gcd(k, N) = 1."""
-        N = self.level
-        if math.gcd(k, N) != 1:
-            raise ValueError(f"galois exponent {k} not invertible mod {N}")
-        ctx = _context(N)
-        vec = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.red[(i * k) % N]
-                for j in range(ctx.phi):
-                    rj = row[j]
-                    if rj:
-                        vec[j] += c * rj
-        return CycNum._raw(N, tuple(vec), self.den)
+        other = Fraction(other)
+        if other == 0:
+            raise ZeroDivisionError("division by zero")
+        return self * Fraction(other.denominator, other.numerator)
 
     def lift(self, M: int) -> "CycNum":
         """Reinterpret at level M; requires level | M."""
@@ -423,15 +385,8 @@ class CycNum:
         if M == self.level:
             return self
         k = M // self.level
-        ctx = _context(M)
-        vec = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.red[i * k]
-                for j in range(ctx.phi):
-                    rj = row[j]
-                    if rj:
-                        vec[j] += c * rj
+        vec = _fold(_context(M).red,
+                    ((i * k, c) for i, c in enumerate(self.num)))
         return CycNum._raw(M, *_normalize(vec, self.den))
 
     # -- structure --
@@ -520,10 +475,6 @@ def root(N: int, a: int) -> CycNum:
     return CycNum._raw(N, ctx.red[a % N], 1)
 
 
-def lift(x: CycNum, M: int) -> CycNum:
-    return x.lift(M)
-
-
 class CycMatrix:
     """Immutable matrix over one cyclotomic field."""
 
@@ -546,19 +497,13 @@ class CycMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def det(self) -> CycNum:
+        """Division-free Laplace expansion, memoized on the remaining column
+        set; row i = nrows - len(cols) is always the one expanded."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             return CycNum.one(self.level)
-        if n <= 4:
-            return self._det_laplace()
-        return self._det_bareiss()
-
-    def _det_laplace(self) -> CycNum:
-        # division-free expansion, memoized on the remaining column set;
-        # row i = nrows - len(cols) is always the one expanded
-        n = self.nrows
         ent = self.entries
         memo: dict[tuple[int, ...], CycNum] = {}
 
@@ -581,114 +526,3 @@ class CycMatrix:
             return acc
 
         return rec(tuple(range(n)))
-
-    def _det_bareiss(self) -> CycNum:
-        # fraction-free elimination; every division is exact in Z[zeta]
-        ctx = _context(self.level)
-        n = self.nrows
-        scale = 1  # product of row denominators cleared upfront
-        mat: list[list[tuple[int, ...]]] = []
-        for row in self.entries:
-            d = math.lcm(*[x.den for x in row])
-            scale *= d
-            mat.append([tuple(v * (d // x.den) for v in x.num) for x in row])
-        sign = 1
-        prev: tuple[int, ...] | None = None
-        zero = (0,) * ctx.phi
-        for k in range(n - 1):
-            if not any(mat[k][k]):
-                for r in range(k + 1, n):
-                    if any(mat[r][k]):
-                        mat[k], mat[r] = mat[r], mat[k]
-                        sign = -sign
-                        break
-                else:
-                    return CycNum.zero(self.level)
-            pivot = mat[k][k]
-            inv_num, inv_den = (None, 1)
-            if prev is not None:
-                inv_num, inv_den = _int_vec_inverse(ctx, prev)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = [x - y for x, y in zip(ctx.mul_vec(pivot, mat[i][j]),
-                                                 ctx.mul_vec(mat[i][k], mat[k][j]))]
-                    if prev is not None:
-                        num = ctx.mul_vec(num, inv_num)
-                        q, bad = [], False
-                        for v in num:
-                            if v % inv_den:
-                                bad = True
-                                break
-                            q.append(v // inv_den)
-                        if bad:
-                            raise ArithmeticError("inexact Bareiss division")
-                        num = q
-                    mat[i][j] = tuple(num)
-                mat[i][k] = zero
-            prev = pivot
-        vec = mat[n - 1][n - 1]
-        if sign < 0:
-            vec = tuple(-v for v in vec)
-        return CycNum._raw(self.level, *_normalize(list(vec), scale))
-
-
-def _int_vec_inverse(ctx: _Context, vec: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(numerator vector, positive denominator) of the inverse of an integer vector."""
-    N = ctx.N
-    prod = [0] * ctx.phi
-    prod[0] = 1
-    prod_t = tuple(prod)
-    for k in range(2, N + 1):
-        if math.gcd(k, N) == 1:
-            conj = [0] * ctx.phi
-            for i, c in enumerate(vec):
-                if c:
-                    row = ctx.red[(i * k) % N]
-                    for j in range(ctx.phi):
-                        rj = row[j]
-                        if rj:
-                            conj[j] += c * rj
-            prod_t = tuple(ctx.mul_vec(prod_t, conj))
-    nrm = ctx.mul_vec(prod_t, vec)
-    if any(nrm[1:]):
-        raise ArithmeticError("norm not rational")
-    r = nrm[0]
-    if r == 0:
-        raise ZeroDivisionError("inverse of zero vector")
-    if r < 0:
-        return tuple(-v for v in prod_t), -r
-    return prod_t, r
-
-
-def solve_exact(A: CycMatrix, b: Sequence[CycNum]) -> list[CycNum] | None:
-    """Exact solution of A x = b when consistent, None when inconsistent.
-
-    A may be overdetermined but must have full column rank (ValueError
-    otherwise).  Plain Gaussian elimination over the field; never
-    approximates.
-    """
-    if len(b) != A.nrows:
-        raise ValueError("right-hand side length mismatch")
-    for x in b:
-        if x.level != A.level:
-            raise LevelMismatchError("rhs entry at wrong level")
-    rows = [list(r) + [b[i]] for i, r in enumerate(A.entries)]
-    m, n = A.nrows, A.ncols
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m)
-                    if not rows[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("coefficient matrix is column rank deficient")
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(m):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    for r in range(rank, m):
-        if not rows[r][n].is_zero():
-            return None
-    return [rows[i][n] for i in range(n)]

@@ -4,22 +4,25 @@ The central operation is sparse_decompose: given the restriction of a class
 function to the regular locus of one torus, find the unique expansion as an
 integer combination of at most |W| distinct torus characters.  The search
 is exhaustive over character subsets, so uniqueness is established by scan,
-never assumed.  recover_E assembles the per-torus expansions of one sheet
-row into the geometric class label and the unipotence flag;
-gram_independence and verify_dl_consistency are the audit operations for
-the independence step and the known GL_2 decomposition pattern.
+never assumed.  It covers subsets of at most two characters: |W| = 2 for
+GL_2, and for GL_3 (|W| = 6) the gate first passes at q = 6151, where the
+split torus has 2.3e11 points, far over the enumeration budget, so no
+larger bound can ever run.  recover_E assembles the per-torus expansions
+of one sheet row into the geometric class label (geom_class_id) and the
+unipotence flag; gram_independence and verify_dl_consistency are the
+audit operations for the independence step and the known GL_2
+decomposition pattern.
 
 Every recovery entry point refuses to run when the regular-locus density
 gate fails (QConditionViolated): outside the gate the uniqueness guarantee
 is void and no output would be trustworthy.
 
-Performance note: the subset scan dominates.  Subsets of size <= 2 are
-screened with pure integer arithmetic on shifted value vectors
-f(s) * zeta^{-theta_a(s)}, memoized once per call and shared by the one-
-and two-term scans.  The two-term scan does not walk all K(K-1)/2 pairs:
-for each first character a, the sample equations on a few separating
-samples fix both coefficients and the second character through index
-lookups (see _scan_pairs).  Every pair that satisfies those sample
+Performance note: the subset scan dominates.  Subsets are screened with
+pure integer arithmetic on shifted value vectors f(s) * zeta^{-theta_a(s)},
+memoized once per call and shared by the one- and two-term scans.  The
+two-term scan does not walk all K(K-1)/2 pairs: for each first character
+a, the sample equations on a few separating samples fix both coefficients
+and the second character through index lookups (see _scan_pairs).  Every pair that satisfies those sample
 equations is enumerated, and every candidate is still verified against
 every regular element, so the screen affects speed only, never which
 expansions are accepted, and the exhaustive uniqueness check still sees
@@ -30,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .abelian import AbChar
-from .cyclotomic import CycNum, CycMatrix, _context, root
+from .abelian import DEFAULT_BUDGET, AbChar
+from .cyclotomic import CycNum, CycMatrix, _context, _fold, root
 from .sheets import (
     CharacterSheet,
     IrrLabel,
@@ -349,17 +351,8 @@ def _solver(ttype: TorusType, level: int) -> _TorusSolver:
 
 def _mul_root(vec: Sequence[int], e: int, red, N: int) -> tuple[int, ...]:
     """Integer power-basis vector times zeta^e, reduced."""
-    out = None
-    for i, v in enumerate(vec):
-        if v:
-            row = red[(i + e) % N]
-            if out is None:
-                out = [v * r for r in row]
-            else:
-                out = [o + v * r for o, r in zip(out, row)]
-    if out is None:
-        return (0,) * len(red[0])
-    return tuple(out)
+    return tuple(_fold(red, [((i + e) % N, v)
+                             for i, v in enumerate(vec) if v]))
 
 
 def _shifter(solver: _TorusSolver, fvec):
@@ -387,13 +380,11 @@ def _verify(solver: _TorusSolver, fvec, idxs, coeffs) -> bool:
     Samples run in solver.order: the separating samples, which tell the
     characters apart, come first, so a wrong candidate fails early.
     """
-    red, table, phi = solver.red, solver.table, solver.phi
-    rows = [table[i] for i in idxs]
+    red = solver.red
+    rows = [solver.table[i] for i in idxs]
     for s in solver.order:
-        acc = [0] * phi
-        for trow, c in zip(rows, coeffs):
-            acc = [a + c * r for a, r in zip(acc, red[trow[s]])]
-        if tuple(acc) != fvec[s]:
+        terms = [(trow[s], c) for trow, c in zip(rows, coeffs)]
+        if tuple(_fold(red, terms)) != fvec[s]:
             return False
     return True
 
@@ -534,57 +525,6 @@ def _pair_worker(args):
     return _scan_pairs(solver, fvec, stripe, step)
 
 
-def _solve_subset_reference(solver: _TorusSolver, fvec,
-                            idxs: Sequence[int]) -> tuple[int, ...] | None:
-    """Reference solve: rational Gauss-Jordan on the power-basis expansion.
-
-    Every sample element contributes phi scalar equations, all of which are
-    processed, so consistency of the eliminated rows is already a full
-    verification.  Returns the coefficients when the system has a unique
-    exact solution made of nonzero integers, else None (no solution, a
-    non-integer or zero coefficient, or a rank-deficient subset).
-    """
-    m = len(idxs)
-    if m == 0:
-        raise ValueError("empty subset has no system to solve")
-    red, table, phi = solver.red, solver.table, solver.phi
-    rows: list[tuple[int, list[Fraction], Fraction]] = []
-    for s in range(len(solver.regs)):
-        fs = fvec[s]
-        srows = [red[table[i][s]] for i in idxs]
-        for t in range(phi):
-            co = [Fraction(r[t]) for r in srows]
-            rhs = Fraction(fs[t])
-            for piv, prow, prhs in rows:
-                fac = co[piv]
-                if fac:
-                    co = [c - fac * pc for c, pc in zip(co, prow)]
-                    rhs = rhs - fac * prhs
-            lead = next((j for j, c in enumerate(co) if c), None)
-            if lead is None:
-                if rhs:
-                    return None
-                continue
-            inv = 1 / co[lead]
-            co = [c * inv for c in co]
-            rhs = rhs * inv
-            for k, (piv, prow, prhs) in enumerate(rows):
-                fac = prow[lead]
-                if fac:
-                    rows[k] = (piv,
-                               [c - fac * nc for c, nc in zip(prow, co)],
-                               prhs - fac * rhs)
-            rows.append((lead, co, rhs))
-    if len(rows) < m:
-        return None
-    sol: list[Fraction] = [Fraction(0)] * m
-    for piv, _, rhs in rows:
-        sol[piv] = rhs
-    if any(c.denominator != 1 or c == 0 for c in sol):
-        return None
-    return tuple(int(c) for c in sol)
-
-
 # -- the subset search ------------------------------------------------------
 
 def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
@@ -594,11 +534,12 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
 
     f must be total on the regular locus of T (dlog tuples to cyclotomic
     values).  The search runs over all character subsets of size 0..bound
-    in lexicographic order; a subset is accepted when the square system cut
-    from the first independent sample rows has a nonzero-integer solution
-    that matches f on every regular element.  With exhaustive=True (the
-    default) the whole space is scanned and a second valid expansion raises
-    NonUniqueError; exhaustive=False returns the first valid expansion.
+    in lexicographic order, bound <= 2 (ValueError above: see the module
+    docstring); a subset is accepted when its nonzero integer coefficients,
+    read off the sample equations, match f on every regular element.  With
+    exhaustive=True (the default) the whole space is scanned and a second
+    valid expansion raises NonUniqueError; exhaustive=False returns the
+    first valid expansion.
 
     jobs > 1 splits the two-term scan over worker processes; results are
     merged in subset order, so the outcome does not depend on scheduling.
@@ -609,6 +550,12 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
         bound = spec.weyl_order
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if bound > 2:
+        raise ValueError(
+            f"bound {bound} > 2: the search covers at most two terms, since "
+            f"|W| <= 2 wherever the density gate passes within the "
+            f"enumeration budget (GL_3 first passes at q = 6151, where the "
+            f"split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
     regs = regular_elements(T)
     grp = points(T, 1).group
     keyed: dict[tuple[int, ...], CycNum] = {}
@@ -667,16 +614,6 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
             pair_hits = _scan_pairs(solver, fvec, 0, 1, cap, shift)
         for ia, ib, ca, cb in pair_hits:
             done = push((ia, ib), (ca, cb))
-            if done:
-                break
-    if not done:
-        for size in range(3, bound + 1):
-            for idxs in combinations(range(K), size):
-                coeffs = _solve_subset_reference(solver, fvec, idxs)
-                if coeffs is not None:
-                    done = push(idxs, coeffs)
-                    if done:
-                        break
             if done:
                 break
 

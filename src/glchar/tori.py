@@ -5,12 +5,11 @@ element); its F-rational points T^F form prod_i Z/(q^{d_i}-1), one dlog
 coordinate per block, and T^{F^m} for twist | m is (Z/(q^m-1))^n with d_i
 consecutive coordinates per block.  All finite-field multiplicative groups
 are modelled through a norm-compatible tower of generators g_d of
-F_{q^d}^*, so that:
+F_{q^d}^*, so that embedding F_{q^d}^* -> F_{q^L}^* is dlog scaling by
+(q^L-1)/(q^d-1) and Frobenius x -> x^q is dlog multiplication by q.
 
-    embedding F_{q^d}^* -> F_{q^m}^*   is dlog scaling by (q^m-1)/(q^d-1),
-    Frobenius x -> x^q                 is dlog multiplication by q,
-    norms                              are exponent sums.
-
+This module holds regularity, the density gate, Weyl orbits and one
+geometric class decider: the canonical residue invariant geom_class_id.
 No field addition is ever required; everything below is integer
 arithmetic on exponents.
 """
@@ -22,17 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .abelian import (
     DEFAULT_BUDGET,
     AbChar,
-    AbHom,
     EnumerationBudgetError,
     FinAbGroup,
     GrpElt,
-    orbit,
-    pullback,
 )
 
 ElementLike = Union[GrpElt, Sequence[int]]
@@ -93,13 +89,6 @@ class TorusType:
     def label(self) -> str:
         return "+".join(str(d) for d in self.blocks)
 
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for d in self.blocks:
-            out.append(acc)
-            acc += d
-        return tuple(out)
-
 
 def torus_from_label(spec: GroupSpec, label: str) -> TorusType:
     try:
@@ -150,62 +139,6 @@ def _exps(ttype: TorusType, t: ElementLike, m: int = 1) -> tuple[int, ...]:
         return t.exps
     pts = points(ttype, m)
     return GrpElt(pts.group, tuple(t)).exps
-
-
-def frobenius(ttype: TorusType, m: int, t: ElementLike) -> GrpElt:
-    """F acting on T^{F^m}: blockwise coordinate shift composed with q-power."""
-    exps = _exps(ttype, t, m)
-    pts = points(ttype, m)
-    out = list(exps)
-    for off, d in zip(ttype.offsets(), ttype.blocks):
-        for r in range(d):
-            out[off + r] = exps[off + (r - 1) % d] * ttype.spec.q
-    return GrpElt(pts.group, tuple(out))
-
-
-def embed(ttype: TorusType, m: int, t: ElementLike) -> GrpElt:
-    """Embedding T^F into T^{F^m} along the generator tower."""
-    exps = _exps(ttype, t, 1)
-    q = ttype.spec.q
-    Q = q**m - 1
-    out = []
-    for a, d in zip(exps, ttype.blocks):
-        scale = Q // (q**d - 1)
-        out.extend(a * scale * q**r for r in range(d))
-    return GrpElt(points(ttype, m).group, tuple(out))
-
-
-def norm_value(ttype: TorusType, m: int, t: ElementLike) -> GrpElt:
-    """Norm T^{F^m} -> T^F: blockwise t * F(t) * ... * F^{m-1}(t) in dlogs.
-
-    Block of size d with level-m coordinates (b_0, ..., b_{d-1}) maps to
-    [sum_j b_{(-j mod d)} q^j mod (q^m-1)] / [(q^m-1)/(q^d-1)], reduced mod
-    q^d-1; the sum is always divisible by the scale.
-    """
-    exps = _exps(ttype, t, m)
-    q = ttype.spec.q
-    Q = q**m - 1
-    out = []
-    for off, d in zip(ttype.offsets(), ttype.blocks):
-        s = sum(exps[off + (-j) % d] * q**j for j in range(m)) % Q
-        scale = Q // (q**d - 1)
-        if s % scale:
-            raise AssertionError("norm sum not divisible by embedding scale")
-        out.append((s // scale) % (q**d - 1))
-    return GrpElt(points(ttype, 1).group, tuple(out))
-
-
-@lru_cache(maxsize=None)
-def norm_hom(ttype: TorusType, m: int) -> AbHom:
-    """The norm as a homomorphism of point groups, built on generators."""
-    src = points(ttype, m).group
-    tgt = points(ttype, 1).group
-    images = []
-    for i in range(src.rank):
-        gen = [0] * src.rank
-        gen[i] = 1
-        images.append(norm_value(ttype, m, gen).exps)
-    return AbHom(src, tgt, tuple(images))
 
 
 def eigenvalues(ttype: TorusType, t: ElementLike, L: int) -> tuple[int, ...]:
@@ -278,30 +211,6 @@ def _check_pair(pair: Pair) -> None:
     ttype, chi = pair
     if chi.group != points(ttype, 1).group:
         raise ValueError("character is not on the rational points of the torus")
-
-
-def geometric_conjugate(pair_a: Pair, pair_b: Pair) -> bool:
-    """Whether two (torus, character) pairs are geometrically conjugate.
-
-    Both characters are pulled back along the norms to the common level
-    m = lcm of the twist orders, where both point groups are coordinatewise
-    (Z/(q^m-1))^n, and compared up to the S_n coordinate action.
-    """
-    ta, chi_a = pair_a
-    tb, chi_b = pair_b
-    _check_pair(pair_a)
-    _check_pair(pair_b)
-    if ta.spec != tb.spec:
-        raise ValueError("pairs over different groups")
-    m = math.lcm(ta.twist_order, tb.twist_order)
-    up_a = pullback(chi_a, norm_hom(ta, m))
-    up_b = pullback(chi_b, norm_hom(tb, m))
-    n = ta.spec.n
-    if n == 1:
-        return up_a == up_b
-    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-             for i in range(n - 1)]
-    return up_b in orbit(up_a, swaps)
 
 
 def weyl_orbit(ttype: TorusType, t: ElementLike) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,6 @@
-"""Reference two-term scan: every ordered character pair, one by one.
+"""Reference subset solvers for the expansion search.
 
-This is the O(K^2) pivot screen that the indexed scan in
+scan_pairs_reference is the O(K^2) pivot screen that the indexed scan in
 glchar.recovery replaced.  It is kept only as a differential oracle, so it
 reads nothing from the solver but its value tables, and it checks every
 candidate on the whole regular locus with its own verifier.
@@ -9,9 +9,15 @@ For each pair a < b, with d the difference character b - a, the two sample
 equations c_a + c_b zeta^{d(s)} = f(s) zeta^{-theta_a(s)} at s0 and at the
 first sample s1 where d moves off its value at s0 give c_b by one pivot
 division; non-integers and zeros reject, and survivors are verified.
+
+solve_subset_reference solves one subset of any size by rational
+Gauss-Jordan elimination over every power-basis equation of every sample.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
 
 from glchar.recovery import _mul_root
 
@@ -110,3 +116,54 @@ def scan_pairs_reference(solver, fvec, stripe: int = 0, step: int = 1,
                 if cap is not None and len(hits) >= cap:
                     return hits
     return hits
+
+
+def solve_subset_reference(solver, fvec,
+                           idxs: Sequence[int]) -> tuple[int, ...] | None:
+    """Reference solve: rational Gauss-Jordan on the power-basis expansion.
+
+    Every sample element contributes phi scalar equations, all of which are
+    processed, so consistency of the eliminated rows is already a full
+    verification.  Returns the coefficients when the system has a unique
+    exact solution made of nonzero integers, else None (no solution, a
+    non-integer or zero coefficient, or a rank-deficient subset).
+    """
+    m = len(idxs)
+    if m == 0:
+        raise ValueError("empty subset has no system to solve")
+    red, table, phi = solver.red, solver.table, solver.phi
+    rows: list[tuple[int, list[Fraction], Fraction]] = []
+    for s in range(len(solver.regs)):
+        fs = fvec[s]
+        srows = [red[table[i][s]] for i in idxs]
+        for t in range(phi):
+            co = [Fraction(r[t]) for r in srows]
+            rhs = Fraction(fs[t])
+            for piv, prow, prhs in rows:
+                fac = co[piv]
+                if fac:
+                    co = [c - fac * pc for c, pc in zip(co, prow)]
+                    rhs = rhs - fac * prhs
+            lead = next((j for j, c in enumerate(co) if c), None)
+            if lead is None:
+                if rhs:
+                    return None
+                continue
+            inv = 1 / co[lead]
+            co = [c * inv for c in co]
+            rhs = rhs * inv
+            for k, (piv, prow, prhs) in enumerate(rows):
+                fac = prow[lead]
+                if fac:
+                    rows[k] = (piv,
+                               [c - fac * nc for c, nc in zip(prow, co)],
+                               prhs - fac * rhs)
+            rows.append((lead, co, rhs))
+    if len(rows) < m:
+        return None
+    sol: list[Fraction] = [Fraction(0)] * m
+    for piv, _, rhs in rows:
+        sol[piv] = rhs
+    if any(c.denominator != 1 or c == 0 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)

@@ -28,17 +28,19 @@ from glchar.sheets import (
 from glchar.tori import (
     GroupSpec,
     check_q_condition,
-    embed,
     enumerate_tori,
-    frobenius,
     geom_class_id,
-    geometric_conjugate,
-    norm_hom,
-    norm_value,
     points,
     torus_from_label,
 )
 
+from oracle_conjugacy import (
+    embed,
+    frobenius,
+    geometric_conjugate,
+    norm_hom,
+    norm_value,
+)
 from oracle_dixon import gl2_f3_restricted_rows
 
 

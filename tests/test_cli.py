@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -312,6 +313,28 @@ def test_huge_zeta_level_exits_3_before_values_are_parsed(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert "zeta_level 1000000 != lcm of torus exponents 8" in proc.stderr
+
+
+@pytest.mark.parametrize("n,q", [(40, 3), (100, 2), (2, 2**61 - 1),
+                                 (True, 11)])
+def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q):
+    # no torus of a group with q^n - 1 over the enumeration budget can be
+    # validated, so the header alone rejects the file, before the trial
+    # division of q and the partitions of n (the subprocess timeout only
+    # guards against a hang)
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"group": "GL", "n": n, "q": q,
+                                "zeta_level": 1, "tori": [],
+                                "irreducibles": []}))
+    argv = ["recover", "--sheet", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "glchar", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "sheet rejected" in err
 
 
 def test_unrecoverable_class_function_exits_4(capsys, tmp_path):

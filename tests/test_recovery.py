@@ -1,9 +1,9 @@
 """Recovery tests: frozen examples, dual-route solver checks, error paths.
 
 The subset scan has two independent implementations: the integer fast path
-inside sparse_decompose and the rational Gauss-Jordan reference solver.
-They are compared subset by subset here, so a screening bug in the fast
-path cannot silently change which expansions are accepted.
+inside sparse_decompose and the rational Gauss-Jordan reference solver in
+oracle_pairs.  They are compared subset by subset here, so a screening bug
+in the fast path cannot silently change which expansions are accepted.
 """
 
 import copy
@@ -22,7 +22,6 @@ from glchar.recovery import (
     RecoveryInconsistencyError,
     _scan_pairs,
     _scan_singles,
-    _solve_subset_reference,
     _solver,
     gram_independence,
     is_unipotent,
@@ -32,6 +31,8 @@ from glchar.recovery import (
 )
 from glchar.sheets import build_gl1_sheet, build_gl2_sheet
 from glchar.tori import GroupSpec, TorusType, points, regular_elements
+
+from oracle_pairs import solve_subset_reference
 
 SPEC11 = GroupSpec(2, 11)
 SPLIT11 = TorusType(SPEC11, (1, 1))
@@ -79,12 +80,15 @@ def test_cuspidal_elliptic_values_invert():
     assert terms_of(e) == [((1,), -1), ((11,), -1)]
 
 
-def test_planted_three_term_uses_generic_path():
+def test_bound_above_two_is_rejected():
     spec = GroupSpec(1, 7)
     (tt,) = [TorusType(spec, (1,))]
     f = char_fn(tt, [((1,), 1), ((2,), 1), ((3,), 1)])
-    e = sparse_decompose(f, tt, bound=3)
-    assert terms_of(e) == [((1,), 1), ((2,), 1), ((3,), 1)]
+    with pytest.raises(ValueError, match="at most two terms"):
+        sparse_decompose(f, tt, bound=3)
+    # the default bound is |W| = 1 here; three terms have no expansion
+    with pytest.raises(NoExpansionError):
+        sparse_decompose(f, tt)
 
 
 def test_bound_zero_only_matches_zero():
@@ -179,11 +183,11 @@ def test_reference_agrees_on_all_small_subsets():
         pairs = {(a, b): (ca, cb)
                  for a, b, ca, cb in _scan_pairs(solver, fvec, 0, 1)}
         for ia in range(K):
-            ref = _solve_subset_reference(solver, fvec, (ia,))
+            ref = solve_subset_reference(solver, fvec, (ia,))
             assert (ref[0] if ref else None) == singles.get(ia)
         for ia in range(K):
             for ib in range(ia + 1, K):
-                ref = _solve_subset_reference(solver, fvec, (ia, ib))
+                ref = solve_subset_reference(solver, fvec, (ia, ib))
                 assert (ref or None) == pairs.get((ia, ib))
 
 
@@ -204,7 +208,7 @@ def test_reference_agrees_on_sampled_gl2_pairs():
             sample.add((a, b))
     sample.update(hits)  # always include the accepted subsets
     for a, b in sorted(sample):
-        ref = _solve_subset_reference(solver, fvec, (a, b))
+        ref = solve_subset_reference(solver, fvec, (a, b))
         assert (ref or None) == hits.get((a, b)), (a, b)
 
 

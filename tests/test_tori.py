@@ -6,26 +6,29 @@ from itertools import product
 
 import pytest
 
-from glchar.abelian import enumerate_chars, enumerate_elements
+from glchar.abelian import enumerate_chars
 from glchar.tori import (
     GeomClassId,
     GroupSpec,
     TorusType,
     check_q_condition,
     eigenvalues,
-    embed,
     enumerate_tori,
-    frobenius,
     geom_class_id,
-    geometric_conjugate,
     is_prime_power,
     is_regular,
-    norm_hom,
-    norm_value,
     points,
     regular_elements,
     rs_ratio,
     torus_from_label,
+)
+
+from oracle_conjugacy import (
+    embed,
+    frobenius,
+    geometric_conjugate,
+    norm_hom,
+    norm_value,
 )
 
 
