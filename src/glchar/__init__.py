@@ -14,17 +14,18 @@ tori        maximal torus types, regularity, the density gate, Weyl orbits,
 sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
 recovery    expansion search of at most two terms (|W| <= 2 wherever the
             gate passes within the enumeration budget), class assembly,
-            unipotence, audits
+            unipotence, the Gram audit; every entry point runs the one
+            exhaustive search, so every answer is proved unique
 cli         deterministic command line front end
 
 The independent cross-checks (norm/pullback class decider, Bareiss
-determinants, the rational subset solver) live in the tests as oracles.
+determinants, the rational subset solver, the packed convolution, the
+GL_2 decomposition pattern) live in the tests as oracles.
 """
 
 from .abelian import AbChar, FinAbGroup, GrpElt
 from .cyclotomic import CycMatrix, CycNum, root
 from .recovery import (
-    ConsistencyReport,
     Expansion,
     GramReport,
     NoExpansionError,
@@ -36,7 +37,6 @@ from .recovery import (
     is_unipotent,
     recover_E,
     sparse_decompose,
-    verify_dl_consistency,
 )
 from .sheets import (
     CharacterSheet,
@@ -70,10 +70,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AbChar", "FinAbGroup", "GrpElt",
     "CycMatrix", "CycNum", "root",
-    "ConsistencyReport", "Expansion", "GramReport", "NoExpansionError",
-    "NonUniqueError", "QConditionViolated", "RecoveryInconsistencyError",
-    "RecoveryReport", "gram_independence", "is_unipotent", "recover_E",
-    "sparse_decompose", "verify_dl_consistency",
+    "Expansion", "GramReport", "NoExpansionError", "NonUniqueError",
+    "QConditionViolated", "RecoveryInconsistencyError", "RecoveryReport",
+    "gram_independence", "is_unipotent", "recover_E", "sparse_decompose",
     "CharacterSheet", "IrrLabel", "SheetFormatError", "SheetRow",
     "SheetValidationError", "build_gl1_sheet", "build_gl2_sheet",
     "load_sheet", "save_sheet", "sheet_from_dict", "sheet_to_dict",

@@ -2,9 +2,11 @@
 
 Every subcommand prints byte-identical output for identical inputs: no
 timestamps, fixed orderings, and parallelism (GLCHAR_JOBS) only changes
-speed, never bytes.  Exit codes are scriptable: 0 success, 1 usage error,
-2 density gate violation, 3 sheet validation failure, 4 recovery
-inconsistency.
+speed, never bytes.  recover and unipotent run the exhaustive search on
+every row, so each printed expansion is proved unique.  Exit codes are
+scriptable: 0 success, 1 usage error (including n and q with q^n - 1 over
+the enumeration budget, refused before any work), 2 density gate
+violation, 3 sheet validation failure, 4 recovery inconsistency.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .sheets import (
 )
 from .tori import (
     GroupSpec,
+    check_budget,
     check_q_condition,
     enumerate_tori,
     geom_class_id,
@@ -79,6 +82,7 @@ def _load_or_build(args) -> CharacterSheet:
         return load_sheet(args.sheet)
     if args.q is None:
         raise ValueError("either --q or --sheet is required")
+    check_budget(args.n, args.q)
     return build_sheet(args.n, args.q)
 
 
@@ -108,6 +112,7 @@ def _report_line(rep) -> str:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_check_q(args) -> int:
+    check_budget(args.n, args.q)
     spec = GroupSpec(args.n, args.q)
     report = check_q_condition(spec)
     if args.json:
@@ -155,8 +160,7 @@ def cmd_recover(args) -> int:
     # built-in sheets are valid by construction; loaded ones were validated
     labels = ([_canonical_label(sheet, args.rho)] if args.rho
               else [r.label for r in _sorted_rows(sheet)])
-    reports = [recover_E(sheet, lab, validate=False,
-                         exhaustive=not args.fast, jobs=jobs)
+    reports = [recover_E(sheet, lab, validate=False, jobs=jobs)
                for lab in labels]
     if args.json:
         if args.rho:
@@ -174,8 +178,7 @@ def cmd_unipotent(args) -> int:
     jobs = _jobs()
     sheet = _load_or_build(args)
     found = [row.label for row in _sorted_rows(sheet)
-             if is_unipotent(sheet, row.label, validate=False,
-                             exhaustive=not args.fast, jobs=jobs)]
+             if is_unipotent(sheet, row.label, validate=False, jobs=jobs)]
     if args.json:
         _emit_json({"n": sheet.spec.n, "q": sheet.spec.q, "unipotent": found})
     else:
@@ -185,6 +188,7 @@ def cmd_unipotent(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    check_budget(args.n, args.q)
     spec = GroupSpec(args.n, args.q)
     reps = {}
     for tt in enumerate_tori(spec):
@@ -219,6 +223,7 @@ def cmd_gram(args) -> int:
         n = sum(int(p) for p in args.torus.split("+"))
     except ValueError:
         raise ValueError(f"bad torus label {args.torus!r}") from None
+    check_budget(n, args.q)
     spec = GroupSpec(n, args.q)
     tt = torus_from_label(spec, args.torus)
     grp = points(tt, 1).group
@@ -284,8 +289,6 @@ def _build_parser() -> _Parser:
         g.add_argument("--sheet", help="load a sheet file")
         sp.add_argument("--n", type=int, default=2, choices=(1, 2),
                         help="rank for the built-in sheet")
-        sp.add_argument("--fast", action="store_true",
-                        help="stop each search at the first valid expansion")
         if name == "recover":
             sp.add_argument("--rho", help="single irreducible label")
 

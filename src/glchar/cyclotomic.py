@@ -125,22 +125,11 @@ class _Context:
         self.red = tuple(rows)
 
     def mul_vec(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Product of two integer power-basis vectors, reduced mod Phi_N."""
-        phi = self.phi
-        if phi == 1:
-            return [a[0] * b[0]]
-        nza = sum(1 for v in a if v)
-        nzb = sum(1 for v in b if v)
-        if nza == 0 or nzb == 0:
-            return [0] * phi
-        if nza * nzb <= 64:
-            prod = self._conv_school(a, b)
-        else:
-            prod = self._conv_packed(a, b)
-        tail = _fold(self.red, zip(range(phi, 2 * phi - 1), prod[phi:]))
-        return [a + b for a, b in zip(prod, tail)]
+        """Product of two integer power-basis vectors, reduced mod Phi_N.
 
-    def _conv_school(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        Schoolbook over the nonzero coefficients, then one fold of the
+        degree >= phi part through the reduction table.
+        """
         phi = self.phi
         prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
@@ -148,41 +137,8 @@ class _Context:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return prod
-
-    def _conv_packed(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        # Kronecker substitution: pack signed coefficients into one big int,
-        # multiply once, unpack balanced digits with borrow propagation.
-        phi = self.phi
-        amax = max(max(a), -min(a))
-        bmax = max(max(b), -min(b))
-        B = (phi * amax * bmax).bit_length() + 2
-        xa = 0
-        shift = 0
-        for c in a:
-            if c:
-                xa += c << shift
-            shift += B
-        xb = 0
-        shift = 0
-        for c in b:
-            if c:
-                xb += c << shift
-            shift += B
-        x = xa * xb
-        full = 1 << B
-        half = full >> 1
-        mask = full - 1
-        out = []
-        for _ in range(2 * phi - 1):
-            d = x & mask
-            if d >= half:
-                d -= full
-            x = (x - d) >> B
-            out.append(d)
-        if x:
-            raise AssertionError("packed convolution leaked digits")
-        return out
+        tail = _fold(self.red, zip(range(phi, 2 * phi - 1), prod[phi:]))
+        return [a + b for a, b in zip(prod, tail)]
 
 
 @lru_cache(maxsize=None)

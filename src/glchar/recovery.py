@@ -9,13 +9,16 @@ GL_2, and for GL_3 (|W| = 6) the gate first passes at q = 6151, where the
 split torus has 2.3e11 points, far over the enumeration budget, so no
 larger bound can ever run.  recover_E assembles the per-torus expansions
 of one sheet row into the geometric class label (geom_class_id) and the
-unipotence flag; gram_independence and verify_dl_consistency are the
-audit operations for the independence step and the known GL_2
-decomposition pattern.
+unipotence flag; gram_independence audits the independence step.  The
+check against the known GL_2 decomposition pattern is a test oracle
+(tests/oracle_pattern.py).
 
-Every recovery entry point refuses to run when the regular-locus density
-gate fails (QConditionViolated): outside the gate the uniqueness guarantee
-is void and no output would be trustworthy.
+There is one search mode: every entry point scans the whole subset space
+and stops only at a second valid expansion, which is a NonUniqueError, so
+every answer comes with its uniqueness proved.  Each one refuses to run
+when the regular-locus density gate fails (QConditionViolated): outside
+the gate the uniqueness guarantee is void and no output would be
+trustworthy.
 
 Performance note: the subset scan dominates.  Subsets are screened with
 pure integer arithmetic on shifted value vectors f(s) * zeta^{-theta_a(s)},
@@ -35,16 +38,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar
 from .cyclotomic import CycNum, CycMatrix, _context, _fold, root
-from .sheets import (
-    CharacterSheet,
-    IrrLabel,
-    SheetValidationError,
-    validate_sheet,
-)
+from .sheets import CharacterSheet, SheetValidationError, validate_sheet
 from .tori import (
     GeomClassId,
     GroupSpec,
@@ -63,12 +61,10 @@ __all__ = [
     "Expansion",
     "RecoveryReport",
     "GramReport",
-    "ConsistencyReport",
     "sparse_decompose",
     "recover_E",
     "is_unipotent",
     "gram_independence",
-    "verify_dl_consistency",
 ]
 
 
@@ -140,12 +136,6 @@ class Expansion:
     def support(self) -> tuple[AbChar, ...]:
         return tuple(th for th, _ in self.terms)
 
-    def coefficient(self, theta: AbChar) -> int:
-        for th, c in self.terms:
-            if th == theta:
-                return c
-        return 0
-
     def evaluate(self, exps: Sequence[int], level: int | None = None) -> CycNum:
         """Value of the expansion at a point, as one cyclotomic number."""
         grp = points(self.torus, 1).group
@@ -174,12 +164,6 @@ class RecoveryReport:
     expansions: tuple[Expansion, ...]
     epsilon: GeomClassId
     unipotent: bool
-
-    def expansion(self, ttype: TorusType) -> Expansion:
-        for e in self.expansions:
-            if e.torus == ttype:
-                return e
-        raise KeyError(f"no expansion for torus {ttype.label}")
 
     def to_dict(self) -> dict:
         return {
@@ -527,35 +511,30 @@ def _pair_worker(args):
 
 # -- the subset search ------------------------------------------------------
 
-def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
-                     bound: int | None = None, *, exhaustive: bool = True,
+def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
                      jobs: int = 1) -> Expansion:
-    """The unique expansion of f as <= bound nonzero integer character terms.
+    """The unique expansion of f as <= min(|W|, K) nonzero integer
+    character terms, K the number of characters of T^F.
 
     f must be total on the regular locus of T (dlog tuples to cyclotomic
-    values).  The search runs over all character subsets of size 0..bound
-    in lexicographic order, bound <= 2 (ValueError above: see the module
-    docstring); a subset is accepted when its nonzero integer coefficients,
-    read off the sample equations, match f on every regular element.  With
-    exhaustive=True (the default) the whole space is scanned and a second
-    valid expansion raises NonUniqueError; exhaustive=False returns the
-    first valid expansion.
+    values).  The search runs over all character subsets of that size in
+    lexicographic order; a subset is accepted when its nonzero integer
+    coefficients, read off the sample equations, match f on every regular
+    element.  The whole space is scanned, stopping only at a second valid
+    expansion, which raises NonUniqueError.  Groups with |W| > 2 are
+    refused (ValueError: see the module docstring).
 
     jobs > 1 splits the two-term scan over worker processes; results are
     merged in subset order, so the outcome does not depend on scheduling.
     """
     spec = T.spec
-    _require_gate(spec)
-    if bound is None:
-        bound = spec.weyl_order
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound > 2:
+    if spec.weyl_order > 2:
         raise ValueError(
-            f"bound {bound} > 2: the search covers at most two terms, since "
-            f"|W| <= 2 wherever the density gate passes within the "
-            f"enumeration budget (GL_3 first passes at q = 6151, where the "
-            f"split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
+            f"|W| = {spec.weyl_order} > 2: the search covers at most two "
+            f"terms, since |W| <= 2 wherever the density gate passes within "
+            f"the enumeration budget (GL_3 first passes at q = 6151, where "
+            f"the split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
+    _require_gate(spec)
     regs = regular_elements(T)
     grp = points(T, 1).group
     keyed: dict[tuple[int, ...], CycNum] = {}
@@ -580,28 +559,15 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
                 f"character combination matches on torus {T.label}")
     fvec = [v.num for v in vals]
     solver = _solver(T, level)
-    K = len(solver.chars)
-    bound = min(bound, K)
+    bound = min(spec.weyl_order, len(solver.chars))
 
     shift = _shifter(solver, fvec)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def push(idxs, coeffs) -> bool:
-        found.append((tuple(idxs), tuple(coeffs)))
-        if not exhaustive:
-            return True
-        return len(found) >= 2
-
-    done = False
     if all(not any(v) for v in fvec):
-        done = push((), ())
-    if not done and bound >= 1:
-        cap = 1 if not exhaustive else 2 - len(found)
-        for ia, c in _scan_singles(solver, fvec, cap, shift):
-            done = push((ia,), (c,))
-            if done:
-                break
-    if not done and bound >= 2:
+        found.append(((), ()))
+    found += [((ia,), (c,)) for ia, c in
+              _scan_singles(solver, fvec, 2 - len(found), shift)]
+    if len(found) < 2 and bound >= 2:
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             args = [(spec.n, spec.q, T.blocks, level, fvec, w, jobs)
@@ -610,12 +576,8 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
                 parts = list(pool.map(_pair_worker, args))
             pair_hits = sorted(h for part in parts for h in part)
         else:
-            cap = 1 if not exhaustive else 2 - len(found)
-            pair_hits = _scan_pairs(solver, fvec, 0, 1, cap, shift)
-        for ia, ib, ca, cb in pair_hits:
-            done = push((ia, ib), (ca, cb))
-            if done:
-                break
+            pair_hits = _scan_pairs(solver, fvec, 0, 1, 2 - len(found), shift)
+        found += [((ia, ib), (ca, cb)) for ia, ib, ca, cb in pair_hits]
 
     if not found:
         raise NoExpansionError(
@@ -624,9 +586,9 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
     expansions = tuple(
         Expansion(T, tuple((solver.chars[i], c)
                            for i, c in zip(idxs, coeffs)))
-        for idxs, coeffs in found)
+        for idxs, coeffs in found[:2])
     if len(found) >= 2:
-        a, b = expansions[0], expansions[1]
+        a, b = expansions
         raise NonUniqueError(
             f"two valid expansions on torus {T.label}: "
             f"[{a.describe()}] and [{b.describe()}]", (a, b))
@@ -636,13 +598,15 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
 # -- assembled operations ---------------------------------------------------
 
 def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
-              exhaustive: bool = True, jobs: int = 1) -> RecoveryReport:
+              jobs: int = 1) -> RecoveryReport:
     """Per-torus expansions of one row, with the shared geometric class.
 
-    Checks, and reports as hard errors: at least one torus has nonempty
-    support; every support has at most |W| terms; all nonempty supports
-    land in one geometric conjugacy class.  The unipotence flag records
-    whether the trivial character appears in some support.
+    Each torus runs the exhaustive search of sparse_decompose, so a
+    second valid expansion is a NonUniqueError.  Checks, and reports as
+    hard errors: at least one torus has nonempty support; every support
+    has at most |W| terms; all nonempty supports land in one geometric
+    conjugacy class.  The unipotence flag records whether the trivial
+    character appears in some support.
     """
     spec = sheet.spec
     _require_gate(spec)
@@ -652,8 +616,7 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
             raise SheetValidationError(report)
     row = sheet.row(label)
     expansions = tuple(
-        sparse_decompose(row.values[tt.blocks], tt, spec.weyl_order,
-                         exhaustive=exhaustive, jobs=jobs)
+        sparse_decompose(row.values[tt.blocks], tt, jobs=jobs)
         for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(
@@ -677,12 +640,13 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
 
 
 def is_unipotent(sheet: CharacterSheet, label: str, *, validate: bool = True,
-                 exhaustive: bool = False, jobs: int = 1) -> bool:
+                 jobs: int = 1) -> bool:
     """Whether the row is constant on every regular locus.
 
-    The constancy answer is cross-checked against the recovered supports
-    (trivial character present somewhere); disagreement is a hard error,
-    since both routes must describe the same representation.
+    The constancy answer is cross-checked against the supports that
+    recover_E finds by its exhaustive search (trivial character present
+    somewhere); disagreement is a hard error, since both routes must
+    describe the same representation.
     """
     spec = sheet.spec
     _require_gate(spec)
@@ -698,8 +662,7 @@ def is_unipotent(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if any(v != first for v in vals.values()):
             constant = False
             break
-    rep = recover_E(sheet, label, validate=False, exhaustive=exhaustive,
-                    jobs=jobs)
+    rep = recover_E(sheet, label, validate=False, jobs=jobs)
     if constant != rep.unipotent:
         raise RecoveryInconsistencyError(
             f"{label}: constancy test says {constant} but the trivial "
@@ -722,15 +685,11 @@ class GramReport:
         return self.nonzero
 
 
-def gram_independence(T: TorusType, chars: Sequence[AbChar], *,
-                      elements: Iterable[tuple[int, ...]] | None = None
-                      ) -> GramReport:
+def gram_independence(T: TorusType, chars: Sequence[AbChar]) -> GramReport:
     """Exact Gram determinant of characters paired over the regular locus.
 
     G[i][j] = sum over regular s of theta_i(s) * theta_j(s^-1); a nonzero
-    determinant certifies linear independence of the restrictions.  The
-    elements argument overrides the summation domain (used to exercise the
-    full-orthogonality case in tests).
+    determinant certifies linear independence of the restrictions.
     """
     spec = T.spec
     _require_gate(spec)
@@ -744,9 +703,9 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar], *,
     for ch in chars:
         if ch.group != grp:
             raise ValueError("character is not on the torus points")
-    domain = tuple(elements) if elements is not None else regular_elements(T)
     L = grp.exponent
-    cols = [[ch.value_exponent(e) for e in domain] for ch in chars]
+    cols = [[ch.value_exponent(e) for e in regular_elements(T)]
+            for ch in chars]
     cache: dict[tuple[int, int], CycNum] = {}
 
     def entry(i: int, j: int) -> CycNum:
@@ -764,64 +723,3 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar], *,
 
     mat = CycMatrix(L, [[entry(i, j) for j in range(k)] for i in range(k)])
     return GramReport(T, k, mat.det())
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    q: int
-    checked: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_dl_consistency(sheet: CharacterSheet, *, exhaustive: bool = False,
-                          jobs: int = 1) -> ConsistencyReport:
-    """Check every recovered expansion against the known GL_2 pattern.
-
-    onedim k:    split {(k,k): +1},          elliptic {k(q+1): +1}
-    steinberg k: split {(k,k): +1},          elliptic {k(q+1): -1}
-    principal:   split {(k,l): +1, (l,k): +1}, elliptic empty
-    cuspidal c:  split empty,                elliptic {c: -1, cq: -1}
-    """
-    spec = sheet.spec
-    if spec.n != 2:
-        raise ValueError("the decomposition pattern is defined for GL_2 only")
-    _require_gate(spec)
-    report = validate_sheet(sheet)
-    if not report.ok:
-        raise SheetValidationError(report)
-    q = spec.q
-    M = q * q - 1
-    split = (1, 1)
-    ell = (2,)
-    mismatches: list[str] = []
-    for row in sheet.rows:
-        lab = IrrLabel.parse(spec, row.label)
-        if lab.family == "onedim":
-            k = lab.params[0]
-            want = {split: {(k, k): 1}, ell: {(k * (q + 1) % M,): 1}}
-        elif lab.family == "steinberg":
-            k = lab.params[0]
-            want = {split: {(k, k): 1}, ell: {(k * (q + 1) % M,): -1}}
-        elif lab.family == "principal":
-            k, l = lab.params
-            want = {split: {(k, l): 1, (l, k): 1}, ell: {}}
-        else:
-            c = lab.params[0]
-            want = {split: {}, ell: {(c,): -1, (c * q % M,): -1}}
-        rep = recover_E(sheet, row.label, validate=False,
-                        exhaustive=exhaustive, jobs=jobs)
-        for e in rep.expansions:
-            got = {th.cexps: co for th, co in e.terms}
-            expect = want[e.torus.blocks]
-            if got != expect:
-                mismatches.append(
-                    f"{row.label} on {e.torus.label}: got {got}, "
-                    f"expected {expect}")
-    return ConsistencyReport(q, len(sheet.rows), tuple(mismatches))

@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .abelian import DEFAULT_BUDGET
+from .abelian import EnumerationBudgetError
 from .cyclotomic import CycNum, root
 from .tori import (
     GroupSpec,
     TorusType,
+    check_budget,
     enumerate_tori,
     points,
     regular_elements,
@@ -378,17 +379,12 @@ def sheet_from_dict(data) -> CharacterSheet:
     q = need(data, "q", int)
     if type(n) is not int or type(q) is not int:
         raise SheetFormatError("n and q must be plain integers")
-    # before GroupSpec (trial division of q) and zeta_level_for (every
-    # partition of n): the n-block torus has q^n - 1 points, so a larger
-    # group can never be enumerated and validated
-    if q >= 2:
-        size = 1
-        for _ in range(n):
-            size *= q
-            if size - 1 > DEFAULT_BUDGET:
-                raise SheetFormatError(
-                    f"q^n - 1 exceeds the enumeration budget "
-                    f"{DEFAULT_BUDGET} for n = {n}, q = {q}")
+    # before GroupSpec and zeta_level_for: a larger group can never be
+    # enumerated and validated
+    try:
+        check_budget(n, q)
+    except EnumerationBudgetError as e:
+        raise SheetFormatError(str(e)) from None
     try:
         spec = GroupSpec(n, q)
     except ValueError as e:

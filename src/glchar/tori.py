@@ -47,6 +47,25 @@ def is_prime_power(q: int) -> bool:
     return True
 
 
+def check_budget(n: int, q: int) -> None:
+    """EnumerationBudgetError unless q^n - 1 <= DEFAULT_BUDGET.
+
+    The n-block torus of GL_n(F_q) has q^n - 1 points, so no larger group
+    can be enumerated.  Cheap for any n and q: it stops multiplying once
+    the product passes the budget, so it can guard untrusted input before
+    GroupSpec (trial division of q) and enumerate_tori (every partition
+    of n).
+    """
+    if q >= 2:
+        size = 1
+        for _ in range(n):
+            size *= q
+            if size - 1 > DEFAULT_BUDGET:
+                raise EnumerationBudgetError(
+                    f"q^n - 1 exceeds the enumeration budget "
+                    f"{DEFAULT_BUDGET} for n = {n}, q = {q}")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """GL_n over F_q."""

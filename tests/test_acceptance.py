@@ -13,12 +13,7 @@ import pytest
 
 from glchar.abelian import enumerate_chars
 from glchar.cli import main
-from glchar.recovery import (
-    gram_independence,
-    is_unipotent,
-    recover_E,
-    verify_dl_consistency,
-)
+from glchar.recovery import gram_independence, is_unipotent, recover_E
 from glchar.sheets import (
     IrrLabel,
     build_gl1_sheet,
@@ -42,6 +37,7 @@ from oracle_conjugacy import (
     norm_value,
 )
 from oracle_dixon import gl2_f3_restricted_rows
+from oracle_pattern import pattern_report
 
 
 class ScanResult:
@@ -53,17 +49,17 @@ class ScanResult:
 
 @pytest.fixture(scope="module")
 def exhaustive_scan():
-    """Exhaustive single-threaded recovery of every row at q = 11 and 13.
+    """Single-threaded recovery of every row at q = 11 and 13.
 
-    Any NonUniqueError would propagate and fail every dependent criterion.
+    recover_E always runs the exhaustive search, so any NonUniqueError
+    would propagate and fail every dependent criterion.
     """
     out = {}
     for q in (11, 13):
         sheet = build_gl2_sheet(q)
         assert validate_sheet(sheet).ok
         start = time.perf_counter()
-        reports = {row.label: recover_E(sheet, row.label, validate=False,
-                                        exhaustive=True, jobs=1)
+        reports = {row.label: recover_E(sheet, row.label, validate=False)
                    for row in sheet.rows}
         out[q] = ScanResult(sheet, reports, time.perf_counter() - start)
     return out
@@ -97,8 +93,9 @@ def test_criterion_2_exhaustive_uniqueness_within_budget(exhaustive_scan):
 
 def test_criterion_3_decomposition_pattern_every_row(exhaustive_scan):
     for q in (11, 13):
-        report = verify_dl_consistency(exhaustive_scan[q].sheet)
-        assert report.checked == len(exhaustive_scan[q].sheet.rows)
+        scan = exhaustive_scan[q]
+        report = pattern_report(scan.sheet, scan.reports)
+        assert report.checked == len(scan.sheet.rows)
         assert report.mismatches == ()
 
 

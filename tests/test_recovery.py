@@ -27,12 +27,12 @@ from glchar.recovery import (
     is_unipotent,
     recover_E,
     sparse_decompose,
-    verify_dl_consistency,
 )
 from glchar.sheets import build_gl1_sheet, build_gl2_sheet
 from glchar.tori import GroupSpec, TorusType, points, regular_elements
 
 from oracle_pairs import solve_subset_reference
+from oracle_pattern import verify_dl_consistency
 
 SPEC11 = GroupSpec(2, 11)
 SPLIT11 = TorusType(SPEC11, (1, 1))
@@ -81,23 +81,26 @@ def test_cuspidal_elliptic_values_invert():
 
 
 def test_bound_above_two_is_rejected():
+    # |W| = 6 for GL_3: refused before the gate, with the reason
+    tt3 = TorusType(GroupSpec(3, 2), (1, 1, 1))
+    with pytest.raises(ValueError, match="at most two terms"):
+        sparse_decompose({}, tt3)
     spec = GroupSpec(1, 7)
     (tt,) = [TorusType(spec, (1,))]
     f = char_fn(tt, [((1,), 1), ((2,), 1), ((3,), 1)])
-    with pytest.raises(ValueError, match="at most two terms"):
-        sparse_decompose(f, tt, bound=3)
-    # the default bound is |W| = 1 here; three terms have no expansion
-    with pytest.raises(NoExpansionError):
+    # the bound is |W| = 1 here; three terms have no expansion
+    with pytest.raises(NoExpansionError, match="at most 1 nonzero"):
         sparse_decompose(f, tt)
 
 
 def test_bound_zero_only_matches_zero():
     f = {e: CycNum.zero(10) for e in regular_elements(SPLIT11)}
-    assert sparse_decompose(f, SPLIT11, bound=0).m == 0
+    assert sparse_decompose(f, SPLIT11).m == 0
     f[regular_elements(SPLIT11)[0]] = CycNum.one(10)
-    # not a class function, but domain checks do not care; no 0-term match
-    with pytest.raises(NoExpansionError):
-        sparse_decompose(f, SPLIT11, bound=0)
+    # not a class function, but domain checks do not care; neither the
+    # empty expansion nor any one- or two-term one matches
+    with pytest.raises(NoExpansionError, match="at most 2 nonzero"):
+        sparse_decompose(f, SPLIT11)
 
 
 def test_indicator_function_has_no_expansion():
@@ -330,6 +333,22 @@ def test_unipotent_rows_gl2():
     assert not is_unipotent(sheet, "cuspidal:1", validate=False)
 
 
+def test_unipotent_search_is_exhaustive(monkeypatch):
+    # a corrupted one-term scan that reports a second hit must surface as
+    # NonUniqueError: is_unipotent runs the same exhaustive search as
+    # recover_E instead of stopping at the first hit
+    import glchar.recovery as rec
+    real = rec._scan_singles
+
+    def fake(solver, fvec, cap, shift=None):
+        hits = real(solver, fvec, 2, shift)
+        return (hits + [(99, 7)])[:cap]
+
+    monkeypatch.setattr(rec, "_scan_singles", fake)
+    with pytest.raises(NonUniqueError):
+        is_unipotent(build_gl2_sheet(11), "onedim:3", validate=False)
+
+
 def test_unipotent_consistency_guard(monkeypatch):
     import glchar.recovery as rec
     sheet = build_gl2_sheet(11)
@@ -354,13 +373,21 @@ def test_gram_single_trivial_counts_locus():
     assert rep.nonzero
 
 
-def test_gram_full_domain_is_orthogonal():
+def test_gram_off_diagonal_entry_is_sum_over_locus():
+    # det [[G11, G12], [G21, G22]] = |R|^2 - G12 * G21, where R is the
+    # regular locus and G12 = sum over s in R of theta_1(s) theta_11(s^-1).
+    # theta_1 and its Frobenius conjugate theta_11 are orthogonal on the
+    # whole torus but not on R, so G12 is not zero.
     grp = points(ELL11, 1).group
-    chars = [grp.char((0,)), grp.char((1,)), grp.char((5,))]
-    full = [(a,) for a in range(120)]
-    rep = gram_independence(ELL11, chars, elements=full)
-    # orthogonality: diagonal 120 * I, so det = 120^3
-    assert rep.det.as_int() == 120 ** 3
+    regs = regular_elements(ELL11)
+    g12 = CycNum.zero(120)
+    g21 = CycNum.zero(120)
+    for (a,) in regs:
+        g12 = g12 + root(120, a - 11 * a)
+        g21 = g21 + root(120, 11 * a - a)
+    assert g12 == g21 == CycNum.from_rational(120, -10)
+    rep = gram_independence(ELL11, [grp.char((1,)), grp.char((11,))])
+    assert rep.det == len(regs) ** 2 - g12 * g21
 
 
 def test_gram_four_subset_nonzero():
