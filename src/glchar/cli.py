@@ -119,14 +119,14 @@ def cmd_check_q(args) -> int:
         _emit_json({
             "n": spec.n,
             "q": spec.q,
-            "threshold": str(report.threshold),
+            "threshold": report.threshold_text,
             "ratios": [{"torus": tt.label, "ratio": str(r)}
                        for tt, r in report.ratios],
             "ok": report.ok,
         })
     else:
         print(f"group GL_{spec.n}(F_{spec.q})")
-        print(f"threshold {report.threshold}")
+        print(f"threshold {report.threshold_text}")
         for tt, r in report.ratios:
             print(f"torus {tt.label} ratio {r}")
         print(f"gate {'PASS' if report.ok else 'FAIL'}")

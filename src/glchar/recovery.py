@@ -22,14 +22,26 @@ trustworthy.
 
 Performance note: the subset scan dominates.  Subsets are screened with
 pure integer arithmetic on shifted value vectors f(s) * zeta^{-theta_a(s)},
-memoized once per call and shared by the one- and two-term scans.  The
-two-term scan does not walk all K(K-1)/2 pairs: for each first character
-a, the sample equations on a few separating samples fix both coefficients
-and the second character through index lookups (see _scan_pairs).  Every pair that satisfies those sample
-equations is enumerated, and every candidate is still verified against
-every regular element, so the screen affects speed only, never which
-expansions are accepted, and the exhaustive uniqueness check still sees
-every valid expansion.
+memoized once per call and shared by the one- and two-term scans.  A shift
+next to a cached one at the same sample is one companion step, O(phi),
+instead of a fold, O(nnz * phi) (see _shifter); on the elliptic torus the
+exponents at sample 0 run through every residue, so all but one of them
+are steps.  The two-term scan does not walk all K(K-1)/2 pairs: for each
+first character a, the sample equations on a few separating samples fix
+both coefficients and the second character through index lookups (see
+_scan_pairs).  Every pair that satisfies those sample equations is
+enumerated, and every candidate is still verified against every regular
+element, so the screen affects speed only, never which expansions are
+accepted, and the exhaustive uniqueness check still sees every valid
+expansion.
+
+Many rows restrict to the same function on a torus (at q = 13 the 78
+cuspidal rows are all zero on the split torus: 336 torus inputs, 182
+distinct).  recover_E therefore keeps each Expansion in a memo on the
+CharacterSheet instance, keyed on the whole input of sparse_decompose (the
+torus and every (point, value) pair), so a hit stands for a repeat call of
+a pure function with identical arguments.  The memo lives and dies with
+its sheet; sparse_decompose itself is uncached, and errors are not kept.
 """
 
 from __future__ import annotations
@@ -77,7 +89,7 @@ class QConditionViolated(RuntimeError):
         super().__init__(
             f"density gate fails for GL_{report.spec.n}(F_{report.spec.q}): "
             f"torus {worst_t.label} has non-regular ratio {worst_r}, "
-            f"not < {report.threshold}")
+            f"not < {report.threshold_text}")
 
 
 class NoExpansionError(ValueError):
@@ -333,26 +345,43 @@ def _solver(ttype: TorusType, level: int) -> _TorusSolver:
     return _TorusSolver(ttype, level)
 
 
-def _mul_root(vec: Sequence[int], e: int, red, N: int) -> tuple[int, ...]:
-    """Integer power-basis vector times zeta^e, reduced."""
-    return tuple(_fold(red, [((i + e) % N, v)
-                             for i, v in enumerate(vec) if v]))
-
-
 def _shifter(solver: _TorusSolver, fvec):
     """shift(s, e) = f(s) * zeta^-e, memoized for one input function.
 
     One decomposition shares it between the one- and two-term scans.  On
     the split torus theta_a(s) takes q - 1 values, so K characters cost
-    only q - 1 products per sample.
+    only q - 1 products per sample.  A shift whose neighbour e -+ 1 at the
+    same sample is cached costs one companion step, O(phi): times zeta^-1
+    moves the coordinates down and adds the constant term times
+    red[N - 1], times zeta moves them up and adds the top term times
+    red[phi % N] (zeta^phi; phi % N, since at level 1 red has one row).
+    Otherwise the nonzero coordinates are folded, O(nnz * phi).
     """
-    N, red = solver.level, solver.red
+    N, red, phi = solver.level, solver.red, solver.phi
+    down, up = red[N - 1], red[phi % N]
     cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def shift(s: int, e: int) -> tuple[int, ...]:
         v = cache.get((s, e))
-        if v is None:
-            v = cache[(s, e)] = _mul_root(fvec[s], (N - e) % N, red, N)
+        if v is not None:
+            return v
+        w = cache.get((s, (e - 1) % N))
+        if w is not None:
+            c = w[0]
+            v = w[1:] + (0,)
+            if c:
+                v = tuple(x + c * r for x, r in zip(v, down))
+        else:
+            w = cache.get((s, (e + 1) % N))
+            if w is not None:
+                c = w[-1]
+                v = (0,) + w[:-1]
+                if c:
+                    v = tuple(x + c * r for x, r in zip(v, up))
+            else:
+                v = tuple(_fold(red, [((i - e) % N, x)
+                                      for i, x in enumerate(fvec[s]) if x]))
+        cache[(s, e)] = v
         return v
 
     return shift
@@ -615,9 +644,18 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if not report.ok:
             raise SheetValidationError(report)
     row = sheet.row(label)
-    expansions = tuple(
-        sparse_decompose(row.values[tt.blocks], tt, jobs=jobs)
-        for tt in sheet.tori)
+    # the per-sheet memo (module docstring); values enter the key by
+    # representation, since CycNum equality across levels raises
+    memo = vars(sheet).setdefault("_expansions", {})
+    found = []
+    for tt in sheet.tori:
+        f = row.values[tt.blocks]
+        key = (tt, frozenset((p, v.level, v.num, v.den) for p, v in f.items()))
+        e = memo.get(key)
+        if e is None:
+            e = memo[key] = sparse_decompose(f, tt, jobs=jobs)
+        found.append(e)
+    expansions = tuple(found)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(
             f"{label}: empty support on every torus")

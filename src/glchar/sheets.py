@@ -421,7 +421,14 @@ def sheet_from_dict(data) -> CharacterSheet:
             entries = values_in[tt.label]
             if not isinstance(entries, list):
                 raise SheetFormatError(f"row {label!r}: values must be a list")
-            rank = len(points(tt, 1).group.moduli)
+            grp = points(tt, 1).group
+            # before any entry is parsed: more entries than points must
+            # repeat one
+            if len(entries) > grp.order:
+                raise SheetFormatError(
+                    f"row {label!r}, torus {tt.label}: {len(entries)} "
+                    f"entries for {grp.order} points")
+            rank = len(grp.moduli)
             for ent in entries:
                 e = need(ent, "element", list)
                 key = tuple(e)

@@ -201,15 +201,42 @@ def rs_ratio(ttype: TorusType) -> Fraction:
     return Fraction(order - len(regular_elements(ttype)), order)
 
 
+def _below_power_of_two(r: Fraction, k: int) -> bool:
+    """r < 2^-k for a ratio r >= 0, building no k-bit integer when
+    r = 0 or 2^k exceeds the denominator (then 2^k * r > 1 for r > 0)."""
+    if r.numerator == 0:
+        return True
+    if k >= r.denominator.bit_length():
+        return False
+    return r.numerator << k < r.denominator
+
+
 @dataclass(frozen=True)
 class QConditionReport:
+    """Non-regular ratio of every torus against the threshold 2^-k,
+    k = threshold_exp = 2|W| - 1, kept as an exponent: at n >= 8, 2^k has
+    over 24k decimal digits."""
+
     spec: GroupSpec
-    threshold: Fraction
+    threshold_exp: int
     ratios: tuple[tuple[TorusType, Fraction], ...]
 
     @property
+    def threshold(self) -> Fraction:
+        """2^-k exactly (builds 2^k)."""
+        return Fraction(1, 1 << self.threshold_exp)
+
+    @property
+    def threshold_text(self) -> str:
+        """'1/8' and the like below n = 8; '1/2^k' from n = 8 on."""
+        if self.spec.n >= 8:
+            return f"1/2^{self.threshold_exp}"
+        return str(self.threshold)
+
+    @property
     def ok(self) -> bool:
-        return all(r < self.threshold for _, r in self.ratios)
+        return all(_below_power_of_two(r, self.threshold_exp)
+                   for _, r in self.ratios)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -218,9 +245,8 @@ class QConditionReport:
 @lru_cache(maxsize=None)
 def check_q_condition(spec: GroupSpec) -> QConditionReport:
     """Strict bound |T^F - T^F_rs| / |T^F| < 2^(1 - 2|W|) for every torus."""
-    threshold = Fraction(1, 2 ** (2 * spec.weyl_order - 1))
     ratios = tuple((tt, rs_ratio(tt)) for tt in enumerate_tori(spec))
-    return QConditionReport(spec, threshold, ratios)
+    return QConditionReport(spec, 2 * spec.weyl_order - 1, ratios)
 
 
 Pair = tuple[TorusType, AbChar]

@@ -12,6 +12,9 @@ division; non-integers and zeros reject, and survivors are verified.
 
 solve_subset_reference solves one subset of any size by rational
 Gauss-Jordan elimination over every power-basis equation of every sample.
+
+mul_root folds every nonzero coordinate through the reduction table; the
+companion steps of glchar.recovery._shifter are checked against it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from glchar.recovery import _mul_root
+from glchar.cyclotomic import _fold
+
+
+def mul_root(vec: Sequence[int], e: int, red, N: int) -> tuple[int, ...]:
+    """Integer power-basis vector times zeta^e, reduced."""
+    return tuple(_fold(red, [((i + e) % N, v)
+                             for i, v in enumerate(vec) if v]))
 
 
 def _verify(solver, fvec, idxs, coeffs) -> bool:
@@ -82,7 +91,7 @@ def scan_pairs_reference(solver, fvec, stripe: int = 0, step: int = 1,
     def shift(s: int, e: int) -> tuple[int, ...]:
         v = shift_cache.get((s, e))
         if v is None:
-            v = shift_cache[(s, e)] = _mul_root(fvec[s], (N - e) % N, red, N)
+            v = shift_cache[(s, e)] = mul_root(fvec[s], (N - e) % N, red, N)
         return v
 
     hits: list[tuple[int, int, int, int]] = []

@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, output shapes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,6 +60,26 @@ def test_check_q_json(capsys):
                    {"torus": "2", "ratio": "1/12"}],
         "ok": True,
     }
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_check_q_gl8_f2_fails_without_printing_2_to_the_k(extra):
+    # 2^80639 has 24k digits, over Python's int-to-str limit; the gate
+    # compares by bit length and prints the threshold as 1/2^k (the
+    # timeout only guards against a hang)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "glchar", "check-q", "--n", "8", "--q", "2",
+         *extra], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 2, proc.stderr
+    if extra:
+        data = json.loads(proc.stdout)
+        assert data["threshold"] == "1/2^80639"
+        assert data["ok"] is False
+    else:
+        assert "threshold 1/2^80639\n" in proc.stdout
+        assert proc.stdout.endswith("gate FAIL\n")
 
 
 # -- usage errors --------------------------------------------------------
@@ -187,6 +208,26 @@ def test_repeat_runs_byte_identical(capsys):
     _, first, _ = run(capsys, "recover", "--q", "11", "--json")
     _, second, _ = run(capsys, "recover", "--q", "11", "--json")
     assert first == second
+
+
+# sha256 of stdout as produced before the per-sheet memo and the companion
+# shift step; recovery output must never change with its speed
+PINNED_STDOUT = [
+    (["recover", "--q", "11", "--json"],
+     "689c60ce03745aa2dacfc3cced295a89e0f5562ffb0c2e5cf30a73769a5f683e"),
+    (["unipotent", "--q", "13", "--json"],
+     "6ee7682ef2e7ef1e9b257ab1dac778fcb2e63fa729ffe818297ae8d46102c6f3"),
+    # level 1: the reduction table has one row, so zeta^phi is red[phi % N]
+    (["recover", "--n", "1", "--q", "2"],
+     "0b9d740044e05f52e570f72325f9e7237d02a0b072d55dc6e96e923235a42898"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT)
+def test_stdout_sha256_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parallel_run_byte_identical(capsys, monkeypatch):
@@ -378,6 +419,23 @@ def test_unrecoverable_class_function_exits_4(capsys, tmp_path):
                        "--rho", "cuspidal:1")
     assert code == 4
     assert "recovery inconsistency" in err
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_overlong_value_list_exits_3_before_entries_are_parsed(
+        capsys, tmp_path, where):
+    # a torus list longer than the torus has points is refused on its
+    # length; its entries (not even dicts here) are never looked at
+    data = sheet_to_dict(build_gl2_sheet(11))
+    data["irreducibles"][where]["values"]["1+1"] = [0] * 200_000
+    path = tmp_path / "overlong.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "recover", "--sheet", str(path),
+                       "--rho", "onedim:0")
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert "200000 entries for 100 points" in err
 
 
 # -- interpreter entry point ----------------------------------------------

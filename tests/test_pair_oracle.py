@@ -4,23 +4,28 @@ The production scan reads each pair off an index; oracle_pairs walks all
 K(K-1)/2 pairs.  Both must return the same (ia, ib, ca, cb) hit list,
 in the same order, on every input: built-in sheet rows, planted two-term
 functions, and inputs whose shifted first sample is rational (the case the
-index cannot pin, where the scan falls back to the pivot screen).
+index cannot pin, where the scan falls back to the pivot screen).  The
+shifts both scans read, f(s) zeta^{-e} by companion step from a cached
+neighbour, are checked against the plain fold mul_root.
 """
 
 import math
+import random
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glchar.recovery as recovery
 from glchar.abelian import AbChar
-from glchar.cyclotomic import CycNum, root
+from glchar.cyclotomic import CycNum, _context, root
 from glchar.recovery import _scan_pairs, _shifter, _solver
 from glchar.sheets import build_gl2_sheet
 from glchar.tori import GroupSpec, TorusType, points, regular_elements
 
-from oracle_pairs import scan_pairs_reference
+from oracle_pairs import mul_root, scan_pairs_reference
 
 SPEC11 = GroupSpec(2, 11)
 SPEC13 = GroupSpec(2, 13)
@@ -128,3 +133,63 @@ def test_principal_half_shift_rows_take_rational_branch(q, data):
     assert not any(shift(0, solver.table[ia][0])[1:])
     assert [(solver.chars[i].cexps, solver.chars[j].cexps, ca, cb)
             for i, j, ca, cb in hits] == [((k, k + h), (k + h, k), 1, 1)]
+
+
+# -- shifts by companion step -----------------------------------------------
+
+SHIFT_LEVELS = [1, 2, 3, 120, 168, 360]
+
+
+def shift_solver(N):
+    # _shifter reads only the level and its reduction table
+    ctx = _context(N)
+    return SimpleNamespace(level=N, red=ctx.red, phi=ctx.phi)
+
+
+def exponent_order(N, how, rng):
+    es = list(range(N))
+    if how == "descending":
+        es.reverse()
+    elif how == "random":
+        rng.shuffle(es)
+        es += [rng.randrange(N) for _ in range(N)]  # repeats hit the memo
+    return es
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from(SHIFT_LEVELS),
+       how=st.sampled_from(["ascending", "descending", "random"]),
+       data=st.data())
+def test_shifts_match_plain_fold(N, how, data):
+    solver = shift_solver(N)
+    coord = st.one_of(st.just(0), st.integers(-50, 50))
+    fvec = [tuple(data.draw(st.lists(coord, min_size=solver.phi,
+                                     max_size=solver.phi)))
+            for _ in range(2)]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    shift = _shifter(solver, fvec)
+    for e in exponent_order(N, how, rng):
+        for s in range(2):
+            assert shift(s, e) == mul_root(fvec[s], (N - e) % N,
+                                           solver.red, N)
+
+
+@pytest.mark.parametrize("N", SHIFT_LEVELS)
+@pytest.mark.parametrize("how", ["ascending", "descending"])
+def test_monotone_shifts_fold_once_per_sample(monkeypatch, N, how):
+    # after the first exponent every shift has a cached neighbour, so the
+    # fold runs once per sample and each step is one companion step
+    calls = []
+    fold = recovery._fold
+    monkeypatch.setattr(recovery, "_fold",
+                        lambda *a: calls.append(1) or fold(*a))
+    solver = shift_solver(N)
+    rng = random.Random(N)
+    fvec = [tuple(rng.randint(-9, 9) for _ in range(solver.phi))
+            for _ in range(3)]
+    shift = _shifter(solver, fvec)
+    for e in exponent_order(N, how, rng):
+        for s in range(3):
+            assert shift(s, e) == mul_root(fvec[s], (N - e) % N,
+                                           solver.red, N)
+    assert len(calls) == 3

@@ -7,6 +7,7 @@ in the fast path cannot silently change which expansions are accepted.
 """
 
 import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from glchar.recovery import (
     recover_E,
     sparse_decompose,
 )
-from glchar.sheets import build_gl1_sheet, build_gl2_sheet
+import glchar.recovery as recovery
+from glchar.sheets import SheetRow, build_gl1_sheet, build_gl2_sheet
 from glchar.tori import GroupSpec, TorusType, points, regular_elements
 
 from oracle_pairs import solve_subset_reference
@@ -170,6 +172,71 @@ def test_jobs_two_matches_serial():
             serial = sparse_decompose(row.values[tt.blocks], tt, jobs=1)
             parallel = sparse_decompose(row.values[tt.blocks], tt, jobs=2)
             assert terms_of(serial) == terms_of(parallel), (label, tt.label)
+
+
+# -- per-sheet memo ------------------------------------------------------------
+
+def counting(monkeypatch):
+    """Wrap sparse_decompose so each real search is logged."""
+    calls = []
+    real = recovery.sparse_decompose
+
+    def wrapper(f, T, **kw):
+        calls.append((T, len(f)))
+        return real(f, T, **kw)
+
+    monkeypatch.setattr(recovery, "sparse_decompose", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("q, searches", [(11, 132), (13, 182)])
+def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
+    sheet = build_gl2_sheet(q)
+    calls = counting(monkeypatch)
+    whole = [recover_E(sheet, lab, validate=False) for lab in sheet.labels()]
+    # one search per distinct (torus, function) input
+    assert len(calls) == searches
+    assert len(vars(sheet)["_expansions"]) == searches
+    assert len(sheet.rows) * len(sheet.tori) == {11: 240, 13: 336}[q]
+    for lab, rep in zip(sheet.labels(), whole):
+        # a new instance per row carries an empty memo, so every torus runs
+        # its own search
+        fresh = dataclasses.replace(sheet)
+        assert "_expansions" not in vars(fresh)
+        del calls[:]
+        assert recover_E(fresh, lab, validate=False) == rep
+        assert len(calls) == len(sheet.tori)
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_memo_never_serves_a_different_domain(monkeypatch, change):
+    sheet = build_gl2_sheet(11)
+    calls = counting(monkeypatch)
+    recover_E(sheet, "onedim:3", validate=False)
+    vals = {bl: dict(m) for bl, m in sheet.row("onedim:3").values.items()}
+    split = vals[SPLIT11.blocks]
+    if change == "extra":
+        split[(4, 4)] = split[(0, 1)]  # (4, 4) is not regular
+    else:
+        del split[(0, 1)]
+    sheet.rows.append(SheetRow("hostile", 1, vals))
+    del calls[:]
+    for _ in range(2):  # errors are not memoized: both calls search
+        with pytest.raises(ValueError, match="does not match the regular"):
+            recover_E(sheet, "hostile", validate=False)
+    assert len(calls) == 2
+
+
+def test_two_sheets_do_not_share_a_memo(monkeypatch):
+    first, second = build_gl2_sheet(11), build_gl2_sheet(11)
+    calls = counting(monkeypatch)
+    rep = recover_E(first, "principal:2,5", validate=False)
+    assert recover_E(first, "principal:2,5", validate=False) == rep
+    assert len(calls) == 2
+    assert "_expansions" not in vars(second)
+    assert recover_E(second, "principal:2,5", validate=False) == rep
+    assert len(calls) == 4
+    assert vars(first)["_expansions"] is not vars(second)["_expansions"]
 
 
 # -- dual-route agreement ----------------------------------------------------

@@ -5,11 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from glchar.abelian import enumerate_chars
 from glchar.tori import (
     GeomClassId,
     GroupSpec,
+    QConditionReport,
     TorusType,
     check_q_condition,
     eigenvalues,
@@ -137,6 +139,23 @@ def test_check_q_condition():
     assert not rep9.ok
     assert check_q_condition(GroupSpec(1, 4)).ok
     assert check_q_condition(GroupSpec(2, 16)).ok
+
+
+def test_gate_threshold_kept_as_exponent():
+    rep = check_q_condition(GroupSpec(2, 11))
+    assert rep.threshold_exp == 3 and rep.threshold_text == "1/8"
+    rep = check_q_condition(GroupSpec(8, 2))
+    assert rep.threshold_exp == 2 * math.factorial(8) - 1
+    assert rep.threshold_text == "1/2^80639"
+    assert not rep.ok
+
+
+@given(st.integers(0, 300), st.integers(1, 10**6), st.integers(0, 80))
+def test_gate_comparison_by_bit_length_is_exact(num, den, k):
+    r = Fraction(num, den)
+    spec = GroupSpec(2, 11)
+    rep = QConditionReport(spec, k, ((TorusType(spec, (1, 1)), r),))
+    assert rep.ok == (r < Fraction(1, 2**k))
 
 
 def test_frobenius_orbits_level_m():
