@@ -61,14 +61,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+MAX_JOBS = 64
+
+
 def _jobs() -> int:
+    """GLCHAR_JOBS as a worker count in 1..MAX_JOBS; read before any work,
+    so an out-of-range value never builds a sheet or starts a pool."""
     raw = os.environ.get("GLCHAR_JOBS", "1")
     try:
         jobs = int(raw)
     except ValueError:
         raise ValueError(f"GLCHAR_JOBS must be an integer, got {raw!r}")
-    if jobs < 1:
-        raise ValueError(f"GLCHAR_JOBS must be >= 1, got {jobs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(
+            f"GLCHAR_JOBS must be between 1 and {MAX_JOBS}, got {jobs}")
     return jobs
 
 

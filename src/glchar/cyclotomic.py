@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -138,7 +140,7 @@ class _Context:
                     if bj:
                         prod[i + j] += ai * bj
         tail = _fold(self.red, zip(range(phi, 2 * phi - 1), prod[phi:]))
-        return [a + b for a, b in zip(prod, tail)]
+        return list(map(add, prod, tail))
 
 
 @lru_cache(maxsize=None)
@@ -151,15 +153,24 @@ def _fold(red: Sequence[Sequence[int]],
     """Power-basis vector of sum c * zeta^e over integer (e, c) terms.
 
     red is a level's reduction table (_Context.red) and every e indexes it.
+    The per-coordinate work runs in map over operator.add and the
+    elementwise scaling of _scaled.
     """
     acc = None
     for e, c in terms:
         if c:
-            if acc is None:
-                acc = [c * r for r in red[e]]
-            else:
-                acc = [a + c * r for a, r in zip(acc, red[e])]
+            row = _scaled(red[e], c)
+            acc = list(row) if acc is None else list(map(add, acc, row))
     return [0] * len(red[0]) if acc is None else acc
+
+
+def _scaled(row: Iterable[int], c: int) -> Iterable[int]:
+    """c * row, elementwise and lazily; c = +-1 needs no multiplication."""
+    if c == 1:
+        return row
+    if c == -1:
+        return map(neg, row)
+    return map(mul, row, repeat(c))
 
 
 def _normalize(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:

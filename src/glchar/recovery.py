@@ -35,6 +35,16 @@ element, so the screen affects speed only, never which expansions are
 accepted, and the exhaustive uniqueness check still sees every valid
 expansion.
 
+The integer kernels under the scan run their per-coordinate loops in C:
+map over operator.add, mul and neg, with coefficients from
+itertools.repeat, in place of Python comprehensions.  _verify builds each
+sample value from one or two rows of the reduction table (no general
+fold), _direction returns a content +-1 vector itself or negated (no
+division), the direction branch of _scan_pairs memoizes each root-of-unity
+lookup for the call, and the solver table is built by adding column
+multiples in mixed radix.  All of them compute the same integers as the
+plain loops they replace (tests/test_kernels.py holds those as oracles).
+
 Many rows restrict to the same function on a torus (at q = 13 the 78
 cuspidal rows are all zero on the split torus: 336 torus inputs, 182
 distinct).  recover_E therefore keeps each Expansion in a memo on the
@@ -49,11 +59,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
+from operator import add, floordiv, mod
 from typing import Mapping, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar
-from .cyclotomic import CycNum, CycMatrix, _context, _fold, root
+from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled, root
 from .sheets import CharacterSheet, SheetValidationError, validate_sheet
 from .tori import (
     GeomClassId,
@@ -193,16 +204,23 @@ class RecoveryReport:
 
 # -- solver tables ----------------------------------------------------------
 
-def _direction(vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
+def _direction(vec: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(primitive integer direction, signed multiplier) of a nonzero vector.
 
     The direction has content 1 and a positive first nonzero entry, so two
-    vectors are proportional exactly when their directions are equal.
+    vectors are proportional exactly when their directions are equal.  When
+    the signed content g is +1 the vector is its own direction, and when it
+    is -1 the direction is its negation: v // g equals v * g for every
+    integer v when g = +-1, so this path is exact, and the general division
+    runs only for |g| > 1.  Tails of roots of unity have content 1, so the
+    short path is the common case.
     """
     g = math.gcd(*vec)
-    if next(v for v in vec if v) < 0:
+    if next(filter(None, vec)) < 0:
         g = -g
-    return tuple(v // g for v in vec), g
+    if g in (1, -1):
+        return tuple(_scaled(vec, g)), g
+    return tuple(map(floordiv, vec, repeat(g))), g
 
 
 class _TorusSolver:
@@ -212,8 +230,14 @@ class _TorusSolver:
     s-th regular element; exponents are linear in the character index, so
     theta_b = theta_a * theta_delta with delta = b - a in every coordinate,
     and the table row of the difference character delta gives the ratio
-    of the two columns.  Probes, pair pivots and the pair index are built
-    on first use and cached here because they do not depend on the input
+    of the two columns.  The same linearity builds the table: the row of
+    (c_1, ..., c_r) is sum c_i * col_i mod level, col_i[s] the exponent of
+    the i-th generator character at sample s, so the rows are made one
+    coordinate at a time in mixed radix (the order of product over the
+    moduli, last coordinate fastest), each as an elementwise sum of a
+    previous row and a multiple of col_i, with no per-entry evaluation of
+    a character.  Probes, pair pivots and the pair index are built on
+    first use and cached here because they do not depend on the input
     function.
     """
 
@@ -230,13 +254,20 @@ class _TorusSolver:
         ctx = _context(level)
         self.red = ctx.red
         self.phi = ctx.phi
-        lift = level // L
         self.chars = tuple(AbChar(grp, ce) for ce in
                            product(*(range(m) for m in grp.moduli)))
-        self.table = [
-            [lift * ch.value_exponent(e) % level for e in self.regs]
-            for ch in self.chars
-        ]
+        mod_level = repeat(level)
+        rows = [[0] * len(self.regs)]
+        for i, m in enumerate(grp.moduli):
+            unit = level // m
+            col = [e[i] * unit % level for e in self.regs]
+            mults = [[0] * len(col)]
+            for _ in range(1, m):
+                mults.append(list(map(mod, map(add, mults[-1], col),
+                                      mod_level)))
+            rows = [list(map(mod, map(add, row, k), mod_level))
+                    for row in rows for k in mults]
+        self.table = rows
         self._pivot: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
 
     def pivot(self, d0: int, d1: int) -> tuple[int, int, tuple[int, ...]]:
@@ -370,14 +401,14 @@ def _shifter(solver: _TorusSolver, fvec):
             c = w[0]
             v = w[1:] + (0,)
             if c:
-                v = tuple(x + c * r for x, r in zip(v, down))
+                v = tuple(map(add, v, _scaled(down, c)))
         else:
             w = cache.get((s, (e + 1) % N))
             if w is not None:
                 c = w[-1]
                 v = (0,) + w[:-1]
                 if c:
-                    v = tuple(x + c * r for x, r in zip(v, up))
+                    v = tuple(map(add, v, _scaled(up, c)))
             else:
                 v = tuple(_fold(red, [((i - e) % N, x)
                                       for i, x in enumerate(fvec[s]) if x]))
@@ -391,13 +422,28 @@ def _verify(solver: _TorusSolver, fvec, idxs, coeffs) -> bool:
     """Exact check of sum c_i theta_i = f on every regular element.
 
     Samples run in solver.order: the separating samples, which tell the
-    characters apart, come first, so a wrong candidate fails early.
+    characters apart, come first, so a wrong candidate fails early.  With
+    one or two terms the value at s is c_a red[theta_a(s)] (+ c_b
+    red[theta_b(s)]), built from the rows of red by map and compared with
+    f(s) as a tuple, so no general fold runs; equal coefficients are
+    applied once to the sum of the two rows.
     """
-    red = solver.red
-    rows = [solver.table[i] for i in idxs]
-    for s in solver.order:
-        terms = [(trow[s], c) for trow, c in zip(rows, coeffs)]
-        if tuple(_fold(red, terms)) != fvec[s]:
+    red, order = solver.red, solver.order
+    ta = solver.table[idxs[0]]
+    ca = coeffs[0]
+    if len(idxs) == 1:
+        for s in order:
+            if tuple(_scaled(red[ta[s]], ca)) != fvec[s]:
+                return False
+        return True
+    tb = solver.table[idxs[1]]
+    cb = coeffs[1]
+    for s in order:
+        if ca == cb:
+            v = _scaled(map(add, red[ta[s]], red[tb[s]]), ca)
+        else:
+            v = map(add, _scaled(red[ta[s]], ca), _scaled(red[tb[s]], cb))
+        if tuple(v) != fvec[s]:
             return False
     return True
 
@@ -480,6 +526,9 @@ def _scan_pairs(solver: _TorusSolver, fvec, stripe: int, step: int,
     # case-1 candidates (d, ca, cb) by the exponent theta_a(s0); None marks
     # a rational g0 (case 2)
     firsts: dict[int, list[tuple[int, int, int]] | None] = {}
+    # exponent d(s) read at sample s, by (s, theta_a(s), ca, cb); None = no
+    # root of unity.  Many first characters share theta_a(s) at a sample.
+    roots: dict[tuple[int, int, int, int], int | None] = {}
     hits: list[tuple[int, int, int, int]] = []
     for ia in range(stripe, K, step):
         ta = table[ia]
@@ -509,11 +558,19 @@ def _scan_pairs(solver: _TorusSolver, fvec, stripe: int, step: int,
             for d, ca, cb in cands:
                 key = [d]
                 for s in rest:
-                    v = list(shift(s, ta[s]))
-                    v[0] -= ca
-                    if any(x % cb for x in v):
-                        break
-                    e = exp_of.get(tuple(x // cb for x in v))
+                    rk = (s, ta[s], ca, cb)
+                    if rk in roots:
+                        e = roots[rk]
+                    else:
+                        g = shift(s, ta[s])
+                        v = (g[0] - ca,) + g[1:]
+                        if cb in (1, -1):  # v / cb = v * cb
+                            e = exp_of.get(tuple(_scaled(v, cb)))
+                        elif any(map(mod, v, repeat(cb))):
+                            e = None
+                        else:
+                            e = exp_of.get(tuple(map(floordiv, v, repeat(cb))))
+                        roots[rk] = e
                     if e is None:
                         break
                     key.append(e)

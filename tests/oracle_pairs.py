@@ -13,8 +13,12 @@ division; non-integers and zeros reject, and survivors are verified.
 solve_subset_reference solves one subset of any size by rational
 Gauss-Jordan elimination over every power-basis equation of every sample.
 
-mul_root folds every nonzero coordinate through the reduction table; the
-companion steps of glchar.recovery._shifter are checked against it.
+plain_fold is a coordinate-by-coordinate sum of c * red[e], the oracle of
+glchar.cyclotomic._fold.  mul_root folds every nonzero coordinate through
+the reduction table with it; the companion steps of
+glchar.recovery._shifter are checked against it.  verify_reference, the
+oracle of glchar.recovery._verify, checks a candidate expansion with
+plain_fold on every sample in locus order.
 """
 
 from __future__ import annotations
@@ -22,23 +26,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from glchar.cyclotomic import _fold
+
+def plain_fold(red, terms) -> list[int]:
+    """Power-basis vector of sum c * zeta^e, one coordinate at a time."""
+    acc = [0] * len(red[0])
+    for e, c in terms:
+        row = red[e]
+        for t in range(len(acc)):
+            acc[t] += c * row[t]
+    return acc
 
 
 def mul_root(vec: Sequence[int], e: int, red, N: int) -> tuple[int, ...]:
     """Integer power-basis vector times zeta^e, reduced."""
-    return tuple(_fold(red, [((i + e) % N, v)
-                             for i, v in enumerate(vec) if v]))
+    return tuple(plain_fold(red, [((i + e) % N, v)
+                                  for i, v in enumerate(vec) if v]))
 
 
-def _verify(solver, fvec, idxs, coeffs) -> bool:
-    red, table, phi = solver.red, solver.table, solver.phi
-    rows = [table[i] for i in idxs]
+def verify_reference(solver, fvec, idxs, coeffs) -> bool:
+    """Whether sum c_i theta_i = f on every regular element."""
+    table = solver.table
     for s in range(len(solver.regs)):
-        acc = [0] * phi
-        for trow, c in zip(rows, coeffs):
-            acc = [a + c * r for a, r in zip(acc, red[trow[s]])]
-        if tuple(acc) != fvec[s]:
+        terms = [(table[i][s], c) for i, c in zip(idxs, coeffs)]
+        if tuple(plain_fold(solver.red, terms)) != fvec[s]:
             return False
     return True
 
@@ -120,7 +130,7 @@ def scan_pairs_reference(solver, fvec, stripe: int = 0, step: int = 1,
                 continue
             if any(g0[t] != cb * row0[t] for t in range(1, phi)):
                 continue
-            if _verify(solver, fvec, (ia, ib), (ca, cb)):
+            if verify_reference(solver, fvec, (ia, ib), (ca, cb)):
                 hits.append((ia, ib, ca, cb))
                 if cap is not None and len(hits) >= cap:
                     return hits

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import glchar.cli as cli
 from glchar.cli import main
 from glchar.cyclotomic import CycNum
 from glchar.sheets import build_gl2_sheet, save_sheet, sheet_to_dict, load_sheet
@@ -150,6 +151,33 @@ def test_bad_jobs_env_exits_1(capsys, monkeypatch, value):
     assert "GLCHAR_JOBS" in err
 
 
+# over-cap values are only ever read by _jobs: no recovery or pool runs
+@pytest.mark.parametrize("value", ["65", "1000000"])
+def test_jobs_over_cap_rejected(monkeypatch, value):
+    monkeypatch.setenv("GLCHAR_JOBS", value)
+    with pytest.raises(ValueError, match="GLCHAR_JOBS must be between 1 and 64"):
+        cli._jobs()
+
+
+@pytest.mark.parametrize("value", ["1", "64"])
+def test_jobs_cap_is_inclusive(monkeypatch, value):
+    monkeypatch.setenv("GLCHAR_JOBS", value)
+    assert cli._jobs() == int(value)
+
+
+@pytest.mark.parametrize("cmd", ["recover", "unipotent"])
+def test_jobs_over_cap_exits_1_before_any_sheet(capsys, monkeypatch, cmd):
+    def no_sheet(args):
+        raise AssertionError("a sheet was requested")
+
+    monkeypatch.setattr(cli, "_load_or_build", no_sheet)
+    monkeypatch.setenv("GLCHAR_JOBS", "65")
+    code, out, err = run(capsys, cmd, "--q", "11")
+    assert code == 1
+    assert out == ""
+    assert "GLCHAR_JOBS must be between 1 and 64, got 65" in err
+
+
 # -- recover -------------------------------------------------------------
 
 def test_recover_single_row_json(capsys):
@@ -220,6 +248,8 @@ PINNED_STDOUT = [
     # level 1: the reduction table has one row, so zeta^phi is red[phi % N]
     (["recover", "--n", "1", "--q", "2"],
      "0b9d740044e05f52e570f72325f9e7237d02a0b072d55dc6e96e923235a42898"),
+    (["recover", "--q", "13", "--json"],
+     "088771acde5599337284425afca53114d4356b1a0e6236339dce4332ed6632b5"),
 ]
 
 
