@@ -7,10 +7,11 @@ character's values on regular semisimple torus elements.  The layers:
 
 cyclotomic  exact arithmetic in Q(zeta_N) on the power basis, Laplace
             determinants (no field inversion, no linear solving)
-abelian     finite abelian groups and their characters in exponent
-            coordinates
-tori        maximal torus types, regularity, the density gate, Weyl orbits,
-            and the canonical class invariant geom_class_id
+abelian     finite abelian groups in exponent coordinates: elements are
+            plain exponent tuples, characters are AbChar
+tori        maximal torus types, their rational points T^F as a group,
+            regularity, the density gate, Weyl orbits, and the canonical
+            class invariant geom_class_id
 sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
 recovery    expansion search of at most two terms (|W| <= 2 wherever the
             gate passes within the enumeration budget), class assembly,
@@ -18,12 +19,13 @@ recovery    expansion search of at most two terms (|W| <= 2 wherever the
             exhaustive search, so every answer is proved unique
 cli         deterministic command line front end
 
-The independent cross-checks (norm/pullback class decider, Bareiss
-determinants, the rational subset solver, the packed convolution, the
-GL_2 decomposition pattern) live in the tests as oracles.
+The independent cross-checks (norm/pullback class decider on the points
+at Frobenius level m, Bareiss determinants, the rational subset solver,
+the packed convolution, the GL_2 decomposition pattern, the dict form of
+a sheet file) live in the tests as oracles.
 """
 
-from .abelian import AbChar, FinAbGroup, GrpElt
+from .abelian import AbChar, FinAbGroup
 from .cyclotomic import CycMatrix, CycNum, root
 from .recovery import (
     Expansion,
@@ -49,7 +51,6 @@ from .sheets import (
     load_sheet,
     save_sheet,
     sheet_from_dict,
-    sheet_to_dict,
     validate_sheet,
 )
 from .tori import (
@@ -68,15 +69,14 @@ from .tori import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbChar", "FinAbGroup", "GrpElt",
+    "AbChar", "FinAbGroup",
     "CycMatrix", "CycNum", "root",
     "Expansion", "GramReport", "NoExpansionError", "NonUniqueError",
     "QConditionViolated", "RecoveryInconsistencyError", "RecoveryReport",
     "gram_independence", "is_unipotent", "recover_E", "sparse_decompose",
     "CharacterSheet", "IrrLabel", "SheetFormatError", "SheetRow",
     "SheetValidationError", "build_gl1_sheet", "build_gl2_sheet",
-    "load_sheet", "save_sheet", "sheet_from_dict", "sheet_to_dict",
-    "validate_sheet",
+    "load_sheet", "save_sheet", "sheet_from_dict", "validate_sheet",
     "GeomClassId", "GroupSpec", "QConditionReport", "TorusType",
     "check_q_condition", "enumerate_tori", "geom_class_id", "is_regular",
     "regular_elements", "weyl_orbit",

@@ -1,9 +1,10 @@
 """Finite abelian groups in exponent coordinates, with their duals.
 
 A group is presented as Z/m_1 x ... x Z/m_r by its tuple of moduli.
-Elements and characters are both exponent tuples reduced componentwise;
-the character (c_1, ..., c_r) takes the value zeta_L^{sum c_i a_i (L/m_i)}
-on the element (a_1, ..., a_r), where L = lcm(m_i).  Keeping everything in
+Its elements are plain exponent tuples (a_1, ..., a_r) with 0 <= a_i < m_i;
+a character is an AbChar, the exponent tuple (c_1, ..., c_r) reduced
+componentwise, and takes the value zeta_L^{sum c_i a_i (L/m_i)} on the
+element (a_1, ..., a_r), where L = lcm(m_i).  Keeping everything in
 exponent form means equality and evaluation are integer arithmetic; no
 value table is ever materialized.
 """
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
-
-from .cyclotomic import CycNum, root
 
 DEFAULT_BUDGET = 10**6
 
@@ -45,48 +44,8 @@ class FinAbGroup:
     def exponent(self) -> int:
         return math.lcm(*self.moduli) if self.moduli else 1
 
-    def element(self, exps: Sequence[int]) -> "GrpElt":
-        return GrpElt(self, tuple(exps))
-
-    def identity(self) -> "GrpElt":
-        return GrpElt(self, (0,) * self.rank)
-
     def char(self, cexps: Sequence[int]) -> "AbChar":
         return AbChar(self, tuple(cexps))
-
-    def trivial_char(self) -> "AbChar":
-        return AbChar(self, (0,) * self.rank)
-
-
-@dataclass(frozen=True)
-class GrpElt:
-    group: FinAbGroup
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.group.moduli
-        if len(self.exps) != len(m):
-            raise ValueError("exponent tuple has wrong length")
-        object.__setattr__(self, "exps",
-                           tuple(a % mi for a, mi in zip(self.exps, m)))
-
-    def __mul__(self, other: "GrpElt") -> "GrpElt":
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-        return GrpElt(self.group, tuple(a + b for a, b in
-                                        zip(self.exps, other.exps)))
-
-    def inv(self) -> "GrpElt":
-        return GrpElt(self.group, tuple(-a for a in self.exps))
-
-    def __pow__(self, k: int) -> "GrpElt":
-        return GrpElt(self.group, tuple(a * k for a in self.exps))
-
-    def order(self) -> int:
-        out = 1
-        for a, m in zip(self.exps, self.group.moduli):
-            out = math.lcm(out, m // math.gcd(a, m))
-        return out
 
 
 @dataclass(frozen=True)
@@ -109,11 +68,6 @@ class AbChar:
         L = self.group.exponent
         return sum(c * a * (L // m) for c, a, m in
                    zip(self.cexps, exps, self.group.moduli)) % L
-
-    def evaluate(self, g: GrpElt) -> CycNum:
-        if g.group != self.group:
-            raise ValueError("element of a different group")
-        return root(self.group.exponent, self.value_exponent(g.exps))
 
 
 def enumerate_chars(G: FinAbGroup,

@@ -34,6 +34,7 @@ from .sheets import (
     SheetValidationError,
     build_sheet,
     load_sheet,
+    save_sheet,
     sheet_to_json_text,
 )
 from .tori import (
@@ -141,15 +142,13 @@ def cmd_check_q(args) -> int:
 
 def cmd_table(args) -> int:
     sheet = _load_or_build(args)
-    text = sheet_to_json_text(sheet)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_sheet(sheet, args.out)
         if not args.json:
             print(f"wrote {args.out} ({len(sheet.rows)} rows)")
         return EXIT_OK
     if args.json:
-        sys.stdout.write(text)
+        sys.stdout.write(sheet_to_json_text(sheet))
     else:
         spec = sheet.spec
         tori = ", ".join(tt.label for tt in sheet.tori)
@@ -198,8 +197,7 @@ def cmd_classes(args) -> int:
     spec = GroupSpec(args.n, args.q)
     reps = {}
     for tt in enumerate_tori(spec):
-        grp = points(tt, 1).group
-        for ch in enumerate_chars(grp):
+        for ch in enumerate_chars(points(tt)):
             gid = geom_class_id((tt, ch))
             reps.setdefault(gid, (tt, ch))
     ordered = sorted(reps)
@@ -232,7 +230,7 @@ def cmd_gram(args) -> int:
     check_budget(n, args.q)
     spec = GroupSpec(n, args.q)
     tt = torus_from_label(spec, args.torus)
-    grp = points(tt, 1).group
+    grp = points(tt)
     chars = []
     for part in args.chars.split(";"):
         try:

@@ -48,15 +48,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    out = 1
-    for p, e in _factorize(n).items():
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     out = [1]
     for p, e in _factorize(n).items():
@@ -276,9 +267,6 @@ class CycNum:
         if r.denominator != 1:
             raise ValueError(f"{self} is not a rational integer")
         return r.numerator
-
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- arithmetic --
 

@@ -59,12 +59,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import repeat
 from operator import add, floordiv, mod
 from typing import Mapping, Sequence
 
-from .abelian import DEFAULT_BUDGET, AbChar
-from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled, root
+from .abelian import DEFAULT_BUDGET, AbChar, enumerate_chars
+from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled
 from .sheets import CharacterSheet, SheetValidationError, validate_sheet
 from .tori import (
     GeomClassId,
@@ -139,7 +139,7 @@ class Expansion:
     terms: tuple[tuple[AbChar, int], ...]
 
     def __post_init__(self):
-        grp = points(self.torus, 1).group
+        grp = points(self.torus)
         seen = set()
         for th, c in self.terms:
             if th.group != grp:
@@ -155,23 +155,6 @@ class Expansion:
     @property
     def m(self) -> int:
         return len(self.terms)
-
-    def support(self) -> tuple[AbChar, ...]:
-        return tuple(th for th, _ in self.terms)
-
-    def evaluate(self, exps: Sequence[int], level: int | None = None) -> CycNum:
-        """Value of the expansion at a point, as one cyclotomic number."""
-        grp = points(self.torus, 1).group
-        L = grp.exponent
-        N = L if level is None else level
-        if N % L:
-            raise ValueError(f"exponent {L} does not divide level {N}")
-        lift = N // L
-        g = grp.element(exps)
-        acc = CycNum.zero(N)
-        for th, c in self.terms:
-            acc = acc + root(N, lift * th.value_exponent(g.exps)) * c
-        return acc
 
     def describe(self) -> str:
         if not self.terms:
@@ -242,7 +225,7 @@ class _TorusSolver:
     """
 
     def __init__(self, ttype: TorusType, level: int):
-        grp = points(ttype, 1).group
+        grp = points(ttype)
         L = grp.exponent
         if level % L:
             raise ValueError(
@@ -254,8 +237,7 @@ class _TorusSolver:
         ctx = _context(level)
         self.red = ctx.red
         self.phi = ctx.phi
-        self.chars = tuple(AbChar(grp, ce) for ce in
-                           product(*(range(m) for m in grp.moduli)))
+        self.chars = tuple(enumerate_chars(grp))
         mod_level = repeat(level)
         rows = [[0] * len(self.regs)]
         for i, m in enumerate(grp.moduli):
@@ -381,15 +363,15 @@ def _shifter(solver: _TorusSolver, fvec):
 
     One decomposition shares it between the one- and two-term scans.  On
     the split torus theta_a(s) takes q - 1 values, so K characters cost
-    only q - 1 products per sample.  A shift whose neighbour e -+ 1 at the
+    only q - 1 products per sample.  A shift whose neighbour e - 1 at the
     same sample is cached costs one companion step, O(phi): times zeta^-1
     moves the coordinates down and adds the constant term times
-    red[N - 1], times zeta moves them up and adds the top term times
-    red[phi % N] (zeta^phi; phi % N, since at level 1 red has one row).
-    Otherwise the nonzero coordinates are folded, O(nnz * phi).
+    red[N - 1].  Otherwise the nonzero coordinates are folded,
+    O(nnz * phi).  A cached e + 1 is not used: the scans reach the
+    exponents of a sample in ascending order.
     """
-    N, red, phi = solver.level, solver.red, solver.phi
-    down, up = red[N - 1], red[phi % N]
+    N, red = solver.level, solver.red
+    down = red[N - 1]
     cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def shift(s: int, e: int) -> tuple[int, ...]:
@@ -403,15 +385,8 @@ def _shifter(solver: _TorusSolver, fvec):
             if c:
                 v = tuple(map(add, v, _scaled(down, c)))
         else:
-            w = cache.get((s, (e + 1) % N))
-            if w is not None:
-                c = w[-1]
-                v = (0,) + w[:-1]
-                if c:
-                    v = tuple(map(add, v, _scaled(up, c)))
-            else:
-                v = tuple(_fold(red, [((i - e) % N, x)
-                                      for i, x in enumerate(fvec[s]) if x]))
+            v = tuple(_fold(red, [((i - e) % N, x)
+                                  for i, x in enumerate(fvec[s]) if x]))
         cache[(s, e)] = v
         return v
 
@@ -622,7 +597,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
             f"the split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
     _require_gate(spec)
     regs = regular_elements(T)
-    grp = points(T, 1).group
+    grp = points(T)
     keyed: dict[tuple[int, ...], CycNum] = {}
     for k, v in f.items():
         keyed[tuple(a % m for a, m in zip(tuple(k), grp.moduli))] = v
@@ -788,7 +763,7 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar]) -> GramReport:
     """
     spec = T.spec
     _require_gate(spec)
-    grp = points(T, 1).group
+    grp = points(T)
     k = len(chars)
     if not 1 <= k <= 2 * spec.weyl_order:
         raise ValueError(

@@ -121,9 +121,6 @@ class SheetRow:
     dim: int
     values: dict[tuple[int, ...], ValueMap]  # keyed by torus blocks
 
-    def value(self, ttype: TorusType, exps: tuple[int, ...]) -> CycNum:
-        return self.values[ttype.blocks][tuple(exps)]
-
 
 @dataclass
 class CharacterSheet:
@@ -143,8 +140,7 @@ class CharacterSheet:
 
 
 def zeta_level_for(spec: GroupSpec) -> int:
-    return math.lcm(*(points(t, 1).group.exponent
-                      for t in enumerate_tori(spec)))
+    return math.lcm(*(points(t).exponent for t in enumerate_tori(spec)))
 
 
 def build_gl1_sheet(q: int) -> CharacterSheet:
@@ -344,32 +340,13 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
 
 # ------------------------------------------------------ JSON serialization
 
-def sheet_to_dict(sheet: CharacterSheet) -> dict:
-    irr = []
-    for r in sheet.rows:
-        values = {}
-        for tt in sheet.tori:
-            vals = r.values[tt.blocks]
-            values[tt.label] = [
-                {"element": list(e), "value": vals[e].to_triples()}
-                for e in sorted(vals)]
-        irr.append({"label": r.label, "dim": r.dim, "values": values})
-    return {
-        "group": "GL",
-        "n": sheet.spec.n,
-        "q": sheet.spec.q,
-        "zeta_level": sheet.zeta_level,
-        "tori": [t.label for t in sheet.tori],
-        "irreducibles": irr,
-    }
-
-
 def sheet_from_dict(data) -> CharacterSheet:
-    def need(d, key, types):
+    def need(d, key, kind):
         if not isinstance(d, dict) or key not in d:
             raise SheetFormatError(f"missing key {key!r}")
         v = d[key]
-        if not isinstance(v, types):
+        # an integer field takes a plain int only: True is an int too
+        if not (type(v) is int if kind is int else isinstance(v, kind)):
             raise SheetFormatError(f"key {key!r} has wrong type")
         return v
 
@@ -377,8 +354,6 @@ def sheet_from_dict(data) -> CharacterSheet:
         raise SheetFormatError("group must be 'GL'")
     n = need(data, "n", int)
     q = need(data, "q", int)
-    if type(n) is not int or type(q) is not int:
-        raise SheetFormatError("n and q must be plain integers")
     # before GroupSpec and zeta_level_for: a larger group can never be
     # enumerated and validated
     try:
@@ -421,7 +396,7 @@ def sheet_from_dict(data) -> CharacterSheet:
             entries = values_in[tt.label]
             if not isinstance(entries, list):
                 raise SheetFormatError(f"row {label!r}: values must be a list")
-            grp = points(tt, 1).group
+            grp = points(tt)
             # before any entry is parsed: more entries than points must
             # repeat one
             if len(entries) > grp.order:
@@ -474,8 +449,9 @@ def _triples_key(triples: list) -> tuple[tuple[int, int, int], ...]:
 def sheet_to_json_text(sheet: CharacterSheet) -> str:
     """Deterministic JSON rendering; files are byte-comparable.
 
-    The text equals json.dumps(sheet_to_dict(sheet), indent=1) + "\n".  It
-    is assembled from pieces: every entry's element and value sit at the
+    The text equals json.dumps(d, indent=1) + "\n" for the file's dict d
+    (the layout in README.md, entries in sorted element order).  It is
+    assembled from pieces: every entry's element and value sit at the
     same depth, so each distinct element tuple and value object is
     rendered once there (memoized by identity; build and load share them)
     and the rows are joined around them.

@@ -1,12 +1,12 @@
 """Maximal tori of GL_n over F_q in discrete-log coordinates.
 
 A torus type is a partition of n (the cycle type of the twisting Weyl
-element); its F-rational points T^F form prod_i Z/(q^{d_i}-1), one dlog
-coordinate per block, and T^{F^m} for twist | m is (Z/(q^m-1))^n with d_i
-consecutive coordinates per block.  All finite-field multiplicative groups
-are modelled through a norm-compatible tower of generators g_d of
-F_{q^d}^*, so that embedding F_{q^d}^* -> F_{q^L}^* is dlog scaling by
-(q^L-1)/(q^d-1) and Frobenius x -> x^q is dlog multiplication by q.
+element); its F-rational points T^F form the group prod_i Z/(q^{d_i}-1),
+one dlog coordinate per block, and its elements are plain dlog tuples.
+All finite-field multiplicative groups are modelled through a
+norm-compatible tower of generators g_d of F_{q^d}^*, so that embedding
+F_{q^d}^* -> F_{q^L}^* is dlog scaling by (q^L-1)/(q^d-1) and Frobenius
+x -> x^q is dlog multiplication by q.
 
 This module holds regularity, the density gate, Weyl orbits and one
 geometric class decider: the canonical residue invariant geom_class_id.
@@ -21,17 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence, Union
+from typing import Sequence
 
-from .abelian import (
-    DEFAULT_BUDGET,
-    AbChar,
-    EnumerationBudgetError,
-    FinAbGroup,
-    GrpElt,
-)
-
-ElementLike = Union[GrpElt, Sequence[int]]
+from .abelian import DEFAULT_BUDGET, AbChar, EnumerationBudgetError, FinAbGroup
 
 
 def is_prime_power(q: int) -> bool:
@@ -131,42 +123,29 @@ def enumerate_tori(spec: GroupSpec) -> list[TorusType]:
     return [TorusType(spec, p) for p in sorted(parts(spec.n, spec.n))]
 
 
-@dataclass(frozen=True)
-class TorusPoints:
-    type: TorusType
-    level: int
-    group: FinAbGroup
-
-
 @lru_cache(maxsize=None)
-def points(ttype: TorusType, m: int = 1) -> TorusPoints:
+def points(ttype: TorusType) -> FinAbGroup:
+    """The group T^F of rational points."""
     q = ttype.spec.q
-    if m == 1:
-        moduli = tuple(q**d - 1 for d in ttype.blocks)
-    elif m >= 1 and m % ttype.twist_order == 0:
-        moduli = (q**m - 1,) * ttype.spec.n
-    else:
-        raise ValueError(
-            f"level {m} invalid for twist order {ttype.twist_order}")
-    return TorusPoints(ttype, m, FinAbGroup(moduli))
+    return FinAbGroup(tuple(q**d - 1 for d in ttype.blocks))
 
 
-def _exps(ttype: TorusType, t: ElementLike, m: int = 1) -> tuple[int, ...]:
-    if isinstance(t, GrpElt):
-        if t.group != points(ttype, m).group:
-            raise ValueError("element does not lie in this torus at this level")
-        return t.exps
-    pts = points(ttype, m)
-    return GrpElt(pts.group, tuple(t)).exps
+def _exps(ttype: TorusType, t: Sequence[int]) -> tuple[int, ...]:
+    """A dlog tuple of T^F reduced mod the moduli."""
+    t = tuple(t)
+    moduli = points(ttype).moduli
+    if len(t) != len(moduli):
+        raise ValueError("exponent tuple has wrong length")
+    return tuple(a % m for a, m in zip(t, moduli))
 
 
-def eigenvalues(ttype: TorusType, t: ElementLike, L: int) -> tuple[int, ...]:
+def eigenvalues(ttype: TorusType, t: Sequence[int], L: int) -> tuple[int, ...]:
     """Multiset of n eigenvalue dlogs at level L (sorted tuple).
 
     Block i with dlog a_i contributes a_i q^j (q^L-1)/(q^{d_i}-1) for
     j < d_i; requires d_i | L for every block.
     """
-    exps = _exps(ttype, t, 1)
+    exps = _exps(ttype, t)
     q = ttype.spec.q
     QL = q**L - 1
     out = []
@@ -178,7 +157,7 @@ def eigenvalues(ttype: TorusType, t: ElementLike, L: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def is_regular(ttype: TorusType, t: ElementLike) -> bool:
+def is_regular(ttype: TorusType, t: Sequence[int]) -> bool:
     ev = eigenvalues(ttype, t, ttype.twist_order)
     return len(set(ev)) == ttype.spec.n
 
@@ -186,7 +165,7 @@ def is_regular(ttype: TorusType, t: ElementLike) -> bool:
 @lru_cache(maxsize=None)
 def regular_elements(ttype: TorusType) -> tuple[tuple[int, ...], ...]:
     """All regular dlog tuples of T^F, lexicographic order."""
-    grp = points(ttype, 1).group
+    grp = points(ttype)
     if grp.order > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
             f"torus of order {grp.order} exceeds budget {DEFAULT_BUDGET}")
@@ -197,7 +176,7 @@ def regular_elements(ttype: TorusType) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def rs_ratio(ttype: TorusType) -> Fraction:
     """|T^F - T^F_rs| / |T^F|, exactly, by full enumeration."""
-    order = points(ttype, 1).group.order
+    order = points(ttype).order
     return Fraction(order - len(regular_elements(ttype)), order)
 
 
@@ -254,20 +233,21 @@ Pair = tuple[TorusType, AbChar]
 
 def _check_pair(pair: Pair) -> None:
     ttype, chi = pair
-    if chi.group != points(ttype, 1).group:
+    if chi.group != points(ttype):
         raise ValueError("character is not on the rational points of the torus")
 
 
-def weyl_orbit(ttype: TorusType, t: ElementLike) -> tuple[tuple[int, ...], ...]:
+def weyl_orbit(ttype: TorusType,
+               t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Orbit of a T^F element under N(T)^F/T^F, as sorted dlog tuples.
 
     The quotient is generated by the blockwise Frobenii (dlog multiplication
     by q on one block) and the swaps of equal-size blocks; two regular
     elements are G^F-conjugate iff they share an orbit.
     """
-    exps = _exps(ttype, t, 1)
+    exps = _exps(ttype, t)
     q = ttype.spec.q
-    moduli = points(ttype, 1).group.moduli
+    moduli = points(ttype).moduli
     k = len(ttype.blocks)
     swaps = [(i, j) for i in range(k) for j in range(i + 1, k)
              if ttype.blocks[i] == ttype.blocks[j]]
@@ -303,14 +283,9 @@ class GeomClassId:
 
 def geom_class_id(pair: Pair) -> GeomClassId:
     """Normal form at reference level L = lcm(1..n): the sorted multiset of
-    lifted Frobenius-orbit members of the character exponents, blockwise."""
+    lifted Frobenius-orbit members of the character exponents, blockwise,
+    which is the eigenvalue lift of a point applied to the exponents."""
     ttype, chi = pair
     _check_pair(pair)
-    n, q = ttype.spec.n, ttype.spec.q
-    L = math.lcm(*range(1, n + 1))
-    QL = q**L - 1
-    out = []
-    for c, d in zip(chi.cexps, ttype.blocks):
-        scale = QL // (q**d - 1)
-        out.extend(c * q**j * scale % QL for j in range(d))
-    return GeomClassId(L, tuple(sorted(out)))
+    L = math.lcm(*range(1, ttype.spec.n + 1))
+    return GeomClassId(L, eigenvalues(ttype, chi.cexps, L))

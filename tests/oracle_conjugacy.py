@@ -5,9 +5,13 @@ glchar.tori.geom_class_id.  This module is the second decider that the
 tests compare it against, and it shares no logic with it: both characters
 are pulled back along the norm maps to a common Frobenius level and
 compared up to the S_n coordinate action.  It also carries the pieces
-that decider needs (homomorphisms of point groups, surjectivity by
-lattice reduction, Frobenius, embeddings, norms, element enumeration),
-each of which is tested on its own.
+that decider needs (the points T^{F^m} at Frobenius level m,
+homomorphisms of point groups, surjectivity by lattice reduction,
+Frobenius, embeddings, norms, element enumeration), each of which is
+tested on its own.
+
+Elements are plain exponent tuples, as in glchar; element() reduces one
+into a group and multiply() is the group law.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from glchar.abelian import (
@@ -23,12 +28,33 @@ from glchar.abelian import (
     AbChar,
     EnumerationBudgetError,
     FinAbGroup,
-    GrpElt,
 )
-from glchar.tori import TorusType, _check_pair, _exps, points
+from glchar.cyclotomic import CycNum, root
+from glchar.tori import TorusType, _check_pair, points
 
 
 # -- finite abelian groups --------------------------------------------------
+
+Elt = tuple[int, ...]
+
+
+def element(G: FinAbGroup, exps: Iterable[int]) -> Elt:
+    """exps reduced into G; ValueError unless there is one per modulus."""
+    exps = tuple(exps)
+    if len(exps) != G.rank:
+        raise ValueError("exponent tuple has wrong length")
+    return tuple(a % m for a, m in zip(exps, G.moduli))
+
+
+def multiply(G: FinAbGroup, a: Sequence[int], b: Sequence[int]) -> Elt:
+    return element(G, map(add, element(G, a), element(G, b)))
+
+
+def evaluate(chi: AbChar, g: Sequence[int]) -> CycNum:
+    """chi(g) as a root of unity of order dividing the group exponent."""
+    return root(chi.group.exponent,
+                chi.value_exponent(element(chi.group, g)))
+
 
 @dataclass(frozen=True)
 class AbHom:
@@ -41,31 +67,28 @@ class AbHom:
             raise ValueError("one image per source generator required")
         imgs = []
         for i, img in enumerate(self.images):
-            e = GrpElt(self.target, tuple(img))
+            e = element(self.target, img)
             # well-defined: the i-th generator has order m_i in the source
             if any(self.source.moduli[i] * a % m for a, m in
-                   zip(e.exps, self.target.moduli)):
+                   zip(e, self.target.moduli)):
                 raise ValueError(f"generator {i} image violates its order")
-            imgs.append(e.exps)
+            imgs.append(e)
         object.__setattr__(self, "images", tuple(imgs))
 
-    def apply(self, g: GrpElt) -> GrpElt:
-        if g.group != self.source:
-            raise ValueError("element not in the source group")
+    def apply(self, g: Sequence[int]) -> Elt:
         acc = [0] * self.target.rank
-        for a, img in zip(g.exps, self.images):
+        for a, img in zip(element(self.source, g), self.images):
             if a:
                 for j, b in enumerate(img):
                     acc[j] += a * b
-        return GrpElt(self.target, tuple(acc))
+        return element(self.target, acc)
 
     def compose(self, inner: "AbHom") -> "AbHom":
         """self after inner (source of self = target of inner)."""
         if inner.target != self.source:
             raise ValueError("homs not composable")
         return AbHom(inner.source, self.target,
-                     tuple(self.apply(GrpElt(self.source, img)).exps
-                           for img in inner.images))
+                     tuple(self.apply(img) for img in inner.images))
 
     def is_surjective(self) -> bool:
         """Image = target, decided by integer lattice reduction.
@@ -150,13 +173,12 @@ def pullback(chi: AbChar, h: AbHom) -> AbChar:
 
 
 def enumerate_elements(G: FinAbGroup,
-                       budget: int = DEFAULT_BUDGET) -> Iterator[GrpElt]:
+                       budget: int = DEFAULT_BUDGET) -> Iterator[Elt]:
     """All elements in lexicographic exponent order, identity first."""
     if G.order > budget:
         raise EnumerationBudgetError(
             f"group of order {G.order} exceeds budget {budget}")
-    for exps in product(*(range(m) for m in G.moduli)):
-        yield GrpElt(G, exps)
+    return product(*(range(m) for m in G.moduli))
 
 
 def orbit(chi: AbChar, perms: Iterable[Sequence[int]]) -> tuple[AbChar, ...]:
@@ -195,42 +217,52 @@ def orbit(chi: AbChar, perms: Iterable[Sequence[int]]) -> tuple[AbChar, ...]:
 
 # -- tori at Frobenius level m ----------------------------------------------
 
+@lru_cache(maxsize=None)
+def level_points(ttype: TorusType, m: int) -> FinAbGroup:
+    """T^{F^m} for twist | m: (Z/(q^m-1))^n, d_i consecutive coordinates
+    per block."""
+    if m < 1 or m % ttype.twist_order:
+        raise ValueError(
+            f"level {m} invalid for twist order {ttype.twist_order}")
+    return FinAbGroup((ttype.spec.q**m - 1,) * ttype.spec.n)
+
+
 def _offsets(ttype: TorusType) -> tuple[int, ...]:
     """Index of each block's first coordinate in T^{F^m}."""
     return tuple(sum(ttype.blocks[:i]) for i in range(len(ttype.blocks)))
 
 
-def frobenius(ttype: TorusType, m: int, t) -> GrpElt:
+def frobenius(ttype: TorusType, m: int, t: Sequence[int]) -> Elt:
     """F acting on T^{F^m}: blockwise coordinate shift composed with q-power."""
-    exps = _exps(ttype, t, m)
-    pts = points(ttype, m)
+    grp = level_points(ttype, m)
+    exps = element(grp, t)
     out = list(exps)
     for off, d in zip(_offsets(ttype), ttype.blocks):
         for r in range(d):
             out[off + r] = exps[off + (r - 1) % d] * ttype.spec.q
-    return GrpElt(pts.group, tuple(out))
+    return element(grp, out)
 
 
-def embed(ttype: TorusType, m: int, t) -> GrpElt:
+def embed(ttype: TorusType, m: int, t: Sequence[int]) -> Elt:
     """Embedding T^F into T^{F^m} along the generator tower."""
-    exps = _exps(ttype, t, 1)
+    exps = element(points(ttype), t)
     q = ttype.spec.q
     Q = q**m - 1
     out = []
     for a, d in zip(exps, ttype.blocks):
         scale = Q // (q**d - 1)
         out.extend(a * scale * q**r for r in range(d))
-    return GrpElt(points(ttype, m).group, tuple(out))
+    return element(level_points(ttype, m), out)
 
 
-def norm_value(ttype: TorusType, m: int, t) -> GrpElt:
+def norm_value(ttype: TorusType, m: int, t: Sequence[int]) -> Elt:
     """Norm T^{F^m} -> T^F: blockwise t * F(t) * ... * F^{m-1}(t) in dlogs.
 
     Block of size d with level-m coordinates (b_0, ..., b_{d-1}) maps to
     [sum_j b_{(-j mod d)} q^j mod (q^m-1)] / [(q^m-1)/(q^d-1)], reduced mod
     q^d-1; the sum is always divisible by the scale.
     """
-    exps = _exps(ttype, t, m)
+    exps = element(level_points(ttype, m), t)
     q = ttype.spec.q
     Q = q**m - 1
     out = []
@@ -240,19 +272,19 @@ def norm_value(ttype: TorusType, m: int, t) -> GrpElt:
         if s % scale:
             raise AssertionError("norm sum not divisible by embedding scale")
         out.append((s // scale) % (q**d - 1))
-    return GrpElt(points(ttype, 1).group, tuple(out))
+    return element(points(ttype), out)
 
 
 @lru_cache(maxsize=None)
 def norm_hom(ttype: TorusType, m: int) -> AbHom:
     """The norm as a homomorphism of point groups, built on generators."""
-    src = points(ttype, m).group
-    tgt = points(ttype, 1).group
+    src = level_points(ttype, m)
+    tgt = points(ttype)
     images = []
     for i in range(src.rank):
         gen = [0] * src.rank
         gen[i] = 1
-        images.append(norm_value(ttype, m, gen).exps)
+        images.append(norm_value(ttype, m, gen))
     return AbHom(src, tgt, tuple(images))
 
 

@@ -11,8 +11,10 @@ import pytest
 import glchar.cli as cli
 from glchar.cli import main
 from glchar.cyclotomic import CycNum
-from glchar.sheets import build_gl2_sheet, save_sheet, sheet_to_dict, load_sheet
+from glchar.sheets import build_gl1_sheet, build_gl2_sheet, save_sheet, load_sheet
 from glchar.tori import GroupSpec, torus_from_label, weyl_orbit
+
+from oracle_sheet_dict import sheet_to_dict
 
 
 def run(capsys, *argv):
@@ -250,6 +252,17 @@ PINNED_STDOUT = [
      "0b9d740044e05f52e570f72325f9e7237d02a0b072d55dc6e96e923235a42898"),
     (["recover", "--q", "13", "--json"],
      "088771acde5599337284425afca53114d4356b1a0e6236339dce4332ed6632b5"),
+    (["classes", "--n", "2", "--q", "11", "--json"],
+     "9eecee3743b6ed2fcea0da191f55d150fb672b1a9f8848d0e2b09bebfc25e6ae"),
+    (["classes", "--n", "3", "--q", "3"],
+     "5de15c7f4c58e40cd1f4b82db2b0d16625fca2a3ee9a3b41923072530bdb1b77"),
+    (["gram", "--q", "11", "--torus", "1+1", "--chars", "0,0;0,1;1,0;1,1",
+      "--json"],
+     "243a1aebc3c5e37616adc06a41b4532cbcfe50517f9660bf5b678ac5c6aea55e"),
+    (["gram", "--q", "11", "--torus", "2", "--chars", "0;1;5"],
+     "eccc6619f6d6c13d67c74d7dfc909c36c1cc6b55f149e80aad1508a229674dd0"),
+    (["check-q", "--n", "2", "--q", "11", "--json"],
+     "1ce97932e4c130d0e558e16ed9020a2fa47219ebd7880ed09166beb5a87b3ef0"),
 ]
 
 
@@ -392,6 +405,21 @@ def test_invalid_sheet_file_exits_3(capsys, tmp_path):
                        "--rho", "onedim:0")
     assert code == 3
     assert "sheet rejected" in err
+
+
+@pytest.mark.parametrize("key", ["dim", "zeta_level"])
+def test_bool_integer_field_exits_3(tmp_path, key):
+    # True equals the dim 1 and the zeta level 1 of GL_1(F_2)
+    data = sheet_to_dict(build_gl1_sheet(2))
+    (data["irreducibles"][0] if key == "dim" else data)[key] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glchar", "recover", "--sheet", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stdout
+    assert f"key {key!r} has wrong type" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_huge_zeta_level_exits_3_before_values_are_parsed(tmp_path):

@@ -12,12 +12,16 @@ from glchar.cyclotomic import (
     LevelMismatchError,
     _context,
     cyclotomic_poly,
-    euler_phi,
     root,
 )
 
 
 # ---------------------------------------------------------------- oracles
+
+def euler_phi(n):
+    """phi(n) by its definition: the units among 1..n."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
 
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)

@@ -26,7 +26,7 @@ FOLD_LEVELS = [1, 2, 3, 120, 168, 360]
 # -- solver table -------------------------------------------------------------
 
 def table_reference(tt, level):
-    grp = points(tt, 1).group
+    grp = points(tt)
     lift = level // grp.exponent
     solver = _TorusSolver(tt, level)
     return [[lift * ch.value_exponent(e) % level for e in solver.regs]
@@ -37,7 +37,7 @@ SOLVER_TORI = [(tt, level)
                for n, qs in ((2, (11, 13, 17)), (1, (2, 3, 4, 5)))
                for q in qs
                for tt in enumerate_tori(GroupSpec(n, q))
-               for level in sorted({points(tt, 1).group.exponent,
+               for level in sorted({points(tt).exponent,
                                     zeta_level_for(GroupSpec(n, q))})]
 
 
@@ -47,7 +47,7 @@ SOLVER_TORI = [(tt, level)
 def test_solver_table_matches_value_exponent(tt, level):
     solver = _TorusSolver(tt, level)
     assert solver.table == table_reference(tt, level)
-    assert len(solver.table) == len(solver.chars) == points(tt, 1).group.order
+    assert len(solver.table) == len(solver.chars) == points(tt).order
 
 
 # -- fold ---------------------------------------------------------------------
@@ -96,7 +96,7 @@ def planted_fvec(solver, terms):
 
 def verify_solver(data):
     tt = data.draw(st.sampled_from(VERIFY_TORI))
-    grp = points(tt, 1).group
+    grp = points(tt)
     level = data.draw(st.sampled_from([grp.exponent, tt.spec.q ** 2 - 1]))
     return _solver(tt, level)
 

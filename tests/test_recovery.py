@@ -43,7 +43,7 @@ ELL11 = TorusType(SPEC11, (2,))
 
 def char_fn(ttype, cexps_coeffs, level=None):
     """Build the value map of an integer character combination."""
-    grp = points(ttype, 1).group
+    grp = points(ttype)
     L = grp.exponent
     N = level or L
     out = {}
@@ -139,9 +139,9 @@ def test_gate_refusal_is_total():
         sparse_decompose(f, tt)
     with pytest.raises(QConditionViolated):
         recover_E(build_gl2_sheet(3), "steinberg:0")
-    grp = points(tt, 1).group
+    grp = points(tt)
     with pytest.raises(QConditionViolated):
-        gram_independence(tt, [grp.trivial_char()])
+        gram_independence(tt, [grp.char((0, 0))])
 
 
 def test_nonunique_merge_is_reported(monkeypatch):
@@ -286,7 +286,7 @@ def test_reference_agrees_on_sampled_gl2_pairs():
 @given(st.data())
 def test_planted_expansions_recover_exactly(data):
     tt = data.draw(st.sampled_from([SPLIT11, ELL11]))
-    grp = points(tt, 1).group
+    grp = points(tt)
     m = data.draw(st.integers(0, 2))
     cexps = data.draw(st.lists(
         st.tuples(*(st.integers(0, mod - 1) for mod in grp.moduli)),
@@ -314,8 +314,9 @@ def test_scaling_coherence(k, cexps, c):
 def test_expansion_evaluates_back_to_input():
     row = build_gl2_sheet(11).row("cuspidal:1")
     e = sparse_decompose(row.values[(2,)], ELL11)
+    back = char_fn(ELL11, terms_of(e), level=120)
     for exps in list(regular_elements(ELL11))[:8]:
-        assert e.evaluate(exps, level=120) == row.values[(2,)][exps]
+        assert back[exps] == row.values[(2,)][exps]
 
 
 # -- recover_E ----------------------------------------------------------------
@@ -434,8 +435,8 @@ def test_unipotent_consistency_guard(monkeypatch):
 # -- gram_independence --------------------------------------------------------
 
 def test_gram_single_trivial_counts_locus():
-    grp = points(SPLIT11, 1).group
-    rep = gram_independence(SPLIT11, [grp.trivial_char()])
+    grp = points(SPLIT11)
+    rep = gram_independence(SPLIT11, [grp.char((0, 0))])
     assert rep.det.as_int() == len(regular_elements(SPLIT11)) == 90
     assert rep.nonzero
 
@@ -445,7 +446,7 @@ def test_gram_off_diagonal_entry_is_sum_over_locus():
     # regular locus and G12 = sum over s in R of theta_1(s) theta_11(s^-1).
     # theta_1 and its Frobenius conjugate theta_11 are orthogonal on the
     # whole torus but not on R, so G12 is not zero.
-    grp = points(ELL11, 1).group
+    grp = points(ELL11)
     regs = regular_elements(ELL11)
     g12 = CycNum.zero(120)
     g21 = CycNum.zero(120)
@@ -458,18 +459,18 @@ def test_gram_off_diagonal_entry_is_sum_over_locus():
 
 
 def test_gram_four_subset_nonzero():
-    grp = points(SPLIT11, 1).group
+    grp = points(SPLIT11)
     chars = [grp.char(c) for c in [(0, 0), (0, 1), (1, 0), (1, 1)]]
     assert gram_independence(SPLIT11, chars).nonzero
 
 
 def test_gram_input_validation():
-    grp = points(SPLIT11, 1).group
+    grp = points(SPLIT11)
     with pytest.raises(ValueError, match="distinct"):
-        gram_independence(SPLIT11, [grp.trivial_char(), grp.char((0, 0))])
+        gram_independence(SPLIT11, [grp.char((0, 0)), grp.char((0, 0))])
     with pytest.raises(ValueError, match="between 1 and 4"):
         gram_independence(SPLIT11, [grp.char((0, i)) for i in range(5)])
-    bad = points(ELL11, 1).group.char((1,))
+    bad = points(ELL11).char((1,))
     with pytest.raises(ValueError, match="torus points"):
         gram_independence(SPLIT11, [bad])
 

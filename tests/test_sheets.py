@@ -19,7 +19,6 @@ from glchar.sheets import (
     load_sheet,
     save_sheet,
     sheet_from_dict,
-    sheet_to_dict,
     sheet_to_json_text,
     validate_sheet,
     zeta_level_for,
@@ -27,6 +26,7 @@ from glchar.sheets import (
 from glchar.tori import GroupSpec, enumerate_tori, regular_elements
 
 import oracle_dixon
+from oracle_sheet_dict import sheet_to_dict
 
 
 def test_label_canonicalization():
@@ -167,7 +167,7 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_sheet_value_triples_are_numerator_denominator_power():
     # the order the README documents for the file format
-    d = sheet_to_dict(build_gl2_sheet(11))
+    d = json.loads(sheet_to_json_text(build_gl2_sheet(11)))
     assert d["zeta_level"] == 120
     rows = {r["label"]: r["values"]["2"] for r in d["irreducibles"]}
 
@@ -244,6 +244,19 @@ def test_bool_element_rejected_after_equal_int_element():
     with pytest.raises(SheetFormatError) as exc:
         sheet_from_dict(data)
     assert "bad element" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["dim", "zeta_level"])
+def test_bool_integer_field_rejected(key):
+    # GL_1(F_2): its one row has dim 1 and its zeta level is 1, so True
+    # would compare equal to the right value
+    data = sheet_to_dict(build_gl1_sheet(2))
+    fields = data["irreducibles"][0] if key == "dim" else data
+    assert fields[key] == 1
+    fields[key] = True
+    with pytest.raises(SheetFormatError) as exc:
+        sheet_from_dict(data)
+    assert f"key {key!r} has wrong type" in str(exc.value)
 
 
 def test_load_shares_equal_values_and_elements():

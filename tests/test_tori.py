@@ -29,6 +29,8 @@ from oracle_conjugacy import (
     embed,
     frobenius,
     geometric_conjugate,
+    level_points,
+    multiply,
     norm_hom,
     norm_value,
 )
@@ -66,16 +68,17 @@ def test_enumerate_tori():
 
 
 def test_points_levels():
+    # T^F from glchar, T^{F^m} from the conjugacy oracle
     q = 7
-    assert points(split2(q), 1).group.moduli == (q - 1, q - 1)
-    assert points(elliptic2(q), 1).group.moduli == (q**2 - 1,)
-    assert points(elliptic2(q), 2).group.moduli == (q**2 - 1, q**2 - 1)
-    assert points(split2(q), 2).group.moduli == (q**2 - 1, q**2 - 1)
+    assert points(split2(q)).moduli == (q - 1, q - 1)
+    assert points(elliptic2(q)).moduli == (q**2 - 1,)
+    assert level_points(elliptic2(q), 2).moduli == (q**2 - 1, q**2 - 1)
+    assert level_points(split2(q), 2).moduli == (q**2 - 1, q**2 - 1)
     with pytest.raises(ValueError):
-        points(elliptic2(q), 3)
+        level_points(elliptic2(q), 3)
     t21 = TorusType(GroupSpec(3, 3), (2, 1))
-    assert points(t21, 1).group.moduli == (8, 2)
-    assert points(t21, 2).group.moduli == (8, 8, 8)
+    assert points(t21).moduli == (8, 2)
+    assert level_points(t21, 2).moduli == (8, 8, 8)
     assert t21.twist_order == 2
 
 
@@ -95,7 +98,7 @@ def test_eigenvalues_examples():
 def test_eigenvalues_respect_lifting():
     q = 5
     for tt in enumerate_tori(GroupSpec(2, q)):
-        for exps in product(*(range(m) for m in points(tt, 1).group.moduli)):
+        for exps in product(*(range(m) for m in points(tt).moduli)):
             ev2 = eigenvalues(tt, exps, 2)
             ev4 = eigenvalues(tt, exps, 4)
             scale = (q**4 - 1) // (q**2 - 1)
@@ -161,9 +164,7 @@ def test_gate_comparison_by_bit_length_is_exact(num, den, k):
 def test_frobenius_orbits_level_m():
     q = 3
     tt = elliptic2(q)
-    g = points(tt, 2).group
-    for exps in [(1, 5), (0, 0), (7, 2)]:
-        t = g.element(exps)
+    for t in [(1, 5), (0, 0), (7, 2)]:
         # F has order m on T^{F^m}
         u = frobenius(tt, 2, frobenius(tt, 2, t))
         assert u == t
@@ -175,12 +176,12 @@ def test_norm_hom_closed_forms():
     q = 7
     # d=1 block, m=2: b -> b mod (q-1)
     h = norm_hom(split2(q), 2)
-    assert h.apply(h.source.element((5, 0))).exps == (5 % (q - 1), 0)
-    assert h.apply(h.source.element((q, 0))).exps == (q % (q - 1), 0)
+    assert h.apply((5, 0)) == (5 % (q - 1), 0)
+    assert h.apply((q, 0)) == (q % (q - 1), 0)
     # d=2 block, m=2: (b0, b1) -> b0 + q*b1 mod (q^2-1)
     h2 = norm_hom(elliptic2(q), 2)
     for b0, b1 in [(0, 0), (1, 0), (0, 1), (5, 11)]:
-        assert h2.apply(h2.source.element((b0, b1))).exps == \
+        assert h2.apply((b0, b1)) == \
             ((b0 + q * b1) % (q**2 - 1),)
 
 
@@ -192,7 +193,7 @@ def test_norm_matches_frobenius_products():
         for tt in enumerate_tori(spec):
             t0 = tt.twist_order
             for m in (t0, 2 * t0):
-                g = points(tt, m).group
+                g = level_points(tt, m)
                 h = norm_hom(tt, m)
                 samples = []
                 if g.order <= 4000:
@@ -202,15 +203,14 @@ def test_norm_matches_frobenius_products():
                     rng = random.Random(hash((n, q, tt.blocks, m)) & 0xFFFF)
                     samples = [tuple(rng.randrange(mm) for mm in g.moduli)
                                for _ in range(200)]
-                for exps in samples:
-                    t = g.element(exps)
+                for t in samples:
                     acc = t
                     cur = t
                     for _ in range(m - 1):
                         cur = frobenius(tt, m, cur)
-                        acc = acc * cur
+                        acc = multiply(g, acc, cur)
                     a = h.apply(t)
-                    assert norm_value(tt, m, exps) == a
+                    assert norm_value(tt, m, t) == a
                     assert embed(tt, m, a) == acc
 
 
@@ -225,19 +225,19 @@ def test_norm_hom_surjective():
 def test_geometric_conjugate_examples():
     q = 11
     sp, el = split2(q), elliptic2(q)
-    trivial_sp = points(sp, 1).group.trivial_char()
-    trivial_el = points(el, 1).group.trivial_char()
+    trivial_sp = points(sp).char((0, 0))
+    trivial_el = points(el).char((0,))
     assert geometric_conjugate((sp, trivial_sp), (el, trivial_el))
     # elliptic c = q+1 = 12 matches split (1, 1)
-    assert geometric_conjugate((el, points(el, 1).group.char((12,))),
-                               (sp, points(sp, 1).group.char((1, 1))))
-    assert geometric_conjugate((sp, points(sp, 1).group.char((0, 1))),
-                               (sp, points(sp, 1).group.char((1, 0))))
-    assert not geometric_conjugate((el, points(el, 1).group.char((1,))),
-                                   (sp, points(sp, 1).group.char((1, 1))))
+    assert geometric_conjugate((el, points(el).char((12,))),
+                               (sp, points(sp).char((1, 1))))
+    assert geometric_conjugate((sp, points(sp).char((0, 1))),
+                               (sp, points(sp).char((1, 0))))
+    assert not geometric_conjugate((el, points(el).char((1,))),
+                                   (sp, points(sp).char((1, 1))))
     with pytest.raises(ValueError):
         geometric_conjugate((sp, trivial_sp),
-                            (elliptic2(13), points(elliptic2(13), 1).group.trivial_char()))
+                            (elliptic2(13), points(elliptic2(13)).char((0,))))
     with pytest.raises(ValueError):
         geometric_conjugate((sp, trivial_el), (el, trivial_el))
 
@@ -245,19 +245,19 @@ def test_geometric_conjugate_examples():
 def test_geom_class_id_examples():
     q = 11
     sp, el = split2(q), elliptic2(q)
-    assert geom_class_id((sp, points(sp, 1).group.char((0, 0)))) == \
+    assert geom_class_id((sp, points(sp).char((0, 0)))) == \
         GeomClassId(2, (0, 0))
-    assert geom_class_id((el, points(el, 1).group.char((1,)))) == \
+    assert geom_class_id((el, points(el).char((1,)))) == \
         GeomClassId(2, (1, 11))
-    assert geom_class_id((sp, points(sp, 1).group.char((1, 3)))) == \
+    assert geom_class_id((sp, points(sp).char((1, 3)))) == \
         GeomClassId(2, (12, 36))
 
 
 def test_deciders_agree_exhaustively_q3():
     q = 3
     sp, el = split2(q), elliptic2(q)
-    pairs = [(sp, chi) for chi in enumerate_chars(points(sp, 1).group)]
-    pairs += [(el, chi) for chi in enumerate_chars(points(el, 1).group)]
+    pairs = [(sp, chi) for chi in enumerate_chars(points(sp))]
+    pairs += [(el, chi) for chi in enumerate_chars(points(el))]
     assert len(pairs) == q**2 - 1 + (q - 1) ** 2  # 8 + 4
     ids = [geom_class_id(p) for p in pairs]
     for i, pa in enumerate(pairs):
@@ -269,7 +269,7 @@ def test_deciders_agree_exhaustively_q3():
 def test_gl1_conjugacy_is_equality():
     spec = GroupSpec(1, 7)
     (tt,) = enumerate_tori(spec)
-    g = points(tt, 1).group
+    g = points(tt)
     for a in range(6):
         for b in range(6):
             assert geometric_conjugate((tt, g.char((a,))), (tt, g.char((b,)))) \
