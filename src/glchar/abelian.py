@@ -64,10 +64,13 @@ class AbChar:
         return not any(self.cexps)
 
     def value_exponent(self, exps: Sequence[int]) -> int:
-        """Exponent of zeta_L on the element with the given coordinates."""
+        """Exponent of zeta_L on the element with the given coordinates.
+
+        ValueError unless there is one coordinate per modulus.
+        """
         L = self.group.exponent
         return sum(c * a * (L // m) for c, a, m in
-                   zip(self.cexps, exps, self.group.moduli)) % L
+                   zip(self.cexps, exps, self.group.moduli, strict=True)) % L
 
 
 def enumerate_chars(G: FinAbGroup,

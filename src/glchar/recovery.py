@@ -45,13 +45,23 @@ lookup for the call, and the solver table is built by adding column
 multiples in mixed radix.  All of them compute the same integers as the
 plain loops they replace (tests/test_kernels.py holds those as oracles).
 
-Many rows restrict to the same function on a torus (at q = 13 the 78
-cuspidal rows are all zero on the split torus: 336 torus inputs, 182
-distinct).  recover_E therefore keeps each Expansion in a memo on the
-CharacterSheet instance, keyed on the whole input of sparse_decompose (the
-torus and every (point, value) pair), so a hit stands for a repeat call of
-a pure function with identical arguments.  The memo lives and dies with
-its sheet; sparse_decompose itself is uncached, and errors are not kept.
+Many rows restrict to twists of one function on a torus: f' = f theta_c
+for a torus character theta_c (at q = 13 the 336 torus inputs of the
+sheet fall into 18 such classes).  Multiplying by theta_c is a bijection
+on functions on the regular locus that maps expansions with at most two
+terms onto expansions with at most two terms, so f' has exactly one short
+expansion, E(f) theta_c, exactly when f has one.  recover_E therefore
+keeps a memo on the CharacterSheet instance.  Each searched expansion is
+indexed by (s*, f(s*) zeta^x) for every exponent x that the characters
+take at s*, the first regular sample with f(s*) != 0 (a twist keeps the
+zero set; the zero function has a key of its own).  A lookup of f' tries
+E theta_c for each character with theta_c(s*) = x and accepts it only if
+it matches f' on every regular element.  A verified hit is the unique
+short expansion: f' = E theta_c = f theta_c on the locus, and any short
+expansion E' of f' gives the short expansion E' theta_c^-1 of f, which by
+the search that found E equals E.  A miss runs sparse_decompose, which
+itself is uncached.  The memo lives and dies with its sheet, and errors
+are not kept.
 """
 
 from __future__ import annotations
@@ -59,8 +69,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
-from operator import add, floordiv, mod
+from itertools import compress, count, repeat
+from operator import add, attrgetter, floordiv, mod
 from typing import Mapping, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar, enumerate_chars
@@ -219,9 +229,9 @@ class _TorusSolver:
     coordinate at a time in mixed radix (the order of product over the
     moduli, last coordinate fastest), each as an elementwise sum of a
     previous row and a multiple of col_i, with no per-entry evaluation of
-    a character.  Probes, pair pivots and the pair index are built on
-    first use and cached here because they do not depend on the input
-    function.
+    a character.  Probes, pair pivots, the pair index and the characters
+    by their exponent at a sample (for the twist memo) are built on first
+    use and cached here because they do not depend on the input function.
     """
 
     def __init__(self, ttype: TorusType, level: int):
@@ -251,6 +261,7 @@ class _TorusSolver:
                     for row in rows for k in mults]
         self.table = rows
         self._pivot: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+        self._at: dict[int, dict[int, list[int]]] = {}
 
     def pivot(self, d0: int, d1: int) -> tuple[int, int, tuple[int, ...]]:
         """First nonzero coordinate of zeta^d1 - zeta^d0, with the full row."""
@@ -260,6 +271,22 @@ class _TorusSolver:
             i0 = next(i for i, v in enumerate(w) if v)
             out = (i0, w[i0], w)
             self._pivot[(d0, d1)] = out
+        return out
+
+    def at(self, s: int) -> dict[int, list[int]]:
+        """Character indices by the exponent they take at sample s."""
+        out = self._at.get(s)
+        if out is None:
+            out = self._at[s] = {}
+            for i, row in enumerate(self.table):
+                out.setdefault(row[s], []).append(i)
+        return out
+
+    def index(self, cexps: tuple[int, ...]) -> int:
+        """Index of the character with these exponents (mixed radix)."""
+        out = 0
+        for c, m in zip(cexps, self.group.moduli):
+            out = out * m + c
         return out
 
     def times(self, ia: int, di: int) -> int:
@@ -358,17 +385,23 @@ def _solver(ttype: TorusType, level: int) -> _TorusSolver:
     return _TorusSolver(ttype, level)
 
 
+def _down(w: tuple[int, ...], down: tuple[int, ...]) -> tuple[int, ...]:
+    """w * zeta^-1, one companion step, O(phi): the coordinates move down
+    and the constant term comes back times down = red[N - 1]."""
+    c = w[0]
+    v = w[1:] + (0,)
+    return tuple(map(add, v, _scaled(down, c))) if c else v
+
+
 def _shifter(solver: _TorusSolver, fvec):
     """shift(s, e) = f(s) * zeta^-e, memoized for one input function.
 
     One decomposition shares it between the one- and two-term scans.  On
     the split torus theta_a(s) takes q - 1 values, so K characters cost
     only q - 1 products per sample.  A shift whose neighbour e - 1 at the
-    same sample is cached costs one companion step, O(phi): times zeta^-1
-    moves the coordinates down and adds the constant term times
-    red[N - 1].  Otherwise the nonzero coordinates are folded,
-    O(nnz * phi).  A cached e + 1 is not used: the scans reach the
-    exponents of a sample in ascending order.
+    same sample is cached costs one companion step (_down).  Otherwise the
+    nonzero coordinates are folded, O(nnz * phi).  A cached e + 1 is not
+    used: the scans reach the exponents of a sample in ascending order.
     """
     N, red = solver.level, solver.red
     down = red[N - 1]
@@ -380,10 +413,7 @@ def _shifter(solver: _TorusSolver, fvec):
             return v
         w = cache.get((s, (e - 1) % N))
         if w is not None:
-            c = w[0]
-            v = w[1:] + (0,)
-            if c:
-                v = tuple(map(add, v, _scaled(down, c)))
+            v = _down(w, down)
         else:
             v = tuple(_fold(red, [((i - e) % N, x)
                                   for i, x in enumerate(fvec[s]) if x]))
@@ -572,6 +602,44 @@ def _pair_worker(args):
 
 # -- the subset search ------------------------------------------------------
 
+def _prepare(f: Mapping[tuple[int, ...], CycNum],
+             T: TorusType) -> tuple[int, list[tuple[int, ...]]]:
+    """(level, fvec): f as integer power-basis vectors in locus order.
+
+    level is the lcm of the torus exponent and every value level.  Keys
+    are reduced mod the moduli unless they already are exactly the
+    regular tuples.  Raises ValueError when the domain is not the regular
+    locus, and NoExpansionError when a value has a denominator.
+    """
+    regs = regular_elements(T)
+    grp = points(T)
+    keyed = f
+    # len(f) keys that include every one of the len(regs) distinct regs
+    if len(f) != len(regs) or not all(map(f.__contains__, regs)):
+        keyed = {}
+        for k, v in f.items():
+            keyed[tuple(a % m for a, m in zip(tuple(k), grp.moduli))] = v
+        missing = [e for e in regs if e not in keyed]
+        extra = sorted(set(keyed) - set(regs))
+        if missing or extra:
+            raise ValueError(
+                f"function domain does not match the regular locus of "
+                f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
+    vals = list(map(keyed.__getitem__, regs))
+    levels = set(map(attrgetter("level"), vals))
+    level = math.lcm(grp.exponent, *levels)
+    if levels != {level}:
+        vals = [v.lift(level) for v in vals]
+    if set(map(attrgetter("den"), vals)) - {1}:
+        e, v = next((e, v) for e, v in zip(regs, vals) if v.den != 1)
+        # integer combinations of roots of unity always have unit
+        # denominator in the canonical form, so nothing can match
+        raise NoExpansionError(
+            f"value at {e} has denominator {v.den}; no integer "
+            f"character combination matches on torus {T.label}")
+    return level, list(map(attrgetter("num"), vals))
+
+
 def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
                      jobs: int = 1) -> Expansion:
     """The unique expansion of f as <= min(|W|, K) nonzero integer
@@ -596,29 +664,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
             f"the enumeration budget (GL_3 first passes at q = 6151, where "
             f"the split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
     _require_gate(spec)
-    regs = regular_elements(T)
-    grp = points(T)
-    keyed: dict[tuple[int, ...], CycNum] = {}
-    for k, v in f.items():
-        keyed[tuple(a % m for a, m in zip(tuple(k), grp.moduli))] = v
-    regset = set(regs)
-    missing = [e for e in regs if e not in keyed]
-    extra = sorted(set(keyed) - regset)
-    if missing or extra:
-        raise ValueError(
-            f"function domain does not match the regular locus of "
-            f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
-    L = grp.exponent
-    level = math.lcm(L, *(v.level for v in keyed.values()))
-    vals = [keyed[e].lift(level) for e in regs]
-    for e, v in zip(regs, vals):
-        if v.den != 1:
-            # integer combinations of roots of unity always have unit
-            # denominator in the canonical form, so nothing can match
-            raise NoExpansionError(
-                f"value at {e} has denominator {v.den}; no integer "
-                f"character combination matches on torus {T.label}")
-    fvec = [v.num for v in vals]
+    level, fvec = _prepare(f, T)
     solver = _solver(T, level)
     bound = min(spec.weyl_order, len(solver.chars))
 
@@ -656,18 +702,64 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
     return expansions[0]
 
 
+# -- the twist memo -----------------------------------------------------------
+
+def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
+                    T: TorusType, jobs: int = 1) -> Expansion:
+    """sparse_decompose(f, T), served from the twist memo when it can be.
+
+    memo maps (T, level, s*, f(s*) zeta^x) to the (x, indices,
+    coefficients) of every searched expansion, and (T, level) to the
+    empty expansion of the zero function (module docstring).  A candidate
+    E theta_c is accepted only after _verify has checked it on every
+    regular element.  A miss, or an input that sparse_decompose refuses,
+    runs the search through the module global, so a wrapper sees every
+    search; errors are not stored.
+    """
+    try:
+        level, fvec = _prepare(f, T)
+    except ValueError:
+        # not searchable: sparse_decompose raises the same error
+        return sparse_decompose(f, T, jobs=jobs)
+    s = next(compress(count(), map(any, fvec)), None)
+    if s is None:
+        if (T, level) not in memo:
+            memo[T, level] = sparse_decompose(f, T, jobs=jobs)
+        return memo[T, level]
+    solver = _solver(T, level)
+    at = solver.at(s)
+    for x, idxs, coeffs in memo.get((T, level, s, fvec[s]), ()):
+        for c in at[x]:
+            twisted = tuple(solver.times(i, c) for i in idxs)
+            if _verify(solver, fvec, twisted, coeffs):
+                return Expansion(T, tuple(
+                    (solver.chars[i], co) for i, co in zip(twisted, coeffs)))
+    e = sparse_decompose(f, T, jobs=jobs)
+    entry = (tuple(solver.index(th.cexps) for th, _ in e.terms),
+             tuple(co for _, co in e.terms))
+    # f(s*) zeta^x for x = -k mod N, k = 0, ..., N - 1: one step each
+    v, down = fvec[s], solver.red[level - 1]
+    for k in range(level):
+        x = -k % level
+        if x in at:
+            memo.setdefault((T, level, s, v), []).append((x, *entry))
+        v = _down(v, down)
+    return e
+
+
 # -- assembled operations ---------------------------------------------------
 
 def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
               jobs: int = 1) -> RecoveryReport:
     """Per-torus expansions of one row, with the shared geometric class.
 
-    Each torus runs the exhaustive search of sparse_decompose, so a
-    second valid expansion is a NonUniqueError.  Checks, and reports as
-    hard errors: at least one torus has nonempty support; every support
-    has at most |W| terms; all nonempty supports land in one geometric
-    conjugacy class.  The unipotence flag records whether the trivial
-    character appears in some support.
+    Each torus runs the exhaustive search of sparse_decompose, or takes a
+    verified twist of an expansion that search found earlier on this
+    sheet, so a second valid expansion is a NonUniqueError.  Checks, and
+    reports as hard errors: at least one torus has nonempty support; every
+    support has at most |W| terms; all nonempty supports land in one
+    geometric conjugacy class.  The unipotence flag records whether the
+    trivial character appears in some support.
     """
     spec = sheet.spec
     _require_gate(spec)
@@ -676,18 +768,10 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if not report.ok:
             raise SheetValidationError(report)
     row = sheet.row(label)
-    # the per-sheet memo (module docstring); values enter the key by
-    # representation, since CycNum equality across levels raises
+    # the per-sheet twist memo (module docstring)
     memo = vars(sheet).setdefault("_expansions", {})
-    found = []
-    for tt in sheet.tori:
-        f = row.values[tt.blocks]
-        key = (tt, frozenset((p, v.level, v.num, v.den) for p, v in f.items()))
-        e = memo.get(key)
-        if e is None:
-            e = memo[key] = sparse_decompose(f, tt, jobs=jobs)
-        found.append(e)
-    expansions = tuple(found)
+    expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt, jobs)
+                       for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(
             f"{label}: empty support on every torus")

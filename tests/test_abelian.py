@@ -58,6 +58,15 @@ def test_evaluate_examples():
         evaluate(G.char((1, 1)), (1,))
 
 
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 5)], ids=["short", "long"])
+def test_value_exponent_rejects_wrong_length(exps):
+    # a tuple of the wrong length is refused, not truncated by zip
+    chi = FinAbGroup((3, 4)).char((1, 1))
+    assert chi.value_exponent((1, 0)) == 4
+    with pytest.raises(ValueError):
+        chi.value_exponent(exps)
+
+
 def test_evaluate_inverse_element():
     G = FinAbGroup((5, 8))
     chi = G.char((2, 3))

@@ -263,6 +263,9 @@ PINNED_STDOUT = [
      "eccc6619f6d6c13d67c74d7dfc909c36c1cc6b55f149e80aad1508a229674dd0"),
     (["check-q", "--n", "2", "--q", "11", "--json"],
      "1ce97932e4c130d0e558e16ed9020a2fa47219ebd7880ed09166beb5a87b3ef0"),
+    # most torus inputs here are served by the twist memo
+    (["recover", "--q", "17", "--json"],
+     "401d8d76b2584a8d3c23eda44443e0f0afca284e8e1428d091258c122d2e59a6"),
 ]
 
 

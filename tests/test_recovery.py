@@ -120,6 +120,18 @@ def test_fractional_values_have_no_expansion():
         sparse_decompose(f, SPLIT11)
 
 
+def test_mixed_level_values_are_lifted():
+    # values at the torus exponent 10 and at 120 are lifted to level 120
+    f = char_fn(SPLIT11, [((2, 5), 3)], level=120)
+    low = char_fn(SPLIT11, [((2, 5), 3)])
+    mixed = dict(f)
+    for e in regular_elements(SPLIT11)[::2]:
+        mixed[e] = low[e]
+    assert {v.level for v in mixed.values()} == {10, 120}
+    assert sparse_decompose(mixed, SPLIT11) == sparse_decompose(f, SPLIT11)
+    assert terms_of(sparse_decompose(mixed, SPLIT11)) == [((2, 5), 3)]
+
+
 def test_domain_mismatch_rejected():
     f = {e: CycNum.zero(10) for e in regular_elements(SPLIT11)}
     del f[(0, 1)]
@@ -189,15 +201,20 @@ def counting(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("q, searches", [(11, 132), (13, 182)])
+@pytest.mark.parametrize("q, searches", [(11, 16), (13, 18)])
 def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
     sheet = build_gl2_sheet(q)
     calls = counting(monkeypatch)
     whole = [recover_E(sheet, lab, validate=False) for lab in sheet.labels()]
-    # one search per distinct (torus, function) input
+    # one search per twist class of (torus, function) inputs
     assert len(calls) == searches
-    assert len(vars(sheet)["_expansions"]) == searches
     assert len(sheet.rows) * len(sheet.tori) == {11: 240, 13: 336}[q]
+    # each search is stored once: the zero function under its own key,
+    # any other expansion under the rotations of its first nonzero value
+    memo = vars(sheet)["_expansions"]
+    stored = {(k[:3], entry[1:]) for k, entries in memo.items()
+              if len(k) == 4 for entry in entries}
+    assert len(stored) + sum(len(k) == 2 for k in memo) == searches
     for lab, rep in zip(sheet.labels(), whole):
         # a new instance per row carries an empty memo, so every torus runs
         # its own search
@@ -237,6 +254,94 @@ def test_two_sheets_do_not_share_a_memo(monkeypatch):
     assert recover_E(second, "principal:2,5", validate=False) == rep
     assert len(calls) == 4
     assert vars(first)["_expansions"] is not vars(second)["_expansions"]
+
+
+def twist(f, ttype, cexps, level=120):
+    """f times the character theta_cexps, pointwise."""
+    theta = char_fn(ttype, [(cexps, 1)], level)
+    return {e: v * theta[e] for e, v in f.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_twist_memo_serves_only_verified_twists(data):
+    tt = data.draw(st.sampled_from([SPLIT11, ELL11]))
+    grp = points(tt)
+    char = st.tuples(*(st.integers(0, mod - 1) for mod in grp.moduli))
+    m = data.draw(st.integers(1, 2))
+    cexps = data.draw(st.lists(char, min_size=m, max_size=m, unique=True))
+    coeffs = data.draw(st.lists(
+        st.integers(-4, 4).filter(bool), min_size=m, max_size=m))
+    planted = sorted(zip(cexps, coeffs))
+    twisted = twist(char_fn(tt, planted, 120), tt, data.draw(char))
+    regs = regular_elements(tt)
+    s = data.draw(st.integers(0, len(regs) - 1))
+    changed = dict(twisted)
+    changed[regs[s]] = changed[regs[s]] + 1
+    memo = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting(mp)
+        base = recovery._memo_decompose(memo, char_fn(tt, planted, 120), tt)
+        assert terms_of(base) == planted and len(calls) == 1
+        # one value off: no candidate twist verifies, so the search runs
+        with pytest.raises(NoExpansionError):
+            recovery._memo_decompose(memo, changed, tt)
+        assert len(calls) == 2
+        # an exact twist is served with no search
+        got = recovery._memo_decompose(memo, twisted, tt)
+        assert len(calls) == 2
+    assert got == sparse_decompose(twisted, tt)
+
+
+@pytest.mark.parametrize("ttype", [SPLIT11, ELL11], ids=lambda t: t.label)
+def test_twist_memo_zero_function(monkeypatch, ttype):
+    regs = regular_elements(ttype)
+    zero = {e: CycNum.zero(120) for e in regs}
+    memo = {}
+    calls = counting(monkeypatch)
+    first = recovery._memo_decompose(memo, zero, ttype)
+    assert first.m == 0 and len(calls) == 1
+    assert recovery._memo_decompose(memo, dict(zero), ttype) == first
+    assert len(calls) == 1
+    one_point = dict(zero)
+    one_point[regs[-1]] = CycNum.one(120)
+    with pytest.raises(NoExpansionError):
+        recovery._memo_decompose(memo, one_point, ttype)
+    assert len(calls) == 2
+
+
+def vanishing_rows(q):
+    """Rows of the GL_2(F_q) sheet that vanish at the first regular point
+    of a torus: principal:k,k+(q-1)/2 on the split torus, where the two
+    terms differ by -1 at (0, 1), and cuspidal:c on the elliptic torus
+    with zeta^{(q-1)c} = -1 at a = 1."""
+    sheet = build_gl2_sheet(q)
+    h = (q - 1) // 2
+    N = q * q - 1
+    cusp = [lab for lab in sheet.labels() if lab.startswith("cuspidal:")
+            and (q - 1) * int(lab.split(":")[1]) % N == N // 2]
+    return sheet, {(1, 1): [f"principal:{k},{k + h}" for k in range(h)],
+                   (2,): cusp}
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2,)], ids=["split", "elliptic"])
+def test_twist_memo_rows_vanishing_at_sample_zero(monkeypatch, blocks):
+    sheet, rows = vanishing_rows(11)
+    tt = TorusType(SPEC11, blocks)
+    labels = rows[blocks]
+    assert len(labels) >= 2
+    memo = {}
+    calls = counting(monkeypatch)
+    got = []
+    for lab in labels:
+        f = sheet.row(lab).values[blocks]
+        assert f[regular_elements(tt)[0]].is_zero()
+        got.append(recovery._memo_decompose(memo, f, tt))
+    # the rows are twists of one another: one search, then verified hits
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for lab, e in zip(labels, got):
+        assert e == sparse_decompose(sheet.row(lab).values[blocks], tt), lab
 
 
 # -- dual-route agreement ----------------------------------------------------
