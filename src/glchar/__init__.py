@@ -10,8 +10,8 @@ cyclotomic  exact arithmetic in Q(zeta_N) on the power basis, Laplace
 abelian     finite abelian groups in exponent coordinates: elements are
             plain exponent tuples, characters are AbChar
 tori        maximal torus types, their rational points T^F as a group,
-            regularity, the density gate, Weyl orbits, and the canonical
-            class invariant geom_class_id
+            the density gate, and the eigenvalue invariant, which decides
+            regularity, conjugacy of regular elements and geom_class_id
 sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
 recovery    expansion search of at most two terms (|W| <= 2 wherever the
             gate passes within the enumeration budget), class assembly,
@@ -20,9 +20,9 @@ recovery    expansion search of at most two terms (|W| <= 2 wherever the
 cli         deterministic command line front end
 
 The independent cross-checks (norm/pullback class decider on the points
-at Frobenius level m, Bareiss determinants, the rational subset solver,
-the packed convolution, the GL_2 decomposition pattern, the dict form of
-a sheet file) live in the tests as oracles.
+at Frobenius level m, the Weyl-orbit walker, Bareiss determinants, the
+rational subset solver, the packed convolution, the GL_2 decomposition
+pattern, the dict form of a sheet file) live in the tests as oracles.
 """
 
 from .abelian import AbChar, FinAbGroup
@@ -63,7 +63,6 @@ from .tori import (
     geom_class_id,
     is_regular,
     regular_elements,
-    weyl_orbit,
 )
 
 __version__ = "0.1.0"
@@ -79,6 +78,6 @@ __all__ = [
     "load_sheet", "save_sheet", "sheet_from_dict", "validate_sheet",
     "GeomClassId", "GroupSpec", "QConditionReport", "TorusType",
     "check_q_condition", "enumerate_tori", "geom_class_id", "is_regular",
-    "regular_elements", "weyl_orbit",
+    "regular_elements",
     "__version__",
 ]

@@ -221,17 +221,6 @@ class CycNum:
         return cls._raw(level, (0,) * _context(level).phi, 1)
 
     @classmethod
-    def one(cls, level: int) -> "CycNum":
-        return cls.from_rational(level, 1)
-
-    @classmethod
-    def from_rational(cls, level: int, r: Rational) -> "CycNum":
-        r = Fraction(r)
-        vec = [0] * _context(level).phi
-        vec[0] = r.numerator
-        return cls._raw(level, *_normalize(vec, r.denominator))
-
-    @classmethod
     def from_terms(cls, level: int,
                    terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]
                    ) -> "CycNum":
@@ -249,24 +238,10 @@ class CycNum:
         vec = _fold(ctx.red, ((e, int(c * den)) for e, c in acc.items()))
         return cls._raw(level, *_normalize(vec, den))
 
-    # -- predicates and conversions --
+    # -- predicates --
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
-    def as_int(self) -> int:
-        r = self.as_rational()
-        if r.denominator != 1:
-            raise ValueError(f"{self} is not a rational integer")
-        return r.numerator
 
     # -- arithmetic --
 
@@ -277,7 +252,7 @@ class CycNum:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(self.level, other)
+            other = CycNum.from_terms(self.level, ((0, other),))
         if not isinstance(other, CycNum):
             return NotImplemented
         self._check(other)
@@ -295,7 +270,7 @@ class CycNum:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(self.level, other)
+            other = CycNum.from_terms(self.level, ((0, other),))
         if not isinstance(other, CycNum):
             return NotImplemented
         return self.__add__(other.__neg__())
@@ -348,7 +323,7 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(self.level, other)
+            other = CycNum.from_terms(self.level, ((0, other),))
         if not isinstance(other, CycNum):
             return NotImplemented
         self._check(other)
@@ -458,7 +433,7 @@ class CycMatrix:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
-            return CycNum.one(self.level)
+            return root(self.level, 0)
         ent = self.entries
         memo: dict[tuple[int, ...], CycNum] = {}
 

@@ -80,6 +80,7 @@ from .tori import (
     GeomClassId,
     GroupSpec,
     TorusType,
+    _exps,
     check_q_condition,
     geom_class_id,
     points,
@@ -154,7 +155,7 @@ class Expansion:
         for th, c in self.terms:
             if th.group != grp:
                 raise ValueError("character is not on the torus points")
-            if not isinstance(c, int) or c == 0:
+            if type(c) is not int or c == 0:  # True is an int too
                 raise ValueError(f"coefficient {c!r} is not a nonzero integer")
             if th.cexps in seen:
                 raise ValueError(f"repeated character {th.cexps}")
@@ -607,18 +608,16 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
     """(level, fvec): f as integer power-basis vectors in locus order.
 
     level is the lcm of the torus exponent and every value level.  Keys
-    are reduced mod the moduli unless they already are exactly the
-    regular tuples.  Raises ValueError when the domain is not the regular
-    locus, and NoExpansionError when a value has a denominator.
+    are reduced by tori._exps unless they already are exactly the regular
+    tuples.  Raises ValueError when a key has the wrong length or the
+    domain is not the regular locus, and NoExpansionError when a value
+    has a denominator.
     """
     regs = regular_elements(T)
-    grp = points(T)
     keyed = f
     # len(f) keys that include every one of the len(regs) distinct regs
     if len(f) != len(regs) or not all(map(f.__contains__, regs)):
-        keyed = {}
-        for k, v in f.items():
-            keyed[tuple(a % m for a, m in zip(tuple(k), grp.moduli))] = v
+        keyed = {_exps(T, k): v for k, v in f.items()}
         missing = [e for e in regs if e not in keyed]
         extra = sorted(set(keyed) - set(regs))
         if missing or extra:
@@ -627,7 +626,7 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
                 f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
     vals = list(map(keyed.__getitem__, regs))
     levels = set(map(attrgetter("level"), vals))
-    level = math.lcm(grp.exponent, *levels)
+    level = math.lcm(points(T).exponent, *levels)
     if levels != {level}:
         vals = [v.lift(level) for v in vals]
     if set(map(attrgetter("den"), vals)) - {1}:
@@ -802,12 +801,7 @@ def is_unipotent(sheet: CharacterSheet, label: str, *, validate: bool = True,
     somewhere); disagreement is a hard error, since both routes must
     describe the same representation.
     """
-    spec = sheet.spec
-    _require_gate(spec)
-    if validate:
-        report = validate_sheet(sheet)
-        if not report.ok:
-            raise SheetValidationError(report)
+    rep = recover_E(sheet, label, validate=validate, jobs=jobs)
     row = sheet.row(label)
     constant = True
     for tt in sheet.tori:
@@ -816,7 +810,6 @@ def is_unipotent(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if any(v != first for v in vals.values()):
             constant = False
             break
-    rep = recover_E(sheet, label, validate=False, jobs=jobs)
     if constant != rep.unipotent:
         raise RecoveryInconsistencyError(
             f"{label}: constancy test says {constant} but the trivial "

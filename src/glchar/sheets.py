@@ -24,11 +24,11 @@ from .tori import (
     GroupSpec,
     TorusType,
     check_budget,
+    eigenvalues,
     enumerate_tori,
     points,
     regular_elements,
     torus_from_label,
-    weyl_orbit,
 )
 
 FAMILIES = ("onedim", "steinberg", "principal", "cuspidal")
@@ -81,9 +81,9 @@ class IrrLabel:
             if k == l:
                 raise ValueError("principal parameters must differ mod q-1")
             return cls(family, (min(k, l), max(k, l)))
-        c = params[0] % (q * q - 1)
         if len(params) != 1:
             raise ValueError("cuspidal takes one parameter")
+        c = params[0] % (q * q - 1)
         if c % (q + 1) == 0:
             raise ValueError(
                 f"cuspidal parameter {c} is a multiple of q+1 = {q + 1}")
@@ -248,6 +248,17 @@ class SheetValidationReport:
         return self.ok
 
 
+def _regular_classes(tt: TorusType) -> list[list[tuple[int, ...]]]:
+    """The regular elements of T^F grouped by G^F-conjugacy class, which
+    is their eigenvalue multiset (tori.eigenvalues).  Each class is in
+    ascending order, and the classes come in order of their least element.
+    """
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for e in regular_elements(tt):
+        classes.setdefault(eigenvalues(tt, e, tt.twist_order), []).append(e)
+    return list(classes.values())
+
+
 def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
     """Structural and semantic checks; every violation itemized."""
     bad: list[str] = []
@@ -290,18 +301,7 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
         bad.append(f"sum of dim^2 is {mass}, group order is "
                    f"{spec.group_order}")
 
-    orbit_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for tt in sheet.tori:
-        regs = regular_elements(tt)
-        seen: set[tuple[int, ...]] = set()
-        orbits = []
-        for e in regs:
-            if e not in seen:
-                orb = weyl_orbit(tt, e)
-                seen.update(orb)
-                orbits.append(orb)
-        orbit_cache[tt.blocks] = orbits
-
+    classes = {tt.blocks: _regular_classes(tt) for tt in sheet.tori}
     reg_sets = {tt.blocks: set(regular_elements(tt)) for tt in sheet.tori}
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
@@ -326,13 +326,13 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
                     bad.append(f"row {r.label}, torus {tt.label}: value at "
                                f"level {v.level} != {sheet.zeta_level}")
                     break
-            for orb in orbit_cache[tt.blocks]:
-                v0 = vals[orb[0]]
-                for e in orb[1:]:
+            for cls in classes[tt.blocks]:
+                v0 = vals[cls[0]]
+                for e in cls[1:]:
                     v = vals[e]
                     if v is not v0 and v != v0:
                         bad.append(f"row {r.label}, torus {tt.label}: not "
-                                   f"constant on the class of {orb[0]} "
+                                   f"constant on the class of {cls[0]} "
                                    f"(differs at {e})")
                         break
     return SheetValidationReport(tuple(bad))

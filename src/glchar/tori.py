@@ -8,8 +8,8 @@ norm-compatible tower of generators g_d of F_{q^d}^*, so that embedding
 F_{q^d}^* -> F_{q^L}^* is dlog scaling by (q^L-1)/(q^d-1) and Frobenius
 x -> x^q is dlog multiplication by q.
 
-This module holds regularity, the density gate, Weyl orbits and one
-geometric class decider: the canonical residue invariant geom_class_id.
+This module holds the density gate and the eigenvalue invariant, which
+decides regularity, conjugacy of regular elements and geom_class_id.
 No field addition is ever required; everything below is integer
 arithmetic on exponents.
 """
@@ -143,7 +143,10 @@ def eigenvalues(ttype: TorusType, t: Sequence[int], L: int) -> tuple[int, ...]:
     """Multiset of n eigenvalue dlogs at level L (sorted tuple).
 
     Block i with dlog a_i contributes a_i q^j (q^L-1)/(q^{d_i}-1) for
-    j < d_i; requires d_i | L for every block.
+    j < d_i; requires d_i | L for every block.  At L = twist_order this
+    is the invariant of G^F-conjugacy: a semisimple class of GL_n is
+    fixed by its characteristic polynomial, so two elements of T^F are
+    conjugate exactly when their eigenvalue multisets agree.
     """
     exps = _exps(ttype, t)
     q = ttype.spec.q
@@ -235,42 +238,6 @@ def _check_pair(pair: Pair) -> None:
     ttype, chi = pair
     if chi.group != points(ttype):
         raise ValueError("character is not on the rational points of the torus")
-
-
-def weyl_orbit(ttype: TorusType,
-               t: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Orbit of a T^F element under N(T)^F/T^F, as sorted dlog tuples.
-
-    The quotient is generated by the blockwise Frobenii (dlog multiplication
-    by q on one block) and the swaps of equal-size blocks; two regular
-    elements are G^F-conjugate iff they share an orbit.
-    """
-    exps = _exps(ttype, t)
-    q = ttype.spec.q
-    moduli = points(ttype).moduli
-    k = len(ttype.blocks)
-    swaps = [(i, j) for i in range(k) for j in range(i + 1, k)
-             if ttype.blocks[i] == ttype.blocks[j]]
-    seen = {exps}
-    frontier = [exps]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            images = []
-            for i in range(k):
-                im = list(e)
-                im[i] = im[i] * q % moduli[i]
-                images.append(tuple(im))
-            for i, j in swaps:
-                im = list(e)
-                im[i], im[j] = im[j], im[i]
-                images.append(tuple(im))
-            for im in images:
-                if im not in seen:
-                    seen.add(im)
-                    nxt.append(im)
-        frontier = nxt
-    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True, order=True)

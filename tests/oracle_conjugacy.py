@@ -10,6 +10,11 @@ homomorphisms of point groups, surjectivity by lattice reduction,
 Frobenius, embeddings, norms, element enumeration), each of which is
 tested on its own.
 
+weyl_orbit is the oracle for conjugacy of rational points: glchar groups
+regular elements by their eigenvalue multiset (glchar.tori.eigenvalues),
+and the tests check that those groups are the N(T)^F/T^F orbits that
+this breadth-first walk finds.
+
 Elements are plain exponent tuples, as in glchar; element() reduces one
 into a group and multiply() is the group law.
 """
@@ -310,3 +315,40 @@ def geometric_conjugate(pair_a, pair_b) -> bool:
     swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
              for i in range(n - 1)]
     return up_b in orbit(up_a, swaps)
+
+
+# -- Weyl orbits of rational points -----------------------------------------
+
+def weyl_orbit(ttype: TorusType, t: Sequence[int]) -> tuple[Elt, ...]:
+    """Orbit of a T^F element under N(T)^F/T^F, as sorted dlog tuples.
+
+    The quotient is generated by the blockwise Frobenii (dlog multiplication
+    by q on one block) and the swaps of equal-size blocks; two regular
+    elements are G^F-conjugate iff they share an orbit.
+    """
+    grp = points(ttype)
+    exps = element(grp, t)
+    q = ttype.spec.q
+    k = len(ttype.blocks)
+    swaps = [(i, j) for i in range(k) for j in range(i + 1, k)
+             if ttype.blocks[i] == ttype.blocks[j]]
+    seen = {exps}
+    frontier = [exps]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            images = []
+            for i in range(k):
+                im = list(e)
+                im[i] = im[i] * q % grp.moduli[i]
+                images.append(tuple(im))
+            for i, j in swaps:
+                im = list(e)
+                im[i], im[j] = im[j], im[i]
+                images.append(tuple(im))
+            for im in images:
+                if im not in seen:
+                    seen.add(im)
+                    nxt.append(im)
+        frontier = nxt
+    return tuple(sorted(seen))

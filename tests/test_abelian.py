@@ -48,7 +48,7 @@ def test_element_reduction_and_ops():
 
 def test_evaluate_examples():
     G4 = FinAbGroup((4,))
-    assert evaluate(G4.char((0,)), (3,)) == CycNum.one(4)
+    assert evaluate(G4.char((0,)), (3,)) == root(4, 0)
     assert evaluate(G4.char((1,)), (2,)) == root(4, 2)
 
     G = FinAbGroup((3, 4))
@@ -72,7 +72,7 @@ def test_evaluate_inverse_element():
     chi = G.char((2, 3))
     for g in [(1, 1), (4, 7), (3, 2)]:
         assert (evaluate(chi, g) * evaluate(chi, inverse(G, g))
-                == CycNum.one(G.exponent))
+                == root(G.exponent, 0))
 
 
 def test_hom_well_defined_check():
@@ -182,7 +182,7 @@ def test_duality_and_orthogonality_exhaustive():
                 for g in elts:
                     s = s + evaluate(c1, g) * evaluate(c2, inverse(G, g))
                 expected = G.order if c1 == c2 else 0
-                assert s == CycNum.from_rational(L, expected)
+                assert s == expected
 
 
 def test_orbit_examples():

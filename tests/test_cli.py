@@ -1,19 +1,23 @@
 """End-to-end command line checks: exit codes, output shapes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import glchar.cli as cli
 from glchar.cli import main
-from glchar.cyclotomic import CycNum
+from glchar.cyclotomic import CycNum, root
 from glchar.sheets import build_gl1_sheet, build_gl2_sheet, save_sheet, load_sheet
-from glchar.tori import GroupSpec, torus_from_label, weyl_orbit
+from glchar.tori import GroupSpec, torus_from_label
 
+from oracle_conjugacy import weyl_orbit
 from oracle_sheet_dict import sheet_to_dict
 
 
@@ -107,6 +111,32 @@ def test_unknown_label_exits_1(capsys):
     code, _, err = run(capsys, "recover", "--q", "11", "--rho", "bogus:1")
     assert code == 1
     assert "no row labeled" in err
+
+
+def test_label_without_parameters_exits_1(capsys):
+    code, out, err = run(capsys, "recover", "--q", "11", "--rho", "cuspidal:")
+    assert (code, out) == (1, "")
+    assert err == "error: no row labeled 'cuspidal:'\n"
+
+
+RHO_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(["onedim", "steinberg", "principal",
+                               "cuspidal", "bogus", ""]),
+              st.lists(st.one_of(st.integers(-300, 300).map(str),
+                                 st.text(max_size=3)), max_size=3))
+    .map(lambda t: f"{t[0]}:{','.join(t[1])}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=RHO_TEXT)
+def test_any_rho_text_exits_0_or_1(rho):
+    # every label either names a row or is a usage error; no exception
+    # escapes main
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["recover", "--q", "11", f"--rho={rho}"])
+    assert code in (0, 1), err.getvalue()
 
 
 def test_missing_sheet_file_exits_1(capsys):
@@ -410,6 +440,17 @@ def test_invalid_sheet_file_exits_3(capsys, tmp_path):
     assert "sheet rejected" in err
 
 
+@pytest.mark.parametrize("argv", [["table"], ["recover"]])
+def test_row_label_without_parameters_exits_3(capsys, tmp_path, argv):
+    data = sheet_to_dict(build_gl2_sheet(3))
+    data["irreducibles"][-1]["label"] = "cuspidal:"
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--sheet", str(path))
+    assert (code, out) == (3, "")
+    assert "label 'cuspidal:': cuspidal takes one parameter" in err
+
+
 @pytest.mark.parametrize("key", ["dim", "zeta_level"])
 def test_bool_integer_field_exits_3(tmp_path, key):
     # True equals the dim 1 and the zeta level 1 of GL_1(F_2)
@@ -471,7 +512,7 @@ def test_unrecoverable_class_function_exits_4(capsys, tmp_path):
     row = sheet.row("cuspidal:1")
     lvl = sheet.zeta_level
     vals = dict(row.values)
-    vals[ell.blocks] = {e: (CycNum.one(lvl) if e in orbit else CycNum.zero(lvl))
+    vals[ell.blocks] = {e: (root(lvl, 0) if e in orbit else CycNum.zero(lvl))
                         for e in row.values[ell.blocks]}
     row.values = vals
     path = tmp_path / "indicator.json"

@@ -77,7 +77,7 @@ def test_cyclotomic_poly_degree_and_root():
         assert len(poly) == euler_phi(N) + 1
         z = root(N, 1)
         acc = CycNum.zero(N)
-        zp = CycNum.one(N)
+        zp = root(N, 0)
         for c in poly:
             acc = acc + c * zp
             zp = zp * z
@@ -85,7 +85,7 @@ def test_cyclotomic_poly_degree_and_root():
 
 
 def test_root_basics():
-    assert root(4, 2) == CycNum.from_rational(4, -1)
+    assert root(4, 2) == -1
     s = root(3, 0) + root(3, 1) + root(3, 2)
     assert s.is_zero()
     assert root(5, 3) * root(5, 4) == root(5, 2)
@@ -100,19 +100,20 @@ def test_root_periodicity():
 
 def test_mul_hand_oracle_level5():
     # (1 + z5)(1 + z5^4) = 1 + z5 + z5^4 + z5^5 = 2 + z5 + z5^4
-    a = CycNum.one(5) + root(5, 1)
-    b = CycNum.one(5) + root(5, 4)
+    a = root(5, 0) + root(5, 1)
+    b = root(5, 0) + root(5, 4)
     expected = CycNum.from_terms(5, {0: 2, 1: 1, 4: 1})
     assert a * b == expected
 
 
 def test_rational_helpers():
-    x = CycNum.from_rational(12, Fraction(-3, 6))
-    assert x.is_rational()
-    assert x.as_rational() == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        (root(12, 1)).as_rational()
-    assert CycNum.from_rational(9, 5).as_int() == 5
+    # int and Fraction operands of +, - and == are constants of the field
+    x = CycNum.from_terms(12, ((0, Fraction(-3, 6)),))
+    assert x == Fraction(-1, 2) and x != -1
+    assert x + 1 == Fraction(1, 2)
+    assert 1 - x == Fraction(3, 2)
+    assert x - Fraction(1, 2) == -1
+    assert 5 + root(9, 0) == root(9, 0) * 6
     # division takes rationals only; the field has no inversion
     assert root(12, 1) / 2 == root(12, 1) * Fraction(1, 2)
     assert root(12, 1) / Fraction(2, 3) == root(12, 1) * Fraction(3, 2)
@@ -145,7 +146,7 @@ def test_str_and_triples_roundtrip():
     assert t == [[1, 2, 0], [-3, 1, 2]]
     assert CycNum.from_triples(12, t) == x
     assert str(CycNum.zero(5)) == "0"
-    assert str(CycNum.one(5)) == "1"
+    assert str(root(5, 0)) == "1"
     with pytest.raises(ValueError):
         CycNum.from_triples(4, [[1, 1, 7]])  # power outside basis
     with pytest.raises(ValueError):
@@ -336,16 +337,17 @@ def det_bareiss(m):
 
 
 def test_det_examples():
-    eye = CycMatrix(7, [[CycNum.one(7) if i == j else CycNum.zero(7)
+    eye = CycMatrix(7, [[root(7, 0) if i == j else CycNum.zero(7)
                          for j in range(3)] for i in range(3)])
-    assert eye.det() == CycNum.one(7)
+    assert eye.det() == root(7, 0)
+    assert CycMatrix(7, []).det() == root(7, 0)
 
     row = [root(5, 1), root(5, 2)]
     rep = CycMatrix(5, [row, row])
     assert rep.det().is_zero()
 
-    m = CycMatrix(3, [[CycNum.one(3), root(3, 1)],
-                      [root(3, 2), CycNum.one(3)]])
+    m = CycMatrix(3, [[root(3, 0), root(3, 1)],
+                      [root(3, 2), root(3, 0)]])
     assert m.det().is_zero()  # 1 - z3 * z3^2 = 0
 
 

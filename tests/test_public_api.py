@@ -34,7 +34,7 @@ def test_all_is_pinned():
         "enumerate_tori", "geom_class_id", "gram_independence",
         "is_regular", "is_unipotent", "load_sheet", "recover_E",
         "regular_elements", "root", "save_sheet", "sheet_from_dict",
-        "sparse_decompose", "validate_sheet", "weyl_orbit",
+        "sparse_decompose", "validate_sheet",
     ]
     for name in glchar.__all__:
         assert hasattr(glchar, name), name

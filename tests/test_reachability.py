@@ -46,16 +46,6 @@ TRAFFIC = [
 ALLOWED = {
     "recovery._pair_worker":
         "runs in the pool workers of GLCHAR_JOBS > 1, outside this process",
-    "cyclotomic.CycNum.one":
-        "library API for rational values, covered by test_cyclotomic",
-    "cyclotomic.CycNum.from_rational":
-        "library API for rational values, covered by test_cyclotomic",
-    "cyclotomic.CycNum.is_rational":
-        "library API for rational values, covered by test_cyclotomic",
-    "cyclotomic.CycNum.as_rational":
-        "library API for rational values, covered by test_cyclotomic",
-    "cyclotomic.CycNum.as_int":
-        "library API for rational values, covered by test_cyclotomic",
     "cyclotomic.CycNum.lift":
         "library API; sheet values share one level, so only library calls "
         "with mixed-level values lift (test_cyclotomic, and "

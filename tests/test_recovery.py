@@ -30,9 +30,15 @@ from glchar.recovery import (
     sparse_decompose,
 )
 import glchar.recovery as recovery
-from glchar.sheets import SheetRow, build_gl1_sheet, build_gl2_sheet
+from glchar.sheets import (
+    SheetRow,
+    SheetValidationError,
+    build_gl1_sheet,
+    build_gl2_sheet,
+)
 from glchar.tori import GroupSpec, TorusType, points, regular_elements
 
+from oracle_conjugacy import weyl_orbit
 from oracle_pairs import solve_subset_reference
 from oracle_pattern import verify_dl_consistency
 
@@ -69,7 +75,7 @@ def test_zero_function_gives_empty_expansion():
 
 
 def test_constant_one_gives_trivial_character():
-    f = {e: CycNum.one(10) for e in regular_elements(SPLIT11)}
+    f = {e: root(10, 0) for e in regular_elements(SPLIT11)}
     e = sparse_decompose(f, SPLIT11)
     assert terms_of(e) == [((0, 0), 1)]
 
@@ -98,7 +104,7 @@ def test_bound_above_two_is_rejected():
 def test_bound_zero_only_matches_zero():
     f = {e: CycNum.zero(10) for e in regular_elements(SPLIT11)}
     assert sparse_decompose(f, SPLIT11).m == 0
-    f[regular_elements(SPLIT11)[0]] = CycNum.one(10)
+    f[regular_elements(SPLIT11)[0]] = root(10, 0)
     # not a class function, but domain checks do not care; neither the
     # empty expansion nor any one- or two-term one matches
     with pytest.raises(NoExpansionError, match="at most 2 nonzero"):
@@ -108,13 +114,13 @@ def test_bound_zero_only_matches_zero():
 def test_indicator_function_has_no_expansion():
     regs = regular_elements(ELL11)
     f = {e: CycNum.zero(120) for e in regs}
-    f[regs[0]] = CycNum.one(120)
+    f[regs[0]] = root(120, 0)
     with pytest.raises(NoExpansionError):
         sparse_decompose(f, ELL11)
 
 
 def test_fractional_values_have_no_expansion():
-    f = {e: CycNum.from_rational(10, Fraction(1, 2))
+    f = {e: CycNum.from_terms(10, ((0, Fraction(1, 2)),))
          for e in regular_elements(SPLIT11)}
     with pytest.raises(NoExpansionError, match="denominator"):
         sparse_decompose(f, SPLIT11)
@@ -143,6 +149,26 @@ def test_domain_mismatch_rejected():
         sparse_decompose(f, SPLIT11)
 
 
+def test_keys_of_the_wrong_length_are_refused():
+    # a third coordinate on the rank-2 split torus is an error, not a key
+    # truncated to its first two coordinates
+    f = char_fn(SPLIT11, [((2, 5), 3)])
+    longer = {e + (0,): v for e, v in f.items()}
+    with pytest.raises(ValueError, match="wrong length"):
+        sparse_decompose(longer, SPLIT11)
+    # keys that only need reducing mod the moduli still decompose
+    shifted = {(i + 10, j - 10): v for (i, j), v in f.items()}
+    assert terms_of(sparse_decompose(shifted, SPLIT11)) == [((2, 5), 3)]
+
+
+def test_expansion_coefficient_is_a_plain_int():
+    # True is an int too, and would print as True*theta(1, 0)
+    th = points(SPLIT11).char((1, 0))
+    with pytest.raises(ValueError, match="not a nonzero integer"):
+        Expansion(SPLIT11, ((th, True),))
+    assert Expansion(SPLIT11, ((th, 1),)).describe() == "1*theta(1, 0)"
+
+
 def test_gate_refusal_is_total():
     spec = GroupSpec(2, 3)
     tt = TorusType(spec, (1, 1))
@@ -151,6 +177,8 @@ def test_gate_refusal_is_total():
         sparse_decompose(f, tt)
     with pytest.raises(QConditionViolated):
         recover_E(build_gl2_sheet(3), "steinberg:0")
+    with pytest.raises(QConditionViolated):
+        is_unipotent(build_gl2_sheet(3), "no such row")
     grp = points(tt)
     with pytest.raises(QConditionViolated):
         gram_independence(tt, [grp.char((0, 0))])
@@ -304,7 +332,7 @@ def test_twist_memo_zero_function(monkeypatch, ttype):
     assert recovery._memo_decompose(memo, dict(zero), ttype) == first
     assert len(calls) == 1
     one_point = dict(zero)
-    one_point[regs[-1]] = CycNum.one(120)
+    one_point[regs[-1]] = root(120, 0)
     with pytest.raises(NoExpansionError):
         recovery._memo_decompose(memo, one_point, ttype)
     assert len(calls) == 2
@@ -482,13 +510,12 @@ def test_recover_mixed_classes_is_inconsistent():
 
 
 def test_corrupted_class_function_raises_no_expansion():
-    from glchar.tori import weyl_orbit
     sheet = build_gl2_sheet(11)
     row = sheet.row("cuspidal:1")
     orb = weyl_orbit(ELL11, (1,))
     vals = {e: CycNum.zero(120) for e in regular_elements(ELL11)}
     for e in orb:
-        vals[e] = CycNum.one(120)
+        vals[e] = root(120, 0)
     row.values[(2,)] = vals  # constant on classes, so validation passes
     from glchar.sheets import validate_sheet
     assert validate_sheet(sheet).ok
@@ -504,6 +531,18 @@ def test_unipotent_rows_gl2():
     assert is_unipotent(sheet, "steinberg:0", validate=False)
     assert not is_unipotent(sheet, "onedim:3", validate=False)
     assert not is_unipotent(sheet, "cuspidal:1", validate=False)
+
+
+def test_unipotent_checks_validation_before_the_label():
+    sheet = build_gl2_sheet(11)
+    with pytest.raises(KeyError):
+        is_unipotent(sheet, "no such row")
+    vals = sheet.row("cuspidal:1").values[(2,)]
+    vals[(1,)] = vals[(1,)] + 1  # its class partner (11,) keeps the old value
+    with pytest.raises(SheetValidationError, match="not constant"):
+        is_unipotent(sheet, "no such row")
+    with pytest.raises(KeyError):
+        is_unipotent(sheet, "no such row", validate=False)
 
 
 def test_unipotent_search_is_exhaustive(monkeypatch):
@@ -542,7 +581,7 @@ def test_unipotent_consistency_guard(monkeypatch):
 def test_gram_single_trivial_counts_locus():
     grp = points(SPLIT11)
     rep = gram_independence(SPLIT11, [grp.char((0, 0))])
-    assert rep.det.as_int() == len(regular_elements(SPLIT11)) == 90
+    assert rep.det == len(regular_elements(SPLIT11)) == 90
     assert rep.nonzero
 
 
@@ -558,7 +597,7 @@ def test_gram_off_diagonal_entry_is_sum_over_locus():
     for (a,) in regs:
         g12 = g12 + root(120, a - 11 * a)
         g21 = g21 + root(120, 11 * a - a)
-    assert g12 == g21 == CycNum.from_rational(120, -10)
+    assert g12 == g21 == -10
     rep = gram_independence(ELL11, [grp.char((1,)), grp.char((11,))])
     assert rep.det == len(regs) ** 2 - g12 * g21
 

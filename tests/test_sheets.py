@@ -13,6 +13,7 @@ from glchar.sheets import (
     SheetFormatError,
     SheetRow,
     SheetValidationError,
+    _regular_classes,
     build_gl1_sheet,
     build_gl2_sheet,
     build_sheet,
@@ -26,6 +27,7 @@ from glchar.sheets import (
 from glchar.tori import GroupSpec, enumerate_tori, regular_elements
 
 import oracle_dixon
+from oracle_conjugacy import weyl_orbit
 from oracle_sheet_dict import sheet_to_dict
 
 
@@ -54,7 +56,7 @@ def test_gl1_sheet():
     assert sheet.zeta_level == 4
     (tt,) = sheet.tori
     triv = sheet.row("onedim:0")
-    assert all(v == CycNum.one(4) for v in triv.values[tt.blocks].values())
+    assert all(v == root(4, 0) for v in triv.values[tt.blocks].values())
     row3 = sheet.row("onedim:3")
     for (a,), v in row3.values[tt.blocks].items():
         assert v == root(4, 3 * a)
@@ -69,9 +71,8 @@ def test_gl2_sheet_q3_shape():
     assert [t.label for t in sheet.tori] == ["1+1", "2"]
     st0 = sheet.row("steinberg:0")
     sp, el = sheet.tori
-    assert all(v == CycNum.one(8) for v in st0.values[sp.blocks].values())
-    assert all(v == CycNum.from_rational(8, -1)
-               for v in st0.values[el.blocks].values())
+    assert all(v == root(8, 0) for v in st0.values[sp.blocks].values())
+    assert all(v == -1 for v in st0.values[el.blocks].values())
     with pytest.raises(ValueError):
         build_gl2_sheet(4)
     with pytest.raises(ValueError):
@@ -108,6 +109,53 @@ def test_validate_flags_class_function_violation():
     report = validate_sheet(sheet)
     assert not report.ok
     assert any("not constant" in v for v in report.violations)
+
+
+# the texts are those of the Weyl-orbit walk that grouped the classes
+# before the eigenvalue invariant did
+PLANTED = [
+    (5, (1, 1), "principal:0,1", (3, 1),
+     "row principal:0,1, torus 1+1: not constant on the class of (1, 3) "
+     "(differs at (3, 1))"),
+    (5, (2,), "cuspidal:1", (5,),
+     "row cuspidal:1, torus 2: not constant on the class of (1,) "
+     "(differs at (5,))"),
+    (11, (1, 1), "principal:2,7", (9, 4),
+     "row principal:2,7, torus 1+1: not constant on the class of (4, 9) "
+     "(differs at (9, 4))"),
+    (11, (2,), "cuspidal:3", (77,),
+     "row cuspidal:3, torus 2: not constant on the class of (7,) "
+     "(differs at (77,))"),
+]
+
+
+@pytest.mark.parametrize("q,blocks,label,planted,text", PLANTED,
+                         ids=["q5-split", "q5-elliptic", "q11-split",
+                              "q11-elliptic"])
+def test_validate_class_function_violation_text(q, blocks, label, planted,
+                                                text):
+    sheet = build_gl2_sheet(q)
+    vals = sheet.row(label).values[blocks]
+    vals[planted] = vals[planted] + 1
+    assert validate_sheet(sheet).violations == (text,)
+
+
+EIGENVALUE_CASES = [(n, q) for n in (1, 2, 3, 4)
+                    for q in (2, 3, 4, 5, 7, 8, 9, 11) if q**n - 1 <= 20_000]
+
+
+@pytest.mark.parametrize("n,q", EIGENVALUE_CASES)
+def test_eigenvalue_classes_are_weyl_orbits(n, q):
+    # every regular element of every torus: the classes validation checks
+    # are exactly the orbits of the independent walker, in ascending order
+    # within a class and by least element across classes
+    for tt in enumerate_tori(GroupSpec(n, q)):
+        classes = _regular_classes(tt)
+        regs = regular_elements(tt)
+        assert sorted(e for cls in classes for e in cls) == list(regs)
+        for cls in classes:
+            assert tuple(cls) == weyl_orbit(tt, cls[0])
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
 
 
 def test_validate_flags_duplicate_cuspidal_alias():
@@ -150,7 +198,8 @@ def test_restricted_orthogonality_bound():
         acc = CycNum.zero(sheet.zeta_level)
         for (i, j), v in vals.items():
             acc = acc + v * vals[((-i) % (q - 1), (-j) % (q - 1))]
-        total = acc.as_rational()
+        assert not any(acc.num[1:])
+        total = Fraction(acc.num[0], acc.den)
         assert 0 <= total <= group_order
 
 
@@ -198,7 +247,7 @@ def test_emitter_matches_json_dumps_on_direct_sheets():
     (tt,) = enumerate_tori(spec)
     regs = regular_elements(tt)
     values = [CycNum.from_terms(4, {1: Fraction(1, 2), 0: Fraction(-3, 4)}),
-              CycNum.one(4), CycNum.zero(4)]
+              root(4, 0), CycNum.zero(4)]
     row = SheetRow('say "hé"', 1,
                    {tt.blocks: {e: values[i % 3]
                                 for i, e in enumerate(regs)}})
