@@ -5,8 +5,8 @@ indexes an irreducible character of a finite general linear group by a
 geometric conjugacy class of torus characters, using nothing but the
 character's values on regular semisimple torus elements.  The layers:
 
-cyclotomic  exact arithmetic in Q(zeta_N) on the power basis, Laplace
-            determinants (no field inversion, no linear solving)
+cyclotomic  exact arithmetic in Z[zeta_N] on the power basis, Laplace
+            determinants (no division, no linear solving)
 abelian     finite abelian groups in exponent coordinates: elements are
             plain exponent tuples, characters are AbChar
 tori        maximal torus types, their rational points T^F as a group,

@@ -163,12 +163,12 @@ def cmd_recover(args) -> int:
     jobs = _jobs()
     sheet = _load_or_build(args)
     # built-in sheets are valid by construction; loaded ones were validated
-    labels = ([_canonical_label(sheet, args.rho)] if args.rho
+    labels = ([_canonical_label(sheet, args.rho)] if args.rho is not None
               else [r.label for r in _sorted_rows(sheet)])
     reports = [recover_E(sheet, lab, validate=False, jobs=jobs)
                for lab in labels]
     if args.json:
-        if args.rho:
+        if args.rho is not None:
             _emit_json(reports[0].to_dict())
         else:
             _emit_json({"n": sheet.spec.n, "q": sheet.spec.q,

@@ -1,33 +1,30 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic integers Z[zeta_N].
 
 Conventions used throughout:
 
-- The level N >= 1 names the field Q(zeta_N), zeta_N an abstract primitive
+- The level N >= 1 names the ring Z[zeta_N], zeta_N an abstract primitive
   N-th root of unity.  No complex embedding is ever chosen and no floating
   point appears anywhere; equality is decided on coefficient vectors.
 - An element is stored in the power basis {1, zeta, ..., zeta^(phi(N)-1)}
-  reduced modulo the N-th cyclotomic polynomial, as a vector of integer
-  numerators plus one positive common denominator with overall content 1.
-  Equal values therefore have identical representations, so `==` and
+  reduced modulo the N-th cyclotomic polynomial, as a vector of integers.
+  That basis is a Z-basis of Z[zeta_N], the ring of integers of Q(zeta_N),
+  and every character value is an algebraic integer, so no denominator is
+  ever needed.  Equal values have identical representations, so `==` and
   `hash` are structural.
 - Values are immutable.  Arithmetic requires both operands at the same
   level; combine levels explicitly with `lift` (allowed exactly when the
   source level divides the target level).
-- Complex conjugation and field inversion are deliberately absent:
+- Complex conjugation and inversion are deliberately absent:
   callers that need inverse root values invert on the group side
   (s -> s^-1) instead, and determinants are division-free.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, neg
-from typing import Iterable, Mapping, Sequence, Union
-
-Rational = Union[int, Fraction]
+from operator import add, mul, neg, sub
+from typing import Iterable, Mapping, Sequence
 
 
 class LevelMismatchError(ValueError):
@@ -164,79 +161,45 @@ def _scaled(row: Iterable[int], c: int) -> Iterable[int]:
     return map(mul, row, repeat(c))
 
 
-def _normalize(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den < 0:
-        den = -den
-        nums = [-v for v in nums]
-    g = den
-    for v in nums:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    if den != 1 and not any(nums):
-        den = 1
-    return tuple(nums), den
-
-
 class CycNum:
-    """An element of Q(zeta_N) in reduced power-basis form."""
+    """An element of Z[zeta_N] in power-basis form."""
 
-    __slots__ = ("level", "num", "den")
+    __slots__ = ("level", "num")
 
-    def __init__(self, level: int, coeffs: Iterable[Rational] = (), den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
+    def __init__(self, level: int, coeffs: Iterable[int] = ()):
         ctx = _context(level)
-        vec: list[Rational] = list(coeffs)
+        vec = list(coeffs)
         if len(vec) > ctx.phi:
             raise ValueError("coefficient vector longer than phi(N)")
-        vec += [0] * (ctx.phi - len(vec))
-        if all(isinstance(v, int) for v in vec):
-            num, d = _normalize(list(vec), den)
-        else:
-            cs = [Fraction(v) / den for v in vec]
-            common = 1
-            for c in cs:
-                common = math.lcm(common, c.denominator)
-            num, d = _normalize([int(c * common) for c in cs], common)
+        for c in vec:
+            _require_int(c)
         self.level = level
-        self.num = num
-        self.den = d
+        self.num = tuple(vec) + (0,) * (ctx.phi - len(vec))
 
     # -- raw construction for internal hot paths (inputs already reduced) --
     @classmethod
-    def _raw(cls, level: int, num: tuple[int, ...], den: int) -> "CycNum":
+    def _raw(cls, level: int, num: tuple[int, ...]) -> "CycNum":
         self = object.__new__(cls)
         self.level = level
         self.num = num
-        self.den = den
         return self
 
     @classmethod
     def zero(cls, level: int) -> "CycNum":
-        return cls._raw(level, (0,) * _context(level).phi, 1)
+        return cls._raw(level, (0,) * _context(level).phi)
 
     @classmethod
     def from_terms(cls, level: int,
-                   terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]
+                   terms: Mapping[int, int] | Iterable[tuple[int, int]]
                    ) -> "CycNum":
         """Value sum c_e * zeta^e from (exponent, coefficient) terms."""
-        ctx = _context(level)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Rational] = {}
+        acc: dict[int, int] = {}
         for e, c in items:
+            _require_int(c)
             e %= level
             acc[e] = acc.get(e, 0) + c
-        den = 1
-        for c in acc.values():
-            if isinstance(c, Fraction):
-                den = math.lcm(den, c.denominator)
-        vec = _fold(ctx.red, ((e, int(c * den)) for e, c in acc.items()))
-        return cls._raw(level, *_normalize(vec, den))
+        return cls._raw(level, tuple(_fold(_context(level).red, acc.items())))
 
     # -- predicates --
 
@@ -250,63 +213,46 @@ class CycNum:
             raise LevelMismatchError(
                 f"levels differ: {self.level} vs {other.level}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_terms(self.level, ((0, other),))
+    def _coerce(self, other) -> "CycNum | None":
+        """other as a value at this level (an int is a constant), or None."""
+        if isinstance(other, int):
+            return CycNum._raw(self.level, tuple(
+                _scaled(_context(self.level).red[0], int(other))))
         if not isinstance(other, CycNum):
-            return NotImplemented
+            return None
         self._check(other)
-        ad, bd = self.den, other.den
-        if ad == 1 and bd == 1:
-            vec = [x + y for x, y in zip(self.num, other.num)]
-            return CycNum._raw(self.level, tuple(vec), 1)
-        vec = [x * bd + y * ad for x, y in zip(self.num, other.num)]
-        return CycNum._raw(self.level, *_normalize(vec, ad * bd))
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return CycNum._raw(self.level, tuple(map(add, self.num, other.num)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._raw(self.level, tuple(-v for v in self.num), self.den)
+        return CycNum._raw(self.level, tuple(map(neg, self.num)))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_terms(self.level, ((0, other),))
-        if not isinstance(other, CycNum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self.__add__(other.__neg__())
+        return CycNum._raw(self.level, tuple(map(sub, self.num, other.num)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 1:
-                return self
-            vec = [v * other for v in self.num]
-            return CycNum._raw(self.level, *_normalize(vec, self.den))
-        if isinstance(other, Fraction):
-            vec = [v * other.numerator for v in self.num]
-            return CycNum._raw(self.level,
-                               *_normalize(vec, self.den * other.denominator))
+            return CycNum._raw(self.level, tuple(_scaled(self.num, other)))
         if not isinstance(other, CycNum):
             return NotImplemented
         self._check(other)
-        ctx = _context(self.level)
-        vec = ctx.mul_vec(self.num, other.num)
-        d = self.den * other.den
-        if d == 1:
-            return CycNum._raw(self.level, tuple(vec), 1)
-        return CycNum._raw(self.level, *_normalize(vec, d))
+        vec = _context(self.level).mul_vec(self.num, other.num)
+        return CycNum._raw(self.level, tuple(vec))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        other = Fraction(other)
-        if other == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * Fraction(other.denominator, other.numerator)
 
     def lift(self, M: int) -> "CycNum":
         """Reinterpret at level M; requires level | M."""
@@ -317,20 +263,18 @@ class CycNum:
         k = M // self.level
         vec = _fold(_context(M).red,
                     ((i * k, c) for i, c in enumerate(self.num)))
-        return CycNum._raw(M, *_normalize(vec, self.den))
+        return CycNum._raw(M, tuple(vec))
 
     # -- structure --
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_terms(self.level, ((0, other),))
-        if not isinstance(other, CycNum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num
 
     def __hash__(self):
-        return hash((self.level, self.num, self.den))
+        return hash((self.level, self.num))
 
     def __bool__(self):
         return not self.is_zero()
@@ -342,67 +286,55 @@ class CycNum:
         for i, n in enumerate(self.num):
             if not n:
                 continue
-            c = Fraction(n, self.den)
-            mag = -c if c < 0 else c
-            if i == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = f"z{self.level}" if i == 1 else f"z{self.level}^{i}"
-            else:
-                body = (f"{mag}*z{self.level}" if i == 1
-                        else f"{mag}*z{self.level}^{i}")
-            parts.append(("- " if c < 0 else "+ ") + body)
+            mag = abs(n)
+            z = f"z{self.level}" if i == 1 else f"z{self.level}^{i}"
+            body = str(mag) if i == 0 else z if mag == 1 else f"{mag}*{z}"
+            parts.append(("- " if n < 0 else "+ ") + body)
         s = " ".join(parts)
         return "-" + s[2:] if s.startswith("- ") else s[2:]
 
     def __repr__(self):
         return f"CycNum({self.level}, {self})"
 
-    # -- serialization: list of [numerator, denominator, power] triples --
+    # -- serialization: list of [numerator, 1, power] triples --
 
     def to_triples(self) -> list[list[int]]:
-        den = self.den
-        if den == 1:
-            return [[n, 1, i] for i, n in enumerate(self.num) if n]
-        out = []
-        for i, n in enumerate(self.num):
-            if n:
-                g = math.gcd(n, den)
-                out.append([n // g, den // g, i])
-        return out
+        return [[n, 1, i] for i, n in enumerate(self.num) if n]
 
     @classmethod
     def from_triples(cls, level: int, triples: Iterable[Sequence[int]]) -> "CycNum":
-        """Value sum (n/d) * zeta^p over [n, d, p] triples of plain ints.
+        """Value sum n * zeta^p over [n, 1, p] triples of plain ints.
 
-        Powers index the power basis (0 <= p < phi), so nothing is folded:
-        each n is scaled to the lcm of the denominators and added at p.
-        Powers may repeat.  bool and other int subclasses are rejected.
+        Powers index the power basis (0 <= p < phi), so nothing is folded;
+        powers may repeat.  The middle slot is a denominator kept by the
+        file format: values lie in Z[zeta_N], so any d != 1 is refused
+        (ValueError).  bool and other int subclasses raise TypeError.
         """
         phi = _context(level).phi
-        terms = []
-        common = 1
+        vec = [0] * phi
         for t in triples:
             n, d, p = t
             if type(n) is not int or type(d) is not int or type(p) is not int:
                 raise TypeError(f"triple {list(t)} is not three integers")
-            if d <= 0:
-                raise ValueError("denominator must be positive")
+            if d != 1:
+                raise ValueError(f"triple {list(t)} has denominator {d}; "
+                                 f"values lie in Z[zeta_{level}]")
             if not 0 <= p < phi:
                 raise ValueError(f"power {p} outside basis range at level {level}")
-            if d != 1:
-                common = math.lcm(common, d)
-            terms.append((n, d, p))
-        vec = [0] * phi
-        for n, d, p in terms:
-            vec[p] += n * (common // d)
-        return cls._raw(level, *_normalize(vec, common))
+            vec[p] += n
+        return cls._raw(level, tuple(vec))
+
+
+def _require_int(c) -> None:
+    # coordinates over Z[zeta_N] are plain ints; bool is refused too
+    if type(c) is not int:
+        raise TypeError(f"coefficient {c!r} is not an int")
 
 
 def root(N: int, a: int) -> CycNum:
-    """zeta_N^a as an element of Q(zeta_N)."""
+    """zeta_N^a as an element of Z[zeta_N]."""
     ctx = _context(N)
-    return CycNum._raw(N, ctx.red[a % N], 1)
+    return CycNum._raw(N, ctx.red[a % N])
 
 
 class CycMatrix:

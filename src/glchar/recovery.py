@@ -610,8 +610,7 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
     level is the lcm of the torus exponent and every value level.  Keys
     are reduced by tori._exps unless they already are exactly the regular
     tuples.  Raises ValueError when a key has the wrong length or the
-    domain is not the regular locus, and NoExpansionError when a value
-    has a denominator.
+    domain is not the regular locus.
     """
     regs = regular_elements(T)
     keyed = f
@@ -629,13 +628,6 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
     level = math.lcm(points(T).exponent, *levels)
     if levels != {level}:
         vals = [v.lift(level) for v in vals]
-    if set(map(attrgetter("den"), vals)) - {1}:
-        e, v = next((e, v) for e, v in zip(regs, vals) if v.den != 1)
-        # integer combinations of roots of unity always have unit
-        # denominator in the canonical form, so nothing can match
-        raise NoExpansionError(
-            f"value at {e} has denominator {v.den}; no integer "
-            f"character combination matches on torus {T.label}")
     return level, list(map(attrgetter("num"), vals))
 
 

@@ -119,6 +119,14 @@ def test_label_without_parameters_exits_1(capsys):
     assert err == "error: no row labeled 'cuspidal:'\n"
 
 
+@pytest.mark.parametrize("argv", [["--rho", ""], ["--rho="]])
+def test_empty_rho_exits_1(capsys, argv):
+    # an empty label names no row; it must not mean "every row"
+    code, out, err = run(capsys, "recover", "--q", "11", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: no row labeled ''\n"
+
+
 RHO_TEXT = st.one_of(
     st.text(max_size=12),
     st.tuples(st.sampled_from(["onedim", "steinberg", "principal",
@@ -449,6 +457,24 @@ def test_row_label_without_parameters_exits_3(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--sheet", str(path))
     assert (code, out) == (3, "")
     assert "label 'cuspidal:': cuspidal takes one parameter" in err
+
+
+@pytest.mark.parametrize("argv", [["table"], ["recover"], ["unipotent"]])
+def test_value_with_denominator_exits_3(capsys, tmp_path, argv):
+    # values lie in Z[zeta_N]: the class function 1/2 (every value of
+    # onedim:0 written as [1, 2, 0]) is refused at load, before any
+    # recovery runs
+    data = sheet_to_dict(build_gl2_sheet(11))
+    (row,) = [r for r in data["irreducibles"] if r["label"] == "onedim:0"]
+    for entries in row["values"].values():
+        for ent in entries:
+            assert ent["value"] == [[1, 1, 0]]
+            ent["value"] = [[1, 2, 0]]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--sheet", str(path))
+    assert (code, out) == (3, "")
+    assert "sheet rejected" in err and "has denominator 2" in err
 
 
 @pytest.mark.parametrize("key", ["dim", "zeta_level"])

@@ -107,18 +107,22 @@ def test_mul_hand_oracle_level5():
 
 
 def test_rational_helpers():
-    # int and Fraction operands of +, - and == are constants of the field
-    x = CycNum.from_terms(12, ((0, Fraction(-3, 6)),))
-    assert x == Fraction(-1, 2) and x != -1
-    assert x + 1 == Fraction(1, 2)
-    assert 1 - x == Fraction(3, 2)
-    assert x - Fraction(1, 2) == -1
+    # the rational constants of Z[zeta] are the integers: int operands of
+    # +, -, * and == are constants of the ring
+    x = CycNum.from_terms(12, ((0, -3), (12, 1)))
+    assert x == -2 and x != 2 and x != 0
+    assert x + 1 == -1
+    assert 1 - x == 3
+    assert x - 2 == -4
     assert 5 + root(9, 0) == root(9, 0) * 6
-    # division takes rationals only; the field has no inversion
-    assert root(12, 1) / 2 == root(12, 1) * Fraction(1, 2)
-    assert root(12, 1) / Fraction(2, 3) == root(12, 1) * Fraction(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        root(12, 1) / 0
+    assert 3 * root(12, 1) == root(12, 1) + root(12, 1) + root(12, 1)
+    # no Fraction operands and no division: the ring has no inversion
+    with pytest.raises(TypeError):
+        x + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        root(12, 1) / 2
     with pytest.raises(TypeError):
         root(12, 1) / root(12, 1)
 
@@ -141,16 +145,20 @@ def test_lift_examples():
 
 
 def test_str_and_triples_roundtrip():
-    x = CycNum.from_terms(12, {0: Fraction(1, 2), 2: -3})
+    x = CycNum.from_terms(12, {0: 2, 2: -3})
     t = x.to_triples()
-    assert t == [[1, 2, 0], [-3, 1, 2]]
+    assert t == [[2, 1, 0], [-3, 1, 2]]
     assert CycNum.from_triples(12, t) == x
+    assert str(x) == "2 - 3*z12^2"
+    assert str(-root(12, 1)) == "-z12"
     assert str(CycNum.zero(5)) == "0"
     assert str(root(5, 0)) == "1"
     with pytest.raises(ValueError):
         CycNum.from_triples(4, [[1, 1, 7]])  # power outside basis
-    with pytest.raises(ValueError):
-        CycNum.from_triples(4, [[1, 0, 0]])
+    # the middle slot is a denominator, and values lie in Z[zeta_N]
+    for d in (0, 2, -1):
+        with pytest.raises(ValueError, match=f"has denominator {d}"):
+            CycNum.from_triples(4, [[1, 1, 1], [1, d, 0]])
 
 
 # ---------------------------------------------------------- random values
@@ -165,8 +173,7 @@ def cycnums(draw, level=None):
     terms = []
     for _ in range(n_terms):
         e = draw(st.integers(0, 2 * N))
-        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
-        terms.append((e, c))
+        terms.append((e, draw(st.integers(-9, 9))))
     return CycNum.from_terms(N, terms)
 
 
@@ -203,21 +210,21 @@ def test_triples_roundtrip_random(x):
 
 
 @given(st.sampled_from(LEVELS), st.data())
-def test_integer_from_triples_matches_fraction_terms(N, data):
-    # powers may repeat and denominators mix; from_terms sums Fractions
+def test_from_triples_matches_from_terms(N, data):
+    # powers may repeat; from_terms sums the same integer terms
     phi = euler_phi(N)
     triples = data.draw(st.lists(
-        st.tuples(st.integers(-50, 50), st.integers(1, 12),
+        st.tuples(st.integers(-50, 50), st.just(1),
                   st.integers(0, phi - 1)), max_size=8))
     got = CycNum.from_triples(N, triples)
-    want = CycNum.from_terms(N, [(p, Fraction(n, d)) for n, d, p in triples])
-    assert (got.num, got.den) == (want.num, want.den)
+    want = CycNum.from_terms(N, [(p, n) for n, _, p in triples])
+    assert got.num == want.num
 
 
-def test_from_triples_sums_repeated_powers_over_mixed_denominators():
-    got = CycNum.from_triples(12, [[1, 2, 3], [1, 3, 3], [-1, 6, 0], [0, 5, 1]])
-    assert got == CycNum.from_terms(12, {3: Fraction(5, 6), 0: Fraction(-1, 6)})
-    assert (got.num, got.den) == ((-1, 0, 0, 5), 6)
+def test_from_triples_sums_repeated_powers():
+    got = CycNum.from_triples(12, [[1, 1, 3], [2, 1, 3], [-1, 1, 0], [0, 1, 1]])
+    assert got == CycNum.from_terms(12, {3: 3, 0: -1})
+    assert got.num == (-1, 0, 0, 3)
 
 
 def test_from_triples_takes_plain_ints_only():
@@ -297,12 +304,7 @@ def det_bareiss(m):
     exact in Z[zeta] (by the previous pivot, through its inverse)."""
     ctx = _context(m.level)
     n = m.nrows
-    scale = 1  # product of row denominators cleared upfront
-    mat = []
-    for row in m.entries:
-        d = math.lcm(*[x.den for x in row])
-        scale *= d
-        mat.append([tuple(v * (d // x.den) for v in x.num) for x in row])
+    mat = [[x.num for x in row] for row in m.entries]
     sign = 1
     prev = None
     zero = (0,) * ctx.phi
@@ -333,7 +335,7 @@ def det_bareiss(m):
     vec = mat[n - 1][n - 1]
     if sign < 0:
         vec = tuple(-v for v in vec)
-    return CycNum(m.level, vec, scale)
+    return CycNum(m.level, vec)
 
 
 def test_det_examples():
@@ -377,9 +379,9 @@ def test_det_bareiss_agrees_with_laplace():
                  for _ in range(5)] for _ in range(5)]
         m = CycMatrix(N, rows)
         assert det_bareiss(m) == m.det()
-    # and with rational denominators in the entries
-    rows = [[CycNum.from_terms(8, {rng.randrange(8): Fraction(rng.randint(-3, 3),
-                                                              rng.randint(1, 3))})
+    # and with several terms per entry
+    rows = [[CycNum.from_terms(8, {rng.randrange(8): rng.randint(-3, 3)
+                                   for _ in range(3)})
              for _ in range(5)] for _ in range(5)]
     m = CycMatrix(8, rows)
     assert det_bareiss(m) == m.det()

@@ -119,11 +119,16 @@ def test_indicator_function_has_no_expansion():
         sparse_decompose(f, ELL11)
 
 
-def test_fractional_values_have_no_expansion():
-    f = {e: CycNum.from_terms(10, ((0, Fraction(1, 2)),))
-         for e in regular_elements(SPLIT11)}
-    with pytest.raises(NoExpansionError, match="denominator"):
-        sparse_decompose(f, SPLIT11)
+def test_fractional_values_cannot_be_built():
+    # values lie in Z[zeta_N]: a rational or bool coordinate is refused
+    # where the value is made, so no search ever sees one
+    for bad in (Fraction(1, 2), True):
+        with pytest.raises(TypeError, match="is not an int"):
+            CycNum(10, [bad])
+        with pytest.raises(TypeError, match="is not an int"):
+            CycNum.from_terms(10, {0: bad})
+        with pytest.raises(TypeError, match="is not an int"):
+            CycNum.from_terms(10, [(3, 1), (0, bad)])
 
 
 def test_mixed_level_values_are_lifted():
