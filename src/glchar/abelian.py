@@ -73,11 +73,10 @@ class AbChar:
                    zip(self.cexps, exps, self.group.moduli, strict=True)) % L
 
 
-def enumerate_chars(G: FinAbGroup,
-                    budget: int = DEFAULT_BUDGET) -> Iterator[AbChar]:
-    if G.order > budget:
+def enumerate_chars(G: FinAbGroup) -> Iterator[AbChar]:
+    if G.order > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
-            f"group of order {G.order} exceeds budget {budget}")
+            f"group of order {G.order} exceeds budget {DEFAULT_BUDGET}")
     for cexps in product(*(range(m) for m in G.moduli)):
         yield AbChar(G, cexps)
 

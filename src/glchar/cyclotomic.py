@@ -308,14 +308,15 @@ class CycNum:
         Powers index the power basis (0 <= p < phi), so nothing is folded;
         powers may repeat.  The middle slot is a denominator kept by the
         file format: values lie in Z[zeta_N], so any d != 1 is refused
-        (ValueError).  bool and other int subclasses raise TypeError.
+        (ValueError).  A triple that is not three plain ints (bool and
+        other int subclasses included) raises TypeError: triples are
+        checked by triples_key, unless they are one of its keys already.
         """
+        key = triples if type(triples) is _TriplesKey else triples_key(triples)
         phi = _context(level).phi
         vec = [0] * phi
-        for t in triples:
+        for t in key:
             n, d, p = t
-            if type(n) is not int or type(d) is not int or type(p) is not int:
-                raise TypeError(f"triple {list(t)} is not three integers")
             if d != 1:
                 raise ValueError(f"triple {list(t)} has denominator {d}; "
                                  f"values lie in Z[zeta_{level}]")
@@ -323,6 +324,24 @@ class CycNum:
                 raise ValueError(f"power {p} outside basis range at level {level}")
             vec[p] += n
         return cls._raw(level, tuple(vec))
+
+
+class _TriplesKey(tuple):
+    """Value triples that triples_key has checked: a tuple of tuples of
+    three plain ints, hashable and compared as a tuple."""
+
+    __slots__ = ()
+
+
+def triples_key(triples: Iterable[Sequence[int]]) -> _TriplesKey:
+    """The checked, hashable form of value triples; TypeError unless each
+    is three plain ints.  Equal keys name equal values, so a loader can
+    intern on them: 1.0 and True never reach a key."""
+    key = _TriplesKey(map(tuple, triples))
+    for t in key:
+        if len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is int):
+            raise TypeError(f"triple {list(t)} is not three integers")
+    return key
 
 
 def _require_int(c) -> None:

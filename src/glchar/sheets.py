@@ -7,8 +7,9 @@ stored per dlog tuple rather than per conjugacy class, so the
 class-function property is a checkable invariant rather than an input
 assumption.
 
-Built-in generators cover GL_1 (any prime power q) and GL_2 (odd q, the
-classical value formulas); larger n can only arrive through load_sheet.
+Built-in generators cover GL_1 and GL_2 at any prime power q (for GL_2,
+the classical value formulas); larger n can only arrive through
+load_sheet.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .abelian import EnumerationBudgetError
-from .cyclotomic import CycNum, root
+from .cyclotomic import CycNum, root, triples_key
 from .tori import (
     GroupSpec,
     TorusType,
@@ -158,7 +159,7 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
 
 
 def build_gl2_sheet(q: int) -> CharacterSheet:
-    """GL_2 at odd q >= 3, from the classical value formulas.
+    """GL_2 at any prime power q, from the classical value formulas.
 
     Split values at regular dlogs (i, j), elliptic values at regular dlog a,
     all at level N = q^2 - 1:
@@ -169,13 +170,12 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
           (k, l)              + z^{(kj+li)(q+1)}
         cuspidal c   dim q-1  0                      -z^{c a} - z^{c q a}
 
-    The formulas are only trusted because the q=3 instance is checked
-    against an independently computed character table of the 48-element
-    matrix group (see the test suite); any mismatch there is a hard stop.
+    The table has this shape for every q, even or odd.  The test suite
+    checks the formulas row by row against characters induced from
+    explicit matrix subgroups at odd and even q, and at q=3 against a
+    Burnside-Dixon table of the 48-element group.
     """
     spec = GroupSpec(2, q)
-    if q % 2 == 0:
-        raise ValueError("built-in GL_2 sheet requires odd q")
     N = q * q - 1
     sp, el = enumerate_tori(spec)
     regs_sp = regular_elements(sp)
@@ -413,7 +413,7 @@ def sheet_from_dict(data) -> CharacterSheet:
                 key = elements.setdefault(key, key)
                 triples = need(ent, "value", list)
                 try:
-                    tkey = _triples_key(triples)
+                    tkey = triples_key(triples)
                     v = interned.get(tkey)
                     if v is None:
                         v = interned[tkey] = CycNum.from_triples(zeta_level,
@@ -435,15 +435,6 @@ def sheet_from_dict(data) -> CharacterSheet:
     if not report.ok:
         raise SheetValidationError(report)
     return sheet
-
-
-def _triples_key(triples: list) -> tuple[tuple[int, int, int], ...]:
-    """Hashable copy of value triples; TypeError unless each is three ints."""
-    key = tuple(map(tuple, triples))
-    for t in key:
-        if len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is int):
-            raise TypeError(f"triple {list(t)} is not three integers")
-    return key
 
 
 def sheet_to_json_text(sheet: CharacterSheet) -> str:

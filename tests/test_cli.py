@@ -304,6 +304,9 @@ PINNED_STDOUT = [
     # most torus inputs here are served by the twist memo
     (["recover", "--q", "17", "--json"],
      "401d8d76b2584a8d3c23eda44443e0f0afca284e8e1428d091258c122d2e59a6"),
+    # even q: F_16 has characteristic 2
+    (["recover", "--q", "16", "--json"],
+     "97778e53e32124c05c7d10a78e54b49cccd40766c1936e1714ad078c4fb14cec"),
 ]
 
 
@@ -324,9 +327,10 @@ def test_parallel_run_byte_identical(capsys, monkeypatch):
 # -- unipotent -----------------------------------------------------------
 
 def test_unipotent_lists_exactly_two_rows(capsys):
-    code, out, _ = run(capsys, "unipotent", "--q", "11")
-    assert code == 0
-    assert out.splitlines() == ["onedim:0", "steinberg:0"]
+    for q in ("11", "16"):
+        code, out, _ = run(capsys, "unipotent", "--q", q)
+        assert code == 0
+        assert out.splitlines() == ["onedim:0", "steinberg:0"], q
 
 
 def test_unipotent_json(capsys):
@@ -424,6 +428,33 @@ def test_table_out_file_roundtrips(capsys, tmp_path):
     assert "wrote" in out and "8 rows" in out
     reloaded = load_sheet(str(path))
     assert reloaded.labels() == build_gl2_sheet(3).labels()
+
+
+@pytest.mark.parametrize("q", ["2", "4", "8"])
+def test_table_out_file_reemits_byte_identical_at_even_q(capsys, tmp_path, q):
+    # at q = 2 the split torus has no regular elements: its value lists
+    # are empty
+    path = tmp_path / "sheet.json"
+    assert run(capsys, "table", "--q", q, "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "table", "--sheet", str(path), "--json")
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+
+
+def test_recover_q8_builds_the_sheet_and_fails_the_gate(capsys):
+    code, out, err = run(capsys, "recover", "--q", "8")
+    assert (code, out) == (2, "")
+    assert "density gate fails for GL_2(F_8)" in err
+
+
+def test_q16_sheet_file_recovers_like_the_builtin_sheet(capsys, tmp_path):
+    path = tmp_path / "sheet16.json"
+    assert run(capsys, "table", "--q", "16", "--out", str(path))[0] == 0
+    rho = ["--rho", "cuspidal:1"]
+    from_file = run(capsys, "recover", "--sheet", str(path), *rho)
+    builtin = run(capsys, "recover", "--q", "16", *rho)
+    assert from_file == builtin
+    assert builtin[0] == 0 and builtin[1].startswith("cuspidal:1 | ")
 
 
 def test_table_text_summary(capsys):

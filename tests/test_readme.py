@@ -26,7 +26,7 @@ def examples() -> list[tuple[str, str]]:
 
 def test_readme_examples_are_found():
     # a block reformatted past the pattern would otherwise drop out unseen
-    assert len(examples()) == 5
+    assert len(examples()) == 6
 
 
 @pytest.mark.parametrize("command,shown", examples(),

@@ -566,19 +566,44 @@ def test_unipotent_search_is_exhaustive(monkeypatch):
         is_unipotent(build_gl2_sheet(11), "onedim:3", validate=False)
 
 
-def test_unipotent_consistency_guard(monkeypatch):
-    import glchar.recovery as rec
+def constant_on_every_locus(sheet, label):
+    """Unipotence by its other characterisation: the row takes one value
+    on the regular locus of each torus."""
+    row = sheet.row(label)
+    return all(len(set(row.values[tt.blocks].values())) == 1
+               for tt in sheet.tori)
+
+
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_unipotent_flag_equals_constancy_on_every_row(q):
+    sheet = build_gl2_sheet(q)
+    for row in sheet.rows:
+        rep = recover_E(sheet, row.label, validate=False)
+        assert rep.unipotent == constant_on_every_locus(sheet, row.label), \
+            row.label
+
+
+def test_constant_root_of_unity_has_no_expansion():
+    # the row is constant (0 on the split locus, zeta on the elliptic one),
+    # but zeta * theta_0 is the only short expansion of the constant zeta,
+    # and its coefficient is not an integer
     sheet = build_gl2_sheet(11)
-    real = rec.recover_E
+    vals = sheet.row("cuspidal:1").values[ELL11.blocks]
+    for e in vals:
+        vals[e] = root(120, 1)
+    assert constant_on_every_locus(sheet, "cuspidal:1")
+    with pytest.raises(NoExpansionError):
+        is_unipotent(sheet, "cuspidal:1")
 
-    def lying(sheet, label, **kw):
-        rep = real(sheet, label, **kw)
-        return rec.RecoveryReport(rep.label, rep.expansions, rep.epsilon,
-                                  not rep.unipotent)
 
-    monkeypatch.setattr(rec, "recover_E", lying)
-    with pytest.raises(RecoveryInconsistencyError, match="constancy"):
-        is_unipotent(sheet, "steinberg:0", validate=False)
+def test_integer_constant_row_reads_unipotent():
+    sheet = build_gl2_sheet(11)
+    row = sheet.row("cuspidal:1")
+    for tt, c in ((SPLIT11, 3), (ELL11, -2)):
+        row.values[tt.blocks] = dict.fromkeys(row.values[tt.blocks],
+                                              root(120, 0) * c)
+    assert constant_on_every_locus(sheet, "cuspidal:1")
+    assert is_unipotent(sheet, "cuspidal:1")
 
 
 # -- gram_independence --------------------------------------------------------

@@ -73,13 +73,11 @@ def test_gl2_sheet_q3_shape():
     assert all(v == root(8, 0) for v in st0.values[sp.blocks].values())
     assert all(v == -1 for v in st0.values[el.blocks].values())
     with pytest.raises(ValueError):
-        build_gl2_sheet(4)
-    with pytest.raises(ValueError):
         build_sheet(3, 5)
 
 
 def test_gl2_row_count_general():
-    for q in (3, 5, 7, 11):
+    for q in (2, 3, 4, 5, 7, 8, 11, 16):
         sheet = build_gl2_sheet(q)
         assert len(sheet.rows) == q * q - 1
         assert sum(r.dim**2 for r in sheet.rows) == GroupSpec(2, q).group_order
@@ -304,6 +302,27 @@ def test_bool_integer_field_rejected(key):
     with pytest.raises(SheetFormatError) as exc:
         sheet_from_dict(data)
     assert f"key {key!r} has wrong type" in str(exc.value)
+
+
+def test_load_checks_each_value_once(monkeypatch):
+    # one triples check per entry, also for the entry that builds a value
+    import glchar.cyclotomic as cyc_mod
+    import glchar.sheets as sheets_mod
+    calls = []
+    real = cyc_mod.triples_key
+
+    def counting(triples):
+        calls.append(triples)
+        return real(triples)
+
+    monkeypatch.setattr(cyc_mod, "triples_key", counting)
+    monkeypatch.setattr(sheets_mod, "triples_key", counting)
+    data = sheet_to_dict(build_gl2_sheet(5))
+    sheet = sheet_from_dict(data)
+    entries = sum(len(vals) for r in sheet.rows for vals in r.values.values())
+    assert len(calls) == entries
+    assert CycNum.from_triples(24, [[1, 1, 0]]) == 1  # raw triples: checked
+    assert len(calls) == entries + 1
 
 
 def test_load_shares_equal_values_and_elements():
