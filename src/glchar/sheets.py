@@ -9,7 +9,8 @@ assumption.
 
 Built-in generators cover GL_1 and GL_2 at any prime power q (for GL_2,
 the classical value formulas); larger n can only arrive through
-load_sheet.
+load_sheet.  Sheet files are JSON: save_sheet writes format 2 (a table
+of distinct values plus index rows), load_sheet also reads version 1.
 """
 
 from __future__ import annotations
@@ -341,6 +342,15 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
 # ------------------------------------------------------ JSON serialization
 
 def sheet_from_dict(data) -> CharacterSheet:
+    """The validated sheet of a file's dict, in format 2 or version 1.
+
+    Both share the header checks, one CycNum per distinct value triples
+    and validate_sheet.  They differ in a row's list for one torus:
+    format 2 has indices into the file's "values" table, one per regular
+    element in regular_elements order; version 1 (no "format" key) has
+    {"element", "value"} entries.  SheetFormatError for a schema
+    violation, SheetValidationError for a sheet that fails validation.
+    """
     def need(d, key, kind):
         if not isinstance(d, dict) or key not in d:
             raise SheetFormatError(f"missing key {key!r}")
@@ -352,6 +362,9 @@ def sheet_from_dict(data) -> CharacterSheet:
 
     if need(data, "group", str) != "GL":
         raise SheetFormatError("group must be 'GL'")
+    v2 = "format" in data
+    if v2 and need(data, "format", int) != 2:
+        raise SheetFormatError("format must be 2, or absent for version 1")
     n = need(data, "n", int)
     q = need(data, "q", int)
     # before GroupSpec and zeta_level_for: a larger group can never be
@@ -382,8 +395,60 @@ def sheet_from_dict(data) -> CharacterSheet:
     # type-checked first, so 1.0 or True never hits the entry of a 1.
     elements: dict[tuple[int, ...], tuple[int, ...]] = {}
     interned: dict[tuple[tuple[int, int, int], ...], CycNum] = {}
+
+    def value(triples, where: str) -> CycNum:
+        try:
+            tkey = triples_key(triples)
+            v = interned.get(tkey)
+            if v is None:
+                v = interned[tkey] = CycNum.from_triples(zeta_level, tkey)
+            return v
+        except (ValueError, TypeError) as err:
+            raise SheetFormatError(
+                f"{where}: bad value triples: {err}") from None
+
+    def from_indices(indices: list, tt: TorusType, where: str) -> ValueMap:
+        regs = regular_elements(tt)
+        if len(indices) != len(regs):
+            raise SheetFormatError(f"{where}: {len(indices)} indices for "
+                                   f"{len(regs)} regular elements")
+        size = len(table)
+        if not all(type(i) is int and 0 <= i < size for i in indices):
+            raise SheetFormatError(f"{where}: an index is not an int in "
+                                   f"range({size})")
+        return dict(zip(regs, map(table.__getitem__, indices)))
+
+    def from_entries(entries: list, tt: TorusType, where: str) -> ValueMap:
+        grp = points(tt)
+        # before any entry is parsed: more entries than points must repeat one
+        if len(entries) > grp.order:
+            raise SheetFormatError(f"{where}: {len(entries)} entries for "
+                                   f"{grp.order} points")
+        vals: ValueMap = {}
+        rank = len(grp.moduli)
+        for ent in entries:
+            e = need(ent, "element", list)
+            key = tuple(e)
+            if len(key) != rank or not all(type(x) is int for x in key):
+                raise SheetFormatError(f"{where}: bad element {e}")
+            key = elements.setdefault(key, key)
+            v = value(need(ent, "value", list), where)
+            if key in vals:
+                raise SheetFormatError(f"{where}: duplicate element {key}")
+            vals[key] = v
+        return vals
+
+    items = need(data, "irreducibles", list)
+    if v2:
+        table = need(data, "values", list)
+        # before any value is parsed: each value fills at least one slot
+        slots = len(items) * sum(len(regular_elements(tt)) for tt in tori)
+        if len(table) > slots:
+            raise SheetFormatError(f"{len(table)} values for {slots} slots "
+                                   f"(rows times regular elements)")
+        table = [value(t, "values") for t in table]
     rows = []
-    for item in need(data, "irreducibles", list):
+    for item in items:
         label = need(item, "label", str)
         dim = need(item, "dim", int)
         values_in = need(item, "values", dict)
@@ -392,41 +457,11 @@ def sheet_from_dict(data) -> CharacterSheet:
             if tt.label not in values_in:
                 raise SheetFormatError(
                     f"row {label!r}: no values for torus {tt.label}")
-            vals: ValueMap = {}
             entries = values_in[tt.label]
             if not isinstance(entries, list):
                 raise SheetFormatError(f"row {label!r}: values must be a list")
-            grp = points(tt)
-            # before any entry is parsed: more entries than points must
-            # repeat one
-            if len(entries) > grp.order:
-                raise SheetFormatError(
-                    f"row {label!r}, torus {tt.label}: {len(entries)} "
-                    f"entries for {grp.order} points")
-            rank = len(grp.moduli)
-            for ent in entries:
-                e = need(ent, "element", list)
-                key = tuple(e)
-                if len(key) != rank or not all(type(x) is int for x in key):
-                    raise SheetFormatError(
-                        f"row {label!r}, torus {tt.label}: bad element {e}")
-                key = elements.setdefault(key, key)
-                triples = need(ent, "value", list)
-                try:
-                    tkey = triples_key(triples)
-                    v = interned.get(tkey)
-                    if v is None:
-                        v = interned[tkey] = CycNum.from_triples(zeta_level,
-                                                                 tkey)
-                except (ValueError, TypeError) as err:
-                    raise SheetFormatError(
-                        f"row {label!r}: bad value triples: {err}") from None
-                if key in vals:
-                    raise SheetFormatError(
-                        f"row {label!r}, torus {tt.label}: duplicate "
-                        f"element {key}")
-                vals[key] = v
-            values[tt.blocks] = vals
+            values[tt.blocks] = (from_indices if v2 else from_entries)(
+                entries, tt, f"row {label!r}, torus {tt.label}")
         if set(values_in) - {tt.label for tt in tori}:
             raise SheetFormatError(f"row {label!r}: values for unknown tori")
         rows.append(SheetRow(label, dim, values))
@@ -438,54 +473,37 @@ def sheet_from_dict(data) -> CharacterSheet:
 
 
 def sheet_to_json_text(sheet: CharacterSheet) -> str:
-    """Deterministic JSON rendering; files are byte-comparable.
+    """The format 2 text of a sheet: json.dumps of the layout in README.md
+    with separators (",", ":"), one line, then a newline.
 
-    The text equals json.dumps(d, indent=1) + "\n" for the file's dict d
-    (the layout in README.md, entries in sorted element order).  It is
-    assembled from pieces: every entry's element and value sit at the
-    same depth, so each distinct element tuple and value object is
-    rendered once there (memoized by identity; build and load share them)
-    and the rows are joined around them.
+    Each distinct value is written once to the "values" table, in order of
+    first appearance (rows, then tori, then elements in sorted order), and
+    the rows hold indices into it.  A value is looked up by id first
+    (rows share value objects, so this is the common hit) and then by
+    value, so a built sheet and its reload give the same bytes.
     """
-    dumps = json.dumps
-    entry_depth = "\n      "
-    texts: dict[int, str] = {}  # id(element or value) -> JSON at entry depth
+    table: list[list[list[int]]] = []
+    by_id: dict[int, int] = {}
+    by_value: dict[CycNum, int] = {}
 
-    def text(obj, as_json) -> str:
-        t = texts.get(id(obj))
-        if t is None:
-            t = texts[id(obj)] = dumps(as_json(obj),
-                                       indent=1).replace("\n", entry_depth)
-        return t
+    def index(v: CycNum) -> int:
+        i = by_id.get(id(v))
+        if i is None:
+            i = by_id[id(v)] = by_value.setdefault(v, len(table))
+            if i == len(table):
+                table.append(v.to_triples())
+        return i
 
-    def triples(v: CycNum) -> list[list[int]]:
-        return v.to_triples()
-
-    def block(brackets: str, items: list[str], depth: int) -> str:
-        # a container laid out as indent=1 does, closed at the given depth
-        if not items:
-            return brackets
-        return (f"{brackets[0]}\n" + ",\n".join(items) + "\n"
-                + " " * depth + brackets[1])
-
-    rows = []
-    for r in sheet.rows:
-        values = {}
-        for tt in sheet.tori:
-            vals = r.values[tt.blocks]
-            values[tt.label] = block("[]", [
-                f'     {{\n      "element": {text(e, list)},'
-                f'\n      "value": {text(vals[e], triples)}'
-                f'\n     }}' for e in sorted(vals)], 4)
-        body = block("{}", [f"    {dumps(k)}: {v}" for k, v in values.items()],
-                     3)
-        rows.append(f'  {{\n   "label": {dumps(r.label)},\n   "dim": '
-                    f'{dumps(r.dim)},\n   "values": {body}\n  }}')
-    head = dumps({"group": "GL", "n": sheet.spec.n, "q": sheet.spec.q,
-                  "zeta_level": sheet.zeta_level,
-                  "tori": [t.label for t in sheet.tori]}, indent=1)
-    return (f'{head[:-2]},\n "irreducibles": {block("[]", rows, 1)}'
-            "\n}\n")
+    irreducibles = [
+        {"label": r.label, "dim": r.dim,
+         "values": {tt.label: [index(vals[e]) for e in sorted(vals)]
+                    for tt in sheet.tori for vals in [r.values[tt.blocks]]}}
+        for r in sheet.rows]
+    return json.dumps({"format": 2, "group": "GL", "n": sheet.spec.n,
+                       "q": sheet.spec.q, "zeta_level": sheet.zeta_level,
+                       "tori": [t.label for t in sheet.tori],
+                       "values": table, "irreducibles": irreducibles},
+                      separators=(",", ":")) + "\n"
 
 
 def save_sheet(sheet: CharacterSheet, path: str) -> None:

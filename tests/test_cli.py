@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 import glchar.cli as cli
 from glchar.cli import main
 from glchar.cyclotomic import CycNum, root
-from glchar.sheets import build_gl1_sheet, build_gl2_sheet, save_sheet, load_sheet
+from glchar.sheets import (SheetFormatError, build_gl1_sheet, build_gl2_sheet,
+                           load_sheet, save_sheet, sheet_from_dict)
 from glchar.tori import GroupSpec, torus_from_label
 
 from oracle_conjugacy import weyl_orbit
-from oracle_sheet_dict import sheet_to_dict
+from oracle_sheet_dict import sheet_to_dict, sheet_to_dict_v2, v1_text
 
 
 def run(capsys, *argv):
@@ -430,10 +431,10 @@ def test_table_out_file_roundtrips(capsys, tmp_path):
     assert reloaded.labels() == build_gl2_sheet(3).labels()
 
 
-@pytest.mark.parametrize("q", ["2", "4", "8"])
+@pytest.mark.parametrize("q", ["2", "4", "8", "17"])
 def test_table_out_file_reemits_byte_identical_at_even_q(capsys, tmp_path, q):
-    # at q = 2 the split torus has no regular elements: its value lists
-    # are empty
+    # at q = 2 the split torus has no regular elements: its index rows
+    # are empty; q = 17 is the sheet-roundtrip benchmark's sheet
     path = tmp_path / "sheet.json"
     assert run(capsys, "table", "--q", q, "--out", str(path))[0] == 0
     code, out, _ = run(capsys, "table", "--sheet", str(path), "--json")
@@ -453,6 +454,39 @@ def test_q16_sheet_file_recovers_like_the_builtin_sheet(capsys, tmp_path):
     rho = ["--rho", "cuspidal:1"]
     from_file = run(capsys, "recover", "--sheet", str(path), *rho)
     builtin = run(capsys, "recover", "--q", "16", *rho)
+    assert from_file == builtin
+    assert builtin[0] == 0 and builtin[1].startswith("cuspidal:1 | ")
+
+
+@pytest.mark.parametrize("q", [3, 11, 16])
+def test_version_1_file_reads_like_format_2(capsys, tmp_path, q):
+    # files written before format 2 have no "format" key and one
+    # {"element", "value"} entry per regular element
+    sheet = build_gl2_sheet(q)
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(v1_text(sheet))
+    save_sheet(sheet, str(v2))
+    assert v1.read_text().startswith('{\n "group": "GL",\n "n": 2,')
+    if q == 11:  # the bytes `table --q 11 --out` wrote before format 2
+        assert hashlib.sha256(v1.read_bytes()).hexdigest() == (
+            "aa2948fed6100452b013a076325f835924db99c9076b1fb50ddb89d620573562")
+    assert load_sheet(str(v1)) == load_sheet(str(v2)) == sheet
+    from_v1 = run(capsys, "recover", "--sheet", str(v1), "--json")
+    assert from_v1 == run(capsys, "recover", "--sheet", str(v2), "--json")
+    assert from_v1 == run(capsys, "recover", "--q", str(q), "--json")
+    assert from_v1[0] == (2 if q == 3 else 0)  # q = 3 fails the gate
+    assert (run(capsys, "table", "--sheet", str(v1), "--json")
+            == run(capsys, "table", "--q", str(q), "--json"))
+
+
+def test_q32_sheet_file_recovers_like_the_builtin_sheet(capsys, tmp_path):
+    # 1,023 rows at level 1023: the format 2 file is small enough to write
+    # and reload in a test
+    path = tmp_path / "sheet32.json"
+    assert run(capsys, "table", "--q", "32", "--out", str(path))[0] == 0
+    rho = ["--rho", "cuspidal:1"]
+    from_file = run(capsys, "recover", "--sheet", str(path), *rho)
+    builtin = run(capsys, "recover", "--q", "32", *rho)
     assert from_file == builtin
     assert builtin[0] == 0 and builtin[1].startswith("cuspidal:1 | ")
 
@@ -545,19 +579,72 @@ def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q):
     # validated, so the header alone rejects the file, before the trial
     # division of q and the partitions of n (the subprocess timeout only
     # guards against a hang)
+    # in version 1 and in format 2
+    for extra in ({}, {"format": 2, "values": []}):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"group": "GL", "n": n, "q": q,
+                                    "zeta_level": 1, "tori": [],
+                                    "irreducibles": [], **extra}))
+        argv = ["recover", "--sheet", str(path)]
+        proc = subprocess.run([sys.executable, "-m", "glchar", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "sheet rejected" in err
+
+
+def _put(*path, value):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+# GL_2(F_3) in format 2: 6 distinct values; 8 rows and 2 + 6 regular
+# elements, so 64 value slots
+ROW = ("irreducibles", 0, "values", "2")
+BAD_INDEX = "an index is not an int in range(6)"
+HOSTILE_V2 = {
+    "index out of range": (_put(*ROW, 0, value=6), BAD_INDEX),
+    "negative index": (_put(*ROW, 0, value=-1), BAD_INDEX),
+    "bool index": (_put(*ROW, 0, value=True), BAD_INDEX),
+    "float index": (_put(*ROW, 0, value=0.0), BAD_INDEX),
+    "short index row": (_put(*ROW, value=[0] * 5),
+                        "5 indices for 6 regular elements"),
+    "long index row": (_put(*ROW, value=[0] * 7),
+                       "7 indices for 6 regular elements"),
+    # refused on its length: none of its entries is a triples list
+    "values longer than slots": (_put("values", value=[0] * 65),
+                                 "65 values for 64 slots"),
+    "bad triple in values": (_put("values", 1, value=[[1.0, 1, 0]]),
+                             "values: bad value triples"),
+    "format true": (_put("format", value=True), "key 'format' has wrong type"),
+    "format 3": (_put("format", value=3),
+                 "format must be 2, or absent for version 1"),
+    "format string": (_put("format", value="2"),
+                      "key 'format' has wrong type"),
+    "no values": (lambda data: data.pop("values"), "missing key 'values'"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_V2))
+def test_hostile_format_2_sheet_exits_3(capsys, tmp_path, case):
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
+    assert len(data["values"]) == 6
+    mutate, message = HOSTILE_V2[case]
+    mutate(data)
+    with pytest.raises(SheetFormatError) as exc:
+        sheet_from_dict(data)
+    assert message in str(exc.value)
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps({"group": "GL", "n": n, "q": q,
-                                "zeta_level": 1, "tori": [],
-                                "irreducibles": []}))
-    argv = ["recover", "--sheet", str(path)]
-    proc = subprocess.run([sys.executable, "-m", "glchar", *argv],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3, proc.stderr
-    start = time.perf_counter()
-    code, _, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert "sheet rejected" in err
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "recover", "--sheet", str(path))
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_unrecoverable_class_function_exits_4(capsys, tmp_path):

@@ -18,6 +18,9 @@ from pathlib import Path
 
 import glchar
 import glchar.cli as cli
+from glchar.sheets import build_gl2_sheet
+
+from oracle_sheet_dict import v1_text
 
 SRC = Path(glchar.__file__).resolve().parent
 
@@ -39,6 +42,7 @@ TRAFFIC = [
     ["table", "--q", "3", "--out", "{sheet}"],
     ["table", "--sheet", "{sheet}"],
     ["recover", "--sheet", "{sheet}", "--rho", "onedim:1"],
+    ["recover", "--sheet", "{v1_sheet}", "--rho", "onedim:1"],  # version 1
     ["frobnicate"],                       # usage error: argparse
     ["recover", "--q", "6"],              # usage error: not a prime power
 ]
@@ -90,6 +94,8 @@ def clear_caches():
 
 def entered_code(tmp_path, capsys) -> set[tuple[str, int]]:
     sheet = str(tmp_path / "sheet.json")
+    v1_sheet = tmp_path / "v1.json"
+    v1_sheet.write_text(v1_text(build_gl2_sheet(3)))
     seen = set()
 
     def profile(frame, event, arg):
@@ -101,7 +107,8 @@ def entered_code(tmp_path, capsys) -> set[tuple[str, int]]:
     sys.setprofile(profile)
     try:
         for argv in TRAFFIC:
-            cli.main([a.format(sheet=sheet) for a in argv])
+            cli.main([a.format(sheet=sheet, v1_sheet=v1_sheet)
+                      for a in argv])
     finally:
         sys.setprofile(previous)
     capsys.readouterr()

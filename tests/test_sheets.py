@@ -27,7 +27,7 @@ from glchar.tori import GroupSpec, enumerate_tori, regular_elements
 
 import oracle_dixon
 from oracle_conjugacy import weyl_orbit
-from oracle_sheet_dict import sheet_to_dict
+from oracle_sheet_dict import sheet_to_dict, sheet_to_dict_v2, v1_text, v2_text
 
 
 def test_label_canonicalization():
@@ -212,12 +212,15 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_sheet_value_triples_are_numerator_denominator_power():
     # the order the README documents for the file format
-    d = json.loads(sheet_to_json_text(build_gl2_sheet(11)))
+    sheet = build_gl2_sheet(11)
+    d = json.loads(sheet_to_json_text(sheet))
     assert d["zeta_level"] == 120
     rows = {r["label"]: r["values"]["2"] for r in d["irreducibles"]}
+    regs = regular_elements(sheet.tori[1])
 
     def value_at(label, exps):
-        return next(v["value"] for v in rows[label] if v["element"] == exps)
+        # index rows follow regular_elements order
+        return d["values"][rows[label][regs.index(tuple(exps))]]
 
     assert value_at("onedim:1", [1]) == [[1, 1, 12]]  # zeta^12
     assert value_at("cuspidal:1", [1]) == [[-1, 1, 1], [-1, 1, 11]]
@@ -225,17 +228,17 @@ def test_sheet_value_triples_are_numerator_denominator_power():
     assert CycNum.from_terms(120, {5: -3}).to_triples() == [[-3, 1, 5]]
 
 
-def _oracle_text(sheet):
-    return json.dumps(sheet_to_dict(sheet), indent=1) + "\n"
-
-
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 11), (2, 13),
                                  (1, 4), (1, 5)])
 def test_emitter_matches_json_dumps(n, q):
     sheet = build_sheet(n, q)
-    assert sheet_to_json_text(sheet) == _oracle_text(sheet)
-    loaded = sheet_from_dict(json.loads(_oracle_text(sheet)))
-    assert sheet_to_json_text(loaded) == _oracle_text(sheet)
+    assert sheet_to_json_text(sheet) == v2_text(sheet)
+    # a version 1 file and a format 2 file reload to sheets that emit the
+    # same bytes
+    for text in (v1_text(sheet), v2_text(sheet)):
+        loaded = sheet_from_dict(json.loads(text))
+        assert loaded == sheet
+        assert sheet_to_json_text(loaded) == v2_text(sheet)
 
 
 def test_emitter_matches_json_dumps_on_direct_sheets():
@@ -246,18 +249,23 @@ def test_emitter_matches_json_dumps_on_direct_sheets():
     row = SheetRow('say "hé"', 1,
                    {tt.blocks: {e: values[i % 3]
                                 for i, e in enumerate(regs)}})
-    # new element tuples and values in every slot: nothing shared
+    # new element tuples and values in every slot: nothing shared by id,
+    # and equal values in distinct objects
     fresh = SheetRow("fresh", 2, {tt.blocks: {
         (e[0],): CycNum.from_terms(4, {e[0]: 3 * e[0] - 5})
         for e in regs}})
+    twins = SheetRow("twins", 1, {tt.blocks: {
+        e: CycNum.from_terms(4, {1: 2, 0: -3}) for e in regs}})
     empty = SheetRow("empty", 1, {tt.blocks: {}})
     no_tori = SheetRow("no tori", 1, {})
-    for sheet in (CharacterSheet(spec, 4, (tt,), [row, fresh, empty]),
+    for sheet in (CharacterSheet(spec, 4, (tt,), [row, fresh, twins, empty]),
                   CharacterSheet(spec, 4, (tt,), []),
                   CharacterSheet(spec, 4, (), [no_tori])):
-        assert sheet_to_json_text(sheet) == _oracle_text(sheet)
-    assert '"label": "say \\"h\\u00e9\\""' in sheet_to_json_text(
-        CharacterSheet(spec, 4, (tt,), [row]))
+        assert sheet_to_json_text(sheet) == v2_text(sheet)
+    text = sheet_to_json_text(CharacterSheet(spec, 4, (tt,), [row, twins]))
+    assert '"label":"say \\"h\\u00e9\\""' in text
+    assert json.loads(text)["values"] == [[[-3, 1, 0], [2, 1, 1]], [[1, 1, 0]],
+                                          []]
 
 
 @pytest.mark.parametrize("bad", [[1.0, 1, 0], ["1", 1, 0], [True, 1, 0],
@@ -305,7 +313,8 @@ def test_bool_integer_field_rejected(key):
 
 
 def test_load_checks_each_value_once(monkeypatch):
-    # one triples check per entry, also for the entry that builds a value
+    # version 1: one triples check per entry, also for the entry that
+    # builds a value; format 2: one per entry of the values table
     import glchar.cyclotomic as cyc_mod
     import glchar.sheets as sheets_mod
     calls = []
@@ -317,12 +326,15 @@ def test_load_checks_each_value_once(monkeypatch):
 
     monkeypatch.setattr(cyc_mod, "triples_key", counting)
     monkeypatch.setattr(sheets_mod, "triples_key", counting)
-    data = sheet_to_dict(build_gl2_sheet(5))
-    sheet = sheet_from_dict(data)
+    sheet = sheet_from_dict(sheet_to_dict(build_gl2_sheet(5)))
     entries = sum(len(vals) for r in sheet.rows for vals in r.values.values())
     assert len(calls) == entries
     assert CycNum.from_triples(24, [[1, 1, 0]]) == 1  # raw triples: checked
     assert len(calls) == entries + 1
+    calls.clear()
+    data = sheet_to_dict_v2(build_gl2_sheet(5))
+    assert sheet_from_dict(data) == sheet
+    assert len(calls) == len(data["values"]) < entries
 
 
 def test_load_shares_equal_values_and_elements():
