@@ -7,10 +7,10 @@ stored per dlog tuple rather than per conjugacy class, so the
 class-function property is a checkable invariant rather than an input
 assumption.
 
-Built-in generators cover GL_1 and GL_2 at any prime power q (for GL_2,
-the classical value formulas); larger n can only arrive through
-load_sheet.  Sheet files are JSON: save_sheet writes format 2 (a table
-of distinct values plus index rows), load_sheet also reads version 1.
+Built-in generators cover GL_1 and GL_2 at any prime power q (GL_2 by
+the classical value formulas over tables keyed by exponent residue);
+larger n arrives only through load_sheet.  save_sheet writes JSON format
+2 (distinct values plus index rows); load_sheet also reads version 1.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import attrgetter
 from typing import Iterable
 
 from .abelian import EnumerationBudgetError
@@ -34,6 +36,7 @@ from .tori import (
 )
 
 FAMILIES = ("onedim", "steinberg", "principal", "cuspidal")
+_level = attrgetter("level")
 
 
 class SheetFormatError(ValueError):
@@ -151,10 +154,11 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     (tt,) = enumerate_tori(spec)
     N = q - 1
     regs = regular_elements(tt)
+    roots = [root(N, m) for m in range(N)]
     rows = []
     for k in range(q - 1):
         label = IrrLabel.make(spec, "onedim", (k,))
-        vals = {e: root(N, k * e[0]) for e in regs}
+        vals = dict(zip(regs, [roots[k * e % N] for (e,) in regs]))
         rows.append(SheetRow(label.format(), 1, {tt.blocks: vals}))
     return CharacterSheet(spec, N, (tt,), rows)
 
@@ -175,53 +179,57 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
     checks the formulas row by row against characters induced from
     explicit matrix subgroups at odd and even q, and at q=3 against a
     Burnside-Dixon table of the 48-element group.
+
+    A value depends on its slot only through a residue: m = k(i+j) or ka
+    mod q-1, (u, v) = (ki+lj, kj+li) mod q-1, or ca mod N.  Rows read
+    tables keyed by residue, and each distinct value is one CycNum.
     """
     spec = GroupSpec(2, q)
     N = q * q - 1
+    r = q - 1
     sp, el = enumerate_tori(spec)
     regs_sp = regular_elements(sp)
     regs_el = regular_elements(el)
-    zero = CycNum.zero(N)
 
-    labels: list[IrrLabel] = []
-    labels += [IrrLabel.make(spec, "onedim", (k,)) for k in range(q - 1)]
-    labels += [IrrLabel.make(spec, "steinberg", (k,)) for k in range(q - 1)]
+    labels = [IrrLabel.make(spec, fam, (k,))
+              for fam in ("onedim", "steinberg") for k in range(q - 1)]
     labels += [IrrLabel.make(spec, "principal", (k, l))
                for k in range(q - 1) for l in range(k + 1, q - 1)]
-    labels += sorted({IrrLabel.make(spec, "cuspidal", (c,))
-                      for c in range(1, N) if c % (q + 1)},
-                     key=IrrLabel.sort_key)
+    labels += {IrrLabel.make(spec, "cuspidal", (c,))
+               for c in range(1, N) if c % (q + 1)}
 
-    # Every value is sign * (sum of roots); there are only O(N) distinct
-    # ones, so each is computed once and the rows share the immutable
-    # CycNum.  The key is the sign and the sorted exponents mod N.
-    memo: dict[tuple[int, ...], CycNum] = {}
+    interned: dict[CycNum, CycNum] = {}
 
+    @cache
     def val(sign: int, *exps: int) -> CycNum:
-        key = (sign, *sorted(e % N for e in exps))
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = CycNum.from_terms(N, [(e, sign) for e in key[1:]])
-        return v
+        v = CycNum.from_terms(N, [(e, sign) for e in exps])
+        return interned.setdefault(v, v)
+
+    det = {s: [[val(s, k * m % r * (q + 1)) for m in range(r)]
+               for k in range(r)] for s in (1, -1)}
+    pair = cache(lambda x: val(1, x // r * (q + 1), x % r * (q + 1)))
+    cusp = cache(lambda m: val(-1, m, m * q))
+    sums = [(i + j) % r for i, j in regs_sp]
+    ells = [a % r for (a,) in regs_el]
 
     rows = []
     for lab in sorted(labels, key=IrrLabel.sort_key):
         fam, par = lab.family, lab.params
         if fam == "onedim" or fam == "steinberg":
-            k = par[0]
-            sign = 1 if fam == "onedim" else -1
-            vsp = {e: val(1, k * (e[0] + e[1]) * (q + 1)) for e in regs_sp}
-            vel = {e: val(sign, k * e[0] * (q + 1)) for e in regs_el}
+            k, s = par[0], 1 if fam == "onedim" else -1
+            vsp = dict(zip(regs_sp, map(det[1][k].__getitem__, sums)))
+            vel = dict(zip(regs_el, map(det[s][k].__getitem__, ells)))
         elif fam == "principal":
             k, l = par
-            vsp = {e: val(1, (k * e[0] + l * e[1]) * (q + 1),
-                          (k * e[1] + l * e[0]) * (q + 1))
-                   for e in regs_sp}
-            vel = dict.fromkeys(regs_el, zero)
+            vsp = dict(zip(regs_sp, map(pair, [
+                (k * i + l * j) % r * r + (k * j + l * i) % r
+                for i, j in regs_sp])))
+            vel = dict.fromkeys(regs_el, val(1))
         else:
             c = par[0]
-            vsp = dict.fromkeys(regs_sp, zero)
-            vel = {e: val(-1, c * e[0], c * q * e[0]) for e in regs_el}
+            vsp = dict.fromkeys(regs_sp, val(1))
+            vel = dict(zip(regs_el, map(cusp, [c * a % N
+                                               for (a,) in regs_el])))
         rows.append(SheetRow(lab.format(), lab.dim(spec),
                              {sp.blocks: vsp, el.blocks: vel}))
     return CharacterSheet(spec, N, (sp, el), rows)
@@ -304,6 +312,14 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
 
     classes = {tt.blocks: _regular_classes(tt) for tt in sheet.tori}
     reg_sets = {tt.blocks: set(regular_elements(tt)) for tt in sheet.tori}
+    # class functions satisfy f == f o succ, succ[p] the next element after
+    # regs[p] in its class's cycle; levels first, as == raises across levels
+    succ: dict[tuple[int, ...], list[int]] = {}
+    for tt in sheet.tori:
+        pos = {e: p for p, e in enumerate(regular_elements(tt))}
+        nxt = {e: e1 for cls in classes[tt.blocks]
+               for e, e1 in zip(cls, cls[1:] + cls[:1])}
+        succ[tt.blocks] = [pos[nxt[e]] for e in regular_elements(tt)]
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
             bad.append(f"row {r.label}: value maps keyed by "
@@ -312,6 +328,12 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
         for tt in sheet.tori:
             vals = r.values[tt.blocks]
             regs = regular_elements(tt)
+            vs = (list(vals.values()) if tuple(vals) == regs
+                  else list(map(vals.__getitem__, regs))
+                  if set(vals) == reg_sets[tt.blocks] else None)
+            if (vs is not None and set(map(_level, vs)) <= {sheet.zeta_level}
+                    and vs == list(map(vs.__getitem__, succ[tt.blocks]))):
+                continue
             missing = [e for e in regs if e not in vals]
             extra = [e for e in vals if e not in reg_sets[tt.blocks]]
             if missing:
@@ -412,10 +434,10 @@ def sheet_from_dict(data) -> CharacterSheet:
         if len(indices) != len(regs):
             raise SheetFormatError(f"{where}: {len(indices)} indices for "
                                    f"{len(regs)} regular elements")
-        size = len(table)
-        if not all(type(i) is int and 0 <= i < size for i in indices):
+        if indices and (set(map(type, indices)) != {int}  # True is an int
+                        or min(indices) < 0 or max(indices) >= len(table)):
             raise SheetFormatError(f"{where}: an index is not an int in "
-                                   f"range({size})")
+                                   f"range({len(table)})")
         return dict(zip(regs, map(table.__getitem__, indices)))
 
     def from_entries(entries: list, tt: TorusType, where: str) -> ValueMap:
@@ -494,10 +516,18 @@ def sheet_to_json_text(sheet: CharacterSheet) -> str:
                 table.append(v.to_triples())
         return i
 
+    def indices(vals: ValueMap, tt: TorusType) -> list[int]:
+        vs = (list(vals.values()) if tuple(vals) == regular_elements(tt)
+              else [vals[e] for e in sorted(vals)])
+        out = list(map(by_id.get, map(id, vs)))
+        if None in out:
+            out = [index(v) if i is None else i for i, v in zip(out, vs)]
+        return out
+
     irreducibles = [
         {"label": r.label, "dim": r.dim,
-         "values": {tt.label: [index(vals[e]) for e in sorted(vals)]
-                    for tt in sheet.tori for vals in [r.values[tt.blocks]]}}
+         "values": {tt.label: indices(r.values[tt.blocks], tt)
+                    for tt in sheet.tori}}
         for r in sheet.rows]
     return json.dumps({"format": 2, "group": "GL", "n": sheet.spec.n,
                        "q": sheet.spec.q, "zeta_level": sheet.zeta_level,

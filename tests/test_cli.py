@@ -308,6 +308,11 @@ PINNED_STDOUT = [
     # even q: F_16 has characteristic 2
     (["recover", "--q", "16", "--json"],
      "97778e53e32124c05c7d10a78e54b49cccd40766c1936e1714ad078c4fb14cec"),
+    # format 2 sheet bytes
+    (["table", "--q", "13", "--json"],
+     "507b28ac80afcf784e5bae9900184fc40664dabfc1d6e88b0ca1de583ff75df9"),
+    (["table", "--q", "16", "--json"],
+     "99f625148eb2eb6129e7111ec4b36ececa61dce8cdbf3efb16fbbebb0e4702b4"),
 ]
 
 
@@ -613,6 +618,10 @@ HOSTILE_V2 = {
     "negative index": (_put(*ROW, 0, value=-1), BAD_INDEX),
     "bool index": (_put(*ROW, 0, value=True), BAD_INDEX),
     "float index": (_put(*ROW, 0, value=0.0), BAD_INDEX),
+    "bool index last": (_put(*ROW, -1, value=True), BAD_INDEX),
+    "huge index": (_put(*ROW, 0, value=10**30), BAD_INDEX),
+    "empty index row": (_put(*ROW, value=[]),
+                        "0 indices for 6 regular elements"),
     "short index row": (_put(*ROW, value=[0] * 5),
                         "5 indices for 6 regular elements"),
     "long index row": (_put(*ROW, value=[0] * 7),

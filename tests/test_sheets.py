@@ -23,9 +23,15 @@ from glchar.sheets import (
     validate_sheet,
     zeta_level_for,
 )
-from glchar.tori import GroupSpec, enumerate_tori, regular_elements
+from glchar.tori import (
+    GroupSpec,
+    enumerate_tori,
+    is_prime_power,
+    regular_elements,
+)
 
 import oracle_dixon
+import oracle_formulas
 from oracle_conjugacy import weyl_orbit
 from oracle_sheet_dict import sheet_to_dict, sheet_to_dict_v2, v1_text, v2_text
 
@@ -135,6 +141,120 @@ def test_validate_class_function_violation_text(q, blocks, label, planted,
     vals = sheet.row(label).values[blocks]
     vals[planted] = vals[planted] + 1
     assert validate_sheet(sheet).violations == (text,)
+
+
+def _reverse_maps(sheet):
+    """The sheet with every row's maps re-inserted in reverse order, so no
+    value map has its keys in regular_elements order."""
+    for r in sheet.rows:
+        r.values = {b: dict(reversed(m.items()))
+                    for b, m in reversed(r.values.items())}
+    return sheet
+
+
+def _drop_two_elements(sheet):
+    vals = sheet.row("principal:0,1").values[(1, 1)]
+    del vals[(1, 3)], vals[(3, 0)]
+
+
+def _add_two_central_elements(sheet):
+    vals = sheet.row("onedim:1").values[(1, 1)]
+    vals[(2, 2)] = vals[(0, 1)]
+    vals[(0, 0)] = vals[(0, 1)]
+
+
+def _swap_in_a_central_element(sheet):
+    # as many keys as regular elements, but not the same keys
+    vals = sheet.row("principal:0,1").values[(1, 1)]
+    vals[(2, 2)] = vals.pop((1, 3))
+
+
+def _lift_one_map(sheet):
+    # every value one level off, the last class first and at 3N, the rest
+    # at 2N: within a class the levels agree, so no comparison raises
+    el = sheet.tori[1]
+    row = sheet.row("cuspidal:1")
+    vals, N = row.values[el.blocks], sheet.zeta_level
+    last = _regular_classes(el)[-1]
+    lifted = {e: vals[e].lift(3 * N) for e in last}
+    lifted.update((e, v.lift(2 * N)) for e, v in vals.items() if e not in last)
+    row.values[el.blocks] = lifted
+
+
+def _rekey_elliptic_map(sheet):
+    row = sheet.row("steinberg:2")
+    row.values = {(3,) if b == (2,) else (2,): m
+                  for b, m in row.values.items()}
+
+
+# the texts are those validation gave before its C-level pass; a reported
+# element or level that depends on iteration order is the first in the
+# map's insertion order, except for missing elements, which are reported
+# in regular_elements order
+VIOLATIONS = {
+    "missing": (_drop_two_elements,
+                ["row principal:0,1, torus 1+1: missing regular elements, "
+                 "e.g. (1, 3)"]),
+    "non-regular": (_add_two_central_elements,
+                    ["row onedim:1, torus 1+1: value on non-regular element "
+                     "(2, 2)"]),
+    "swapped": (_swap_in_a_central_element,
+                ["row principal:0,1, torus 1+1: missing regular elements, "
+                 "e.g. (1, 3)",
+                 "row principal:0,1, torus 1+1: value on non-regular element "
+                 "(2, 2)"]),
+    "level": (_lift_one_map,
+              ["row cuspidal:1, torus 2: value at level 72 != 24"]),
+    "tori": (_rekey_elliptic_map,
+             ["row steinberg:2: value maps keyed by [(2,), (3,)] instead of "
+              "the torus list"]),
+}
+
+
+@pytest.mark.parametrize("case", list(VIOLATIONS))
+def test_validate_violation_text_on_reordered_maps(case):
+    sheet = _reverse_maps(build_gl2_sheet(5))
+    assert validate_sheet(sheet).ok
+    plant, texts = VIOLATIONS[case]
+    plant(sheet)
+    assert validate_sheet(sheet).violations == tuple(texts)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 11), (1, 5)])
+def test_reordered_maps_validate_and_emit_the_same_bytes(n, q):
+    text = sheet_to_json_text(build_sheet(n, q))
+    sheet = _reverse_maps(build_sheet(n, q))
+    assert validate_sheet(sheet).ok
+    assert sheet_to_json_text(sheet) == text
+
+
+PRIME_POWERS_TO_32 = [q for q in range(2, 33) if is_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_builders_match_the_slotwise_formulas(q):
+    for build, oracle in ((build_gl2_sheet, oracle_formulas.gl2_sheet),
+                          (build_gl1_sheet, oracle_formulas.gl1_sheet)):
+        sheet, expected = build(q), oracle(q)
+        assert (sheet.spec, sheet.zeta_level, sheet.tori) == (
+            expected.spec, expected.zeta_level, expected.tori)
+        assert ([(r.label, r.dim) for r in sheet.rows]
+                == [(r.label, r.dim) for r in expected.rows])
+        # slot by slot, each pair of (built, oracle) objects compared once
+        pairs = {}
+        for row, want in zip(sheet.rows, expected.rows):
+            assert list(row.values) == list(want.values)
+            for tt in sheet.tori:
+                got, exp = row.values[tt.blocks], want.values[tt.blocks]
+                assert tuple(got) == tuple(exp) == regular_elements(tt)
+                pairs.update(zip(zip(map(id, got.values()),
+                                     map(id, exp.values())),
+                                 zip(got.values(), exp.values())))
+        assert all(v == w for v, w in pairs.values())
+        # one object per distinct value
+        objects = {id(v): v for v, _ in pairs.values()}
+        assert len(set(objects.values())) == len(objects)
+        del sheet, expected, pairs
 
 
 EIGENVALUE_CASES = [(n, q) for n in (1, 2, 3, 4)
