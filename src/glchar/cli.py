@@ -1,18 +1,18 @@
 """Deterministic command line front end.
 
 Every subcommand prints byte-identical output for identical inputs: no
-timestamps, fixed orderings, and parallelism (GLCHAR_JOBS) only changes
-speed, never bytes.  recover and unipotent run the exhaustive search on
-every row, so each printed expansion is proved unique.  Exit codes are
-scriptable: 0 success, 1 usage error (including n and q with q^n - 1 over
-the enumeration budget, refused before any work), 2 density gate
-violation, 3 sheet validation failure, 4 recovery inconsistency.
+timestamps, fixed orderings.  recover and unipotent run the exhaustive
+search on every row, so each printed expansion is proved unique.  Exit
+codes are scriptable: 0 success, 1 usage error (including n and q with
+q^n - 1 over the enumeration budget, refused before any work), 2 density
+gate violation, 3 sheet validation failure, 4 recovery inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -60,23 +60,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-MAX_JOBS = 64
-
-
-def _jobs() -> int:
-    """GLCHAR_JOBS as a worker count in 1..MAX_JOBS; read before any work,
-    so an out-of-range value never builds a sheet or starts a pool."""
-    raw = os.environ.get("GLCHAR_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(f"GLCHAR_JOBS must be an integer, got {raw!r}")
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(
-            f"GLCHAR_JOBS must be between 1 and {MAX_JOBS}, got {jobs}")
-    return jobs
 
 
 def _emit_json(obj) -> None:
@@ -160,13 +143,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    jobs = _jobs()
     sheet = _load_or_build(args)
     # built-in sheets are valid by construction; loaded ones were validated
     labels = ([_canonical_label(sheet, args.rho)] if args.rho is not None
               else [r.label for r in _sorted_rows(sheet)])
-    reports = [recover_E(sheet, lab, validate=False, jobs=jobs)
-               for lab in labels]
+    reports = [recover_E(sheet, lab, validate=False) for lab in labels]
     if args.json:
         if args.rho is not None:
             _emit_json(reports[0].to_dict())
@@ -180,10 +161,9 @@ def cmd_recover(args) -> int:
 
 
 def cmd_unipotent(args) -> int:
-    jobs = _jobs()
     sheet = _load_or_build(args)
     found = [row.label for row in _sorted_rows(sheet)
-             if is_unipotent(sheet, row.label, validate=False, jobs=jobs)]
+             if is_unipotent(sheet, row.label, validate=False)]
     if args.json:
         _emit_json({"n": sheet.spec.n, "q": sheet.spec.q, "unipotent": found})
     else:
@@ -192,8 +172,23 @@ def cmd_unipotent(args) -> int:
     return EXIT_OK
 
 
+# Python's default int-to-str limit, fixed so that classes refuses the
+# same inputs whatever the interpreter's setting
+MAX_RESIDUE_DIGITS = 4300
+
+
 def cmd_classes(args) -> int:
     check_budget(args.n, args.q)
+    # residues are mod q^L - 1, L = lcm(1..n): refuse, before any work, a
+    # modulus over MAX_RESIDUE_DIGITS digits, building q^k only that far
+    L = math.lcm(*range(1, args.n + 1))
+    power, cap = 1, 10**MAX_RESIDUE_DIGITS
+    for _ in range(L):
+        power *= args.q
+        if power > cap:
+            raise ValueError(f"classes at n = {args.n}, q = {args.q} are "
+                             f"residues mod q^{L} - 1, over "
+                             f"{MAX_RESIDUE_DIGITS} digits")
     spec = GroupSpec(args.n, args.q)
     reps = {}
     for tt in enumerate_tori(spec):

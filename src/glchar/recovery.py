@@ -501,10 +501,9 @@ def _pivot_screen(solver: _TorusSolver, shift, ia: int, di: int,
     return ca, cb
 
 
-def _scan_pairs(solver: _TorusSolver, fvec, stripe: int, step: int,
-                cap: int | None = None,
+def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
                 shift=None) -> list[tuple[int, int, int, int]]:
-    """All valid two-term expansions (ia, ib, ca, cb) with ia in one stripe.
+    """The first cap (None: all) valid two-term expansions (ia, ib, ca, cb).
 
     For a first character a, every valid pair satisfies, at each sample s,
     g_s = f(s) zeta^{-theta_a(s)} = c_a + c_b zeta^{d(s)}, d the difference
@@ -536,7 +535,7 @@ def _scan_pairs(solver: _TorusSolver, fvec, stripe: int, step: int,
     # root of unity.  Many first characters share theta_a(s) at a sample.
     roots: dict[tuple[int, int, int, int], int | None] = {}
     hits: list[tuple[int, int, int, int]] = []
-    for ia in range(stripe, K, step):
+    for ia in range(K):
         ta = table[ia]
         g0 = shift(0, ta[0])
         if ta[0] in firsts:
@@ -595,12 +594,6 @@ def _scan_pairs(solver: _TorusSolver, fvec, stripe: int, step: int,
     return hits
 
 
-def _pair_worker(args):
-    n, q, blocks, level, fvec, stripe, step = args
-    solver = _solver(TorusType(GroupSpec(n, q), blocks), level)
-    return _scan_pairs(solver, fvec, stripe, step)
-
-
 # -- the subset search ------------------------------------------------------
 
 def _prepare(f: Mapping[tuple[int, ...], CycNum],
@@ -631,8 +624,8 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
     return level, list(map(attrgetter("num"), vals))
 
 
-def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
-                     jobs: int = 1) -> Expansion:
+def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
+                     T: TorusType) -> Expansion:
     """The unique expansion of f as <= min(|W|, K) nonzero integer
     character terms, K the number of characters of T^F.
 
@@ -643,9 +636,6 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
     element.  The whole space is scanned, stopping only at a second valid
     expansion, which raises NonUniqueError.  Groups with |W| > 2 are
     refused (ValueError: see the module docstring).
-
-    jobs > 1 splits the two-term scan over worker processes; results are
-    merged in subset order, so the outcome does not depend on scheduling.
     """
     spec = T.spec
     if spec.weyl_order > 2:
@@ -666,16 +656,8 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
     found += [((ia,), (c,)) for ia, c in
               _scan_singles(solver, fvec, 2 - len(found), shift)]
     if len(found) < 2 and bound >= 2:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            args = [(spec.n, spec.q, T.blocks, level, fvec, w, jobs)
-                    for w in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_pair_worker, args))
-            pair_hits = sorted(h for part in parts for h in part)
-        else:
-            pair_hits = _scan_pairs(solver, fvec, 0, 1, 2 - len(found), shift)
-        found += [((ia, ib), (ca, cb)) for ia, ib, ca, cb in pair_hits]
+        found += [((ia, ib), (ca, cb)) for ia, ib, ca, cb in
+                  _scan_pairs(solver, fvec, 2 - len(found), shift)]
 
     if not found:
         raise NoExpansionError(
@@ -696,7 +678,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType, *,
 # -- the twist memo -----------------------------------------------------------
 
 def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
-                    T: TorusType, jobs: int = 1) -> Expansion:
+                    T: TorusType) -> Expansion:
     """sparse_decompose(f, T), served from the twist memo when it can be.
 
     memo maps (T, level, s*, f(s*) zeta^x) to the (x, indices,
@@ -711,11 +693,11 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
         level, fvec = _prepare(f, T)
     except ValueError:
         # not searchable: sparse_decompose raises the same error
-        return sparse_decompose(f, T, jobs=jobs)
+        return sparse_decompose(f, T)
     s = next(compress(count(), map(any, fvec)), None)
     if s is None:
         if (T, level) not in memo:
-            memo[T, level] = sparse_decompose(f, T, jobs=jobs)
+            memo[T, level] = sparse_decompose(f, T)
         return memo[T, level]
     solver = _solver(T, level)
     at = solver.at(s)
@@ -725,7 +707,7 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
             if _verify(solver, fvec, twisted, coeffs):
                 return Expansion(T, tuple(
                     (solver.chars[i], co) for i, co in zip(twisted, coeffs)))
-    e = sparse_decompose(f, T, jobs=jobs)
+    e = sparse_decompose(f, T)
     entry = (tuple(solver.index(th.cexps) for th, _ in e.terms),
              tuple(co for _, co in e.terms))
     # f(s*) zeta^x for x = -k mod N, k = 0, ..., N - 1: one step each
@@ -751,6 +733,9 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
     support has at most |W| terms; all nonempty supports land in one
     geometric conjugacy class.  The unipotence flag records whether the
     trivial character appears in some support.
+
+    The search is serial.  jobs is accepted and ignored: it stays only
+    until the benchmark probe (perfbench/tracing.py) stops passing it.
     """
     spec = sheet.spec
     _require_gate(spec)
@@ -761,7 +746,7 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
     row = sheet.row(label)
     # the per-sheet twist memo (module docstring)
     memo = vars(sheet).setdefault("_expansions", {})
-    expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt, jobs)
+    expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt)
                        for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(
@@ -784,8 +769,8 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
     return RecoveryReport(label, expansions, tagged[0][2], unipotent)
 
 
-def is_unipotent(sheet: CharacterSheet, label: str, *, validate: bool = True,
-                 jobs: int = 1) -> bool:
+def is_unipotent(sheet: CharacterSheet, label: str, *,
+                 validate: bool = True) -> bool:
     """Whether the trivial character lies in some recovered support.
 
     Equivalently, the row is constant on every regular locus: a support
@@ -794,7 +779,7 @@ def is_unipotent(sheet: CharacterSheet, label: str, *, validate: bool = True,
     expansion c * theta_0 (a non-integer constant has no short expansion:
     NoExpansionError).  The test suite checks the equivalence on every row.
     """
-    return recover_E(sheet, label, validate=validate, jobs=jobs).unipotent
+    return recover_E(sheet, label, validate=validate).unipotent
 
 
 @dataclass(frozen=True)

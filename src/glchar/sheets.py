@@ -469,22 +469,23 @@ def sheet_from_dict(data) -> CharacterSheet:
             raise SheetFormatError(f"{len(table)} values for {slots} slots "
                                    f"(rows times regular elements)")
         table = [value(t, "values") for t in table]
+    by_label = {tt.label: tt for tt in tori}
     rows = []
     for item in items:
         label = need(item, "label", str)
         dim = need(item, "dim", int)
         values_in = need(item, "values", dict)
         values: dict[tuple[int, ...], ValueMap] = {}
-        for tt in tori:
-            if tt.label not in values_in:
+        for tlab, tt in by_label.items():
+            if tlab not in values_in:
                 raise SheetFormatError(
-                    f"row {label!r}: no values for torus {tt.label}")
-            entries = values_in[tt.label]
+                    f"row {label!r}: no values for torus {tlab}")
+            entries = values_in[tlab]
             if not isinstance(entries, list):
                 raise SheetFormatError(f"row {label!r}: values must be a list")
             values[tt.blocks] = (from_indices if v2 else from_entries)(
-                entries, tt, f"row {label!r}, torus {tt.label}")
-        if set(values_in) - {tt.label for tt in tori}:
+                entries, tt, f"row {label!r}, torus {tlab}")
+        if values_in.keys() - by_label:
             raise SheetFormatError(f"row {label!r}: values for unknown tori")
         rows.append(SheetRow(label, dim, values))
     sheet = CharacterSheet(spec, zeta_level, tuple(tori), rows)

@@ -24,6 +24,7 @@ from itertools import product
 from typing import Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar, EnumerationBudgetError, FinAbGroup
+from .cyclotomic import _factorize, divisors
 
 
 def is_prime_power(q: int) -> bool:
@@ -176,11 +177,28 @@ def regular_elements(ttype: TorusType) -> tuple[tuple[int, ...], ...]:
                  if is_regular(ttype, exps))
 
 
-@lru_cache(maxsize=None)
+def _mobius(m: int) -> int:
+    powers = _factorize(m).values()
+    return 0 if any(e > 1 for e in powers) else (-1) ** len(powers)
+
+
 def rs_ratio(ttype: TorusType) -> Fraction:
-    """|T^F - T^F_rs| / |T^F|, exactly, by full enumeration."""
+    """|T^F - T^F_rs| / |T^F|, exactly, in closed form: no point is listed.
+
+    A d-block point x of F_{q^d}^* has distinct eigenvalues when it has
+    degree d over F_q; N_d = sum_{e | d} mu(d/e) q^e - [d = 1] such x lie
+    in orbits of d.  Blocks of different sizes share no eigenvalue, and
+    the m_d blocks of size d need distinct orbits, so |T^F_rs| =
+    prod_d prod_{i < m_d} (N_d - i d).
+    """
+    q, blocks = ttype.spec.q, ttype.blocks
+    regular = 1
+    for d in set(blocks):
+        n_d = sum(_mobius(d // e) * q**e for e in divisors(d)) - (d == 1)
+        for i in range(blocks.count(d)):
+            regular *= n_d - i * d
     order = points(ttype).order
-    return Fraction(order - len(regular_elements(ttype)), order)
+    return Fraction(order - regular, order)
 
 
 def _below_power_of_two(r: Fraction, k: int) -> bool:

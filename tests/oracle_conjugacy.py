@@ -13,7 +13,9 @@ tested on its own.
 weyl_orbit is the oracle for conjugacy of rational points: glchar groups
 regular elements by their eigenvalue multiset (glchar.tori.eigenvalues),
 and the tests check that those groups are the N(T)^F/T^F orbits that
-this breadth-first walk finds.
+this breadth-first walk finds.  rs_ratio_reference is the oracle of the
+density gate's closed-form count (glchar.tori.rs_ratio): it tests every
+point of the torus for regularity.
 
 Elements are plain exponent tuples, as in glchar; element() reduces one
 into a group and multiply() is the group law.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add
@@ -35,7 +38,7 @@ from glchar.abelian import (
     FinAbGroup,
 )
 from glchar.cyclotomic import CycNum, root
-from glchar.tori import TorusType, _check_pair, points
+from glchar.tori import TorusType, _check_pair, is_regular, points
 
 
 # -- finite abelian groups --------------------------------------------------
@@ -352,3 +355,13 @@ def weyl_orbit(ttype: TorusType, t: Sequence[int]) -> tuple[Elt, ...]:
                     nxt.append(im)
         frontier = nxt
     return tuple(sorted(seen))
+
+
+# -- the regular locus ------------------------------------------------------
+
+def rs_ratio_reference(tt: TorusType) -> Fraction:
+    """|T^F - T^F_rs| / |T^F|, exactly, by testing every point."""
+    grp = points(tt)
+    regular = sum(1 for e in product(*map(range, grp.moduli))
+                  if is_regular(tt, e))
+    return Fraction(grp.order - regular, grp.order)

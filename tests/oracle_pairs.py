@@ -70,10 +70,10 @@ def _delta_table(solver) -> list[list[int]]:
     ]
 
 
-def scan_pairs_reference(solver, fvec, stripe: int = 0, step: int = 1,
-                         cap: int | None = None
+def scan_pairs_reference(solver, fvec, cap: int | None = None
                          ) -> list[tuple[int, int, int, int]]:
-    """All valid two-term expansions (ia, ib, ca, cb) with ia in one stripe."""
+    """The first cap valid two-term expansions (ia, ib, ca, cb), in subset
+    order; cap=None lists them all."""
     N, red, phi = solver.level, solver.red, solver.phi
     table = solver.table
     K = len(solver.chars)
@@ -105,7 +105,7 @@ def scan_pairs_reference(solver, fvec, stripe: int = 0, step: int = 1,
         return v
 
     hits: list[tuple[int, int, int, int]] = []
-    for ia in range(stripe, K, step):
+    for ia in range(K):
         ta = table[ia]
         g0 = shift(0, ta[0])
         for ib in range(ia + 1, K):

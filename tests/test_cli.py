@@ -184,41 +184,6 @@ def test_hostile_n_q_exit_1_within_a_second(capsys, argv):
     assert "enumeration budget" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_bad_jobs_env_exits_1(capsys, monkeypatch, value):
-    monkeypatch.setenv("GLCHAR_JOBS", value)
-    code, _, err = run(capsys, "recover", "--q", "11", "--rho", "onedim:0")
-    assert code == 1
-    assert "GLCHAR_JOBS" in err
-
-
-# over-cap values are only ever read by _jobs: no recovery or pool runs
-@pytest.mark.parametrize("value", ["65", "1000000"])
-def test_jobs_over_cap_rejected(monkeypatch, value):
-    monkeypatch.setenv("GLCHAR_JOBS", value)
-    with pytest.raises(ValueError, match="GLCHAR_JOBS must be between 1 and 64"):
-        cli._jobs()
-
-
-@pytest.mark.parametrize("value", ["1", "64"])
-def test_jobs_cap_is_inclusive(monkeypatch, value):
-    monkeypatch.setenv("GLCHAR_JOBS", value)
-    assert cli._jobs() == int(value)
-
-
-@pytest.mark.parametrize("cmd", ["recover", "unipotent"])
-def test_jobs_over_cap_exits_1_before_any_sheet(capsys, monkeypatch, cmd):
-    def no_sheet(args):
-        raise AssertionError("a sheet was requested")
-
-    monkeypatch.setattr(cli, "_load_or_build", no_sheet)
-    monkeypatch.setenv("GLCHAR_JOBS", "65")
-    code, out, err = run(capsys, cmd, "--q", "11")
-    assert code == 1
-    assert out == ""
-    assert "GLCHAR_JOBS must be between 1 and 64, got 65" in err
-
-
 # -- recover -------------------------------------------------------------
 
 def test_recover_single_row_json(capsys):
@@ -323,11 +288,25 @@ def test_stdout_sha256_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_parallel_run_byte_identical(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "recover", "--q", "11", "--json")
-    monkeypatch.setenv("GLCHAR_JOBS", "2")
-    _, parallel, _ = run(capsys, "recover", "--q", "11", "--json")
-    assert serial == parallel
+# the density gate in closed form; each of these enumerated every torus
+# (17-39 s) before, and the digests were taken then
+PINNED_GATE_STDOUT = [
+    (["check-q", "--n", "4", "--q", "31", "--json"], 2,
+     "609c6a37096b38ad8bf07f24d37fc1020a781f14200bca9213cbb29256004efb"),
+    (["check-q", "--n", "3", "--q", "97", "--json"], 2,
+     "1c1a92fbc627b4b31a0971ebd42be6cd888ac0ef716e237476160d93b4e270ff"),
+    (["check-q", "--n", "2", "--q", "997", "--json"], 0,
+     "cefbf645bfe367c13c888c74e00dfe9f99575b3bb06dd31c926431e38bcc545f"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_GATE_STDOUT)
+def test_gate_stdout_sha256_pinned(capsys, argv, code, digest):
+    start = time.perf_counter()
+    got, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- unipotent -----------------------------------------------------------
@@ -372,6 +351,18 @@ def test_classes_gl1(capsys):
     code, out, _ = run(capsys, "classes", "--n", "1", "--q", "5", "--json")
     assert code == 0
     assert len(json.loads(out)["classes"]) == 4
+
+
+@pytest.mark.parametrize("n,q", [("11", "2"), ("12", "3")])
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_classes_refuses_unprintable_residues(capsys, n, q, extra):
+    # residues mod q^27720 - 1 have over 4300 digits, Python's default
+    # int-to-str limit: refused before any class is enumerated or printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classes", "--n", n, "--q", q, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "over 4300 digits" in err
 
 
 # -- gram ----------------------------------------------------------------

@@ -48,8 +48,6 @@ TRAFFIC = [
 ]
 
 ALLOWED = {
-    "recovery._pair_worker":
-        "runs in the pool workers of GLCHAR_JOBS > 1, outside this process",
     "cyclotomic.CycNum.lift":
         "library API; sheet values share one level, so only library calls "
         "with mixed-level values lift (test_cyclotomic, and "

@@ -33,6 +33,7 @@ from oracle_conjugacy import (
     multiply,
     norm_hom,
     norm_value,
+    rs_ratio_reference,
 )
 
 
@@ -128,6 +129,18 @@ def test_rs_ratio_closed_forms():
         assert rs_ratio(elliptic2(q)) == Fraction(1, q + 1)
     gl1 = TorusType(GroupSpec(1, 7), (1,))
     assert rs_ratio(gl1) == 0
+
+
+def test_rs_ratio_closed_form_matches_enumeration():
+    # every torus of GL_n, n <= 5, q < 100, with at most 5000 points
+    checked = 0
+    for n in range(1, 6):
+        for q in filter(is_prime_power, range(2, 100)):
+            for tt in enumerate_tori(GroupSpec(n, q)):
+                if points(tt).order <= 5000:
+                    assert rs_ratio(tt) == rs_ratio_reference(tt), tt
+                    checked += 1
+    assert checked == 184
 
 
 def test_check_q_condition():
