@@ -175,21 +175,28 @@ def cmd_unipotent(args) -> int:
 # Python's default int-to-str limit, fixed so that classes refuses the
 # same inputs whatever the interpreter's setting
 MAX_RESIDUE_DIGITS = 4300
+# the most residue digits classes prints
+MAX_CLASSES_DIGITS = 10**6
 
 
 def cmd_classes(args) -> int:
-    check_budget(args.n, args.q)
-    # residues are mod q^L - 1, L = lcm(1..n): refuse, before any work, a
-    # modulus over MAX_RESIDUE_DIGITS digits, building q^k only that far
-    L = math.lcm(*range(1, args.n + 1))
+    n, q = args.n, args.q
+    check_budget(n, q)
+    # refuse before any work: residues mod q^L - 1, L = lcm(1..n), over
+    # MAX_RESIDUE_DIGITS digits, then q^n - q^(n-1) classes (the semisimple
+    # ones) of n such residues over MAX_CLASSES_DIGITS digits in all
+    L = math.lcm(*range(1, n + 1))
     power, cap = 1, 10**MAX_RESIDUE_DIGITS
     for _ in range(L):
-        power *= args.q
+        power *= q
         if power > cap:
-            raise ValueError(f"classes at n = {args.n}, q = {args.q} are "
+            raise ValueError(f"classes at n = {n}, q = {q} are "
                              f"residues mod q^{L} - 1, over "
                              f"{MAX_RESIDUE_DIGITS} digits")
-    spec = GroupSpec(args.n, args.q)
+    if (q**n - q**(n - 1)) * n * len(str(power - 1)) > MAX_CLASSES_DIGITS:
+        raise ValueError(f"classes at n = {n}, q = {q} may print over "
+                         f"{MAX_CLASSES_DIGITS} residue digits")
+    spec = GroupSpec(n, q)
     reps = {}
     for tt in enumerate_tori(spec):
         for ch in enumerate_chars(points(tt)):

@@ -38,12 +38,13 @@ expansion.
 The integer kernels under the scan run their per-coordinate loops in C:
 map over operator.add, mul and neg, with coefficients from
 itertools.repeat, in place of Python comprehensions.  _verify builds each
-sample value from one or two rows of the reduction table (no general
-fold), _direction returns a content +-1 vector itself or negated (no
-division), the direction branch of _scan_pairs memoizes each root-of-unity
-lookup for the call, and the solver table is built by adding column
-multiples in mixed radix.  All of them compute the same integers as the
-plain loops they replace (tests/test_kernels.py holds those as oracles).
+expected sample value from one or two rows of the reduction table (no
+general fold) at most once per memo, _direction returns a content +-1
+vector itself or negated (no division), the direction branch of
+_scan_pairs memoizes each root-of-unity lookup for the call, and the
+solver table is built by adding column multiples in mixed radix.  All of
+them compute the same integers as the plain loops they replace
+(tests/test_kernels.py holds those as oracles).
 
 Many rows restrict to twists of one function on a torus: f' = f theta_c
 for a torus character theta_c (at q = 13 the 336 torus inputs of the
@@ -61,7 +62,8 @@ short expansion: f' = E theta_c = f theta_c on the locus, and any short
 expansion E' of f' gives the short expansion E' theta_c^-1 of f, which by
 the search that found E equals E.  A miss runs sparse_decompose, which
 itself is uncached.  The memo lives and dies with its sheet, and errors
-are not kept.
+are not kept.  So does the memo of expected values that verifies the hits
+(_verify): twists of one expansion expect the same values again and again.
 """
 
 from __future__ import annotations
@@ -283,13 +285,6 @@ class _TorusSolver:
                 out.setdefault(row[s], []).append(i)
         return out
 
-    def index(self, cexps: tuple[int, ...]) -> int:
-        """Index of the character with these exponents (mixed radix)."""
-        out = 0
-        for c, m in zip(cexps, self.group.moduli):
-            out = out * m + c
-        return out
-
     def times(self, ia: int, di: int) -> int:
         """Index of the character theta_ia * theta_di (mixed radix)."""
         out = 0
@@ -424,33 +419,34 @@ def _shifter(solver: _TorusSolver, fvec):
     return shift
 
 
-def _verify(solver: _TorusSolver, fvec, idxs, coeffs) -> bool:
+def _verify(solver: _TorusSolver, fvec, idxs, coeffs, memo: dict) -> bool:
     """Exact check of sum c_i theta_i = f on every regular element.
 
-    Samples run in solver.order: the separating samples, which tell the
-    characters apart, come first, so a wrong candidate fails early.  With
-    one or two terms the value at s is c_a red[theta_a(s)] (+ c_b
-    red[theta_b(s)]), built from the rows of red by map and compared with
-    f(s) as a tuple, so no general fold runs; equal coefficients are
-    applied once to the sum of the two rows.
+    Samples run in solver.order, separating samples first, so a wrong
+    candidate fails early.  memo maps (c_a, theta_a(s)), or (c_a, c_b,
+    theta_a(s), theta_b(s)), to the tuple of c_a theta_a(s) (+ c_b
+    theta_b(s)), built from rows of red on a miss and compared with f(s)
+    by `is`, then `==`; an equal compare stores f(s) itself.  An entry
+    always holds the value its key names, so a rejected compare leaves
+    nothing that accepts later.  One memo serves one (torus, level), as
+    red depends on the level: recover_E keeps it on the sheet, each scan
+    makes its own, and none is module-level or on the cached solver.
     """
-    red, order = solver.red, solver.order
-    ta = solver.table[idxs[0]]
-    ca = coeffs[0]
-    if len(idxs) == 1:
-        for s in order:
-            if tuple(_scaled(red[ta[s]], ca)) != fvec[s]:
+    red, table, ca, cb = solver.red, solver.table, coeffs[0], coeffs[-1]
+    ta, tb = table[idxs[0]], (table[idxs[1]] if len(idxs) > 1 else None)
+    for s in solver.order:
+        f = fvec[s]
+        key = (ca, ta[s]) if tb is None else (ca, cb, ta[s], tb[s])
+        v = memo.get(key)
+        if v is not f:
+            if v is None:
+                v = _scaled(red[ta[s]], ca)
+                if tb is not None:
+                    v = map(add, v, _scaled(red[tb[s]], cb))
+                v = memo[key] = tuple(v)
+            if v != f:
                 return False
-        return True
-    tb = solver.table[idxs[1]]
-    cb = coeffs[1]
-    for s in order:
-        if ca == cb:
-            v = _scaled(map(add, red[ta[s]], red[tb[s]]), ca)
-        else:
-            v = map(add, _scaled(red[ta[s]], ca), _scaled(red[tb[s]], cb))
-        if tuple(v) != fvec[s]:
-            return False
+            memo[key] = f
     return True
 
 
@@ -459,6 +455,7 @@ def _scan_singles(solver: _TorusSolver, fvec, cap: int,
     """All valid one-term expansions (index, coefficient), index order."""
     if shift is None:
         shift = _shifter(solver, fvec)
+    memo: dict = {}  # of _verify, for this call
     table = solver.table
     hits: list[tuple[int, int]] = []
     for ia in range(len(solver.chars)):
@@ -466,7 +463,7 @@ def _scan_singles(solver: _TorusSolver, fvec, cap: int,
         c = g0[0]
         if c == 0 or any(g0[1:]):
             continue
-        if _verify(solver, fvec, (ia,), (c,)):
+        if _verify(solver, fvec, (ia,), (c,), memo):
             hits.append((ia, c))
             if len(hits) >= cap:
                 break
@@ -525,6 +522,7 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
     """
     if shift is None:
         shift = _shifter(solver, fvec)
+    memo: dict = {}  # of _verify, for this call
     table, red, K = solver.table, solver.red, len(solver.chars)
     sep, pin, dirs, exp_of = solver.sep, solver.pin, solver.dirs, solver.exp_of
     rest = sep[1:]
@@ -587,7 +585,7 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
                             found.append((ib, ca, cb))
         found.sort()
         for ib, ca, cb in found:
-            if _verify(solver, fvec, (ia, ib), (ca, cb)):
+            if _verify(solver, fvec, (ia, ib), (ca, cb), memo):
                 hits.append((ia, ib, ca, cb))
                 if cap is not None and len(hits) >= cap:
                     return hits
@@ -677,7 +675,8 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
 
 # -- the twist memo -----------------------------------------------------------
 
-def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
+def _memo_decompose(memo: dict, expected: dict,
+                    f: Mapping[tuple[int, ...], CycNum],
                     T: TorusType) -> Expansion:
     """sparse_decompose(f, T), served from the twist memo when it can be.
 
@@ -685,9 +684,9 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
     coefficients) of every searched expansion, and (T, level) to the
     empty expansion of the zero function (module docstring).  A candidate
     E theta_c is accepted only after _verify has checked it on every
-    regular element.  A miss, or an input that sparse_decompose refuses,
-    runs the search through the module global, so a wrapper sees every
-    search; errors are not stored.
+    regular element, with expected[T, level] as its memo.  A miss, or an
+    input that sparse_decompose refuses, runs the search through the
+    module global, so a wrapper sees every search; errors are not stored.
     """
     try:
         level, fvec = _prepare(f, T)
@@ -701,14 +700,15 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
         return memo[T, level]
     solver = _solver(T, level)
     at = solver.at(s)
+    values = expected.setdefault((T, level), {})
     for x, idxs, coeffs in memo.get((T, level, s, fvec[s]), ()):
         for c in at[x]:
             twisted = tuple(solver.times(i, c) for i in idxs)
-            if _verify(solver, fvec, twisted, coeffs):
+            if _verify(solver, fvec, twisted, coeffs, values):
                 return Expansion(T, tuple(
                     (solver.chars[i], co) for i, co in zip(twisted, coeffs)))
     e = sparse_decompose(f, T)
-    entry = (tuple(solver.index(th.cexps) for th, _ in e.terms),
+    entry = (tuple(solver.chars.index(th) for th, _ in e.terms),
              tuple(co for _, co in e.terms))
     # f(s*) zeta^x for x = -k mod N, k = 0, ..., N - 1: one step each
     v, down = fvec[s], solver.red[level - 1]
@@ -744,10 +744,12 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if not report.ok:
             raise SheetValidationError(report)
     row = sheet.row(label)
-    # the per-sheet twist memo (module docstring)
+    # the per-sheet twist memo and memo of expected values (module docstring)
     memo = vars(sheet).setdefault("_expansions", {})
-    expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt)
-                       for tt in sheet.tori)
+    expected = vars(sheet).setdefault("_expected", {})
+    expansions = tuple(
+        _memo_decompose(memo, expected, row.values[tt.blocks], tt)
+        for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(
             f"{label}: empty support on every torus")

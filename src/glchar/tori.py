@@ -28,16 +28,7 @@ from .cyclotomic import _factorize, divisors
 
 
 def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True
+    return len(_factorize(q)) == 1  # _factorize(q) is {} for q < 2
 
 
 def check_budget(n: int, q: int) -> None:

@@ -278,6 +278,9 @@ PINNED_STDOUT = [
      "507b28ac80afcf784e5bae9900184fc40664dabfc1d6e88b0ca1de583ff75df9"),
     (["table", "--q", "16", "--json"],
      "99f625148eb2eb6129e7111ec4b36ececa61dce8cdbf3efb16fbbebb0e4702b4"),
+    # the frontier in tier-1: 1,680 torus inputs at level 840, about 4 s
+    (["recover", "--q", "29", "--json"],
+     "c20f0ac8d3b30f012a4f512f67ded23d3662d61ab9215f35c0bb484019e95059"),
 ]
 
 
@@ -363,6 +366,41 @@ def test_classes_refuses_unprintable_residues(capsys, n, q, extra):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert "over 4300 digits" in err
+
+
+@pytest.mark.parametrize("n,q", [(2, 11), (3, 3), (3, 4), (4, 2), (4, 3),
+                                 (5, 2)])
+def test_classes_size_bound_is_exact_at_its_cap(capsys, monkeypatch, n, q):
+    # classes bounds its output by q^n - q^(n-1) classes of n residues, each
+    # of at most as many digits as q^L - 1: the count matches the
+    # enumeration, and a cap one digit under the bound refuses the input
+    code, out, _ = run(capsys, "classes", "--n", str(n), "--q", str(q),
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    classes = data["classes"]
+    assert len(classes) == q**n - q**(n - 1)
+    digits = len(str(q ** data["level"] - 1))
+    assert max(len(str(r)) for c in classes for r in c["residues"]) <= digits
+    bound = len(classes) * n * digits
+    monkeypatch.setattr(cli, "MAX_CLASSES_DIGITS", bound)
+    assert run(capsys, "classes", "--n", str(n), "--q", str(q))[0] == 0
+    monkeypatch.setattr(cli, "MAX_CLASSES_DIGITS", bound - 1)
+    code, out, err = run(capsys, "classes", "--n", str(n), "--q", str(q))
+    assert (code, out) == (1, "")
+    assert f"over {bound - 1} residue digits" in err
+
+
+@pytest.mark.parametrize("n,q", [("10", "3"), ("2", "317"), ("5", "7")])
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_classes_refuses_oversized_output(capsys, n, q, extra):
+    # classes --n 10 --q 3 --json wrote 455,848,161 bytes in 77 s: the
+    # closed-form bound on its residue digits refuses it before any work
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classes", "--n", n, "--q", q, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"over {cli.MAX_CLASSES_DIGITS} residue digits" in err
 
 
 # -- gram ----------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Differential tests of the integer kernels of the recovery scan.
 
 Each kernel is checked against a slower construction kept here as its
-oracle: the fold against a coordinate-by-coordinate sum, the one- and
-two-row verifier against the general-fold verifier, the direction against
-gcd division, and the mixed-radix solver table against one
+oracle: the fold against a coordinate-by-coordinate sum, the memoized one-
+and two-row verifier against the general-fold verifier, the direction
+against gcd division, and the mixed-radix solver table against one
 value_exponent call per character and regular element.
 """
 
+import itertools
 import math
 import random
 
@@ -115,7 +116,7 @@ def test_verify_accepts_planted_and_rejects_perturbed(data):
                                            max_size=m, unique=True))))
     coeffs = tuple(data.draw(st.lists(COEFF, min_size=m, max_size=m)))
     fvec = planted_fvec(solver, list(zip(idxs, coeffs)))
-    assert _verify(solver, fvec, idxs, coeffs)
+    assert _verify(solver, fvec, idxs, coeffs, {})
     assert verify_reference(solver, fvec, idxs, coeffs)
     # one wrong coordinate at one sample, possibly the last one visited:
     # only a check of every regular element sees it
@@ -126,7 +127,7 @@ def test_verify_accepts_planted_and_rejects_perturbed(data):
     v = list(bad[s])
     v[t] += data.draw(st.sampled_from([1, -1, 3]))
     bad[s] = tuple(v)
-    assert not _verify(solver, bad, idxs, coeffs)
+    assert not _verify(solver, bad, idxs, coeffs, {})
     assert not verify_reference(solver, bad, idxs, coeffs)
 
 
@@ -144,8 +145,91 @@ def test_verify_matches_reference_on_wrong_candidates(data):
                                            max_size=m, unique=True))))
     coeffs = tuple(data.draw(st.lists(COEFF, min_size=m, max_size=m)))
     expect = verify_reference(solver, fvec, idxs, coeffs)
-    assert _verify(solver, fvec, idxs, coeffs) == expect
+    assert _verify(solver, fvec, idxs, coeffs, {}) == expect
     assert expect == (sorted(zip(idxs, coeffs)) == sorted(planted))
+
+
+def memo_is_sound(solver, memo) -> bool:
+    """Whether every memo entry holds the value its key names."""
+    for key, v in memo.items():
+        if len(key) == 2:
+            terms = [(key[1], key[0])]
+        else:
+            ca, cb, ea, eb = key
+            terms = [(ea, ca), (eb, cb)]
+        if v != tuple(plain_fold(solver.red, terms)):
+            return False
+    return True
+
+
+def shared_and_copied(fvec, data):
+    """fvec with every set of equal values made one object, or made
+    distinct equal objects at random, as a mixed-level lift makes them."""
+    one = {}
+    shared = [one.setdefault(v, v) for v in fvec]
+    return [tuple(list(v)) if data.draw(st.booleans()) else v
+            for v in shared]
+
+
+def draw_candidate(data, K):
+    m = data.draw(st.integers(1, 2))
+    idxs = tuple(sorted(data.draw(st.lists(st.integers(0, K - 1), min_size=m,
+                                           max_size=m, unique=True))))
+    return idxs, tuple(data.draw(st.lists(COEFF, min_size=m, max_size=m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_memo_shared_across_candidates(data):
+    """One memo across a run of right and wrong candidates, in any order,
+    answers as the reference does for each, and only ever holds values
+    its keys name."""
+    solver = verify_solver(data)
+    K = len(solver.chars)
+    planted = data.draw(st.lists(st.tuples(st.integers(0, K - 1), COEFF),
+                                 min_size=1, max_size=2,
+                                 unique_by=lambda p: p[0]))
+    fvec = shared_and_copied(planted_fvec(solver, planted), data)
+    right = tuple(zip(*sorted(planted)))
+    cands = [right if data.draw(st.booleans()) else draw_candidate(data, K)
+             for _ in range(data.draw(st.integers(1, 6)))]
+    memo = {}
+    for idxs, coeffs in cands + [right]:
+        expect = verify_reference(solver, fvec, idxs, coeffs)
+        assert _verify(solver, fvec, idxs, coeffs, memo) == expect
+        assert memo_is_sound(solver, memo)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_verify_memo_wrong_and_right_in_any_order(m, order):
+    """Three checks share one memo in every order: a wrong candidate on f,
+    the right candidate on f, and the right candidate on a function off f
+    at the last sample visited only, which reuses every entry before it.
+    None of them changes the answer of another."""
+    solver = _solver(TorusType(GroupSpec(2, 13), (1, 1) if m == 2 else (2,)),
+                     13 ** 2 - 1)
+    terms = [(3, 2), (40, -1)][:m]
+    idxs, coeffs = map(tuple, zip(*terms))
+    fvec = planted_fvec(solver, terms)
+    last = solver.order[-1]
+    bad = list(fvec)
+    bad[last] = tuple(v + (t == 0) for t, v in enumerate(fvec[last]))
+    wrong = (coeffs[0] + 1,) + coeffs[1:]
+    runs = [(fvec, wrong, False), (fvec, coeffs, True), (bad, coeffs, False)]
+    memo = {}
+    for k in order:
+        vec, c, want = runs[k]
+        assert _verify(solver, vec, idxs, c, memo) is want
+        assert verify_reference(solver, vec, idxs, c) is want
+        assert memo_is_sound(solver, memo)
+    # the entry at the last sample holds one of f's own tuples, equal to
+    # f there, never the bad value
+    key = ((coeffs[0], solver.table[idxs[0]][last]) if m == 1 else
+           (*coeffs, solver.table[idxs[0]][last], solver.table[idxs[1]][last]))
+    assert memo[key] == fvec[last]
+    assert any(memo[key] is v for v in fvec)
+    assert _verify(solver, fvec, idxs, coeffs, memo)
 
 
 # -- direction ----------------------------------------------------------------

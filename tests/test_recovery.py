@@ -246,11 +246,15 @@ def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
     stored = {(k[:3], entry[1:]) for k, entries in memo.items()
               if len(k) == 4 for entry in entries}
     assert len(stored) + sum(len(k) == 2 for k in memo) == searches
+    # key shapes: (T, level) for the zero function, else (T, level, s*, v)
+    assert {len(k) for k in memo} == {2, 4}
+    assert all(k[:2] in vars(sheet)["_expected"] for k in memo if len(k) == 4)
     for lab, rep in zip(sheet.labels(), whole):
-        # a new instance per row carries an empty memo, so every torus runs
+        # a new instance per row carries empty memos, so every torus runs
         # its own search
         fresh = dataclasses.replace(sheet)
         assert "_expansions" not in vars(fresh)
+        assert "_expected" not in vars(fresh)
         del calls[:]
         assert recover_E(fresh, lab, validate=False) == rep
         assert len(calls) == len(sheet.tori)
@@ -285,6 +289,41 @@ def test_two_sheets_do_not_share_a_memo(monkeypatch):
     assert recover_E(second, "principal:2,5", validate=False) == rep
     assert len(calls) == 4
     assert vars(first)["_expansions"] is not vars(second)["_expansions"]
+    assert vars(first)["_expected"] is not vars(second)["_expected"]
+
+
+SOLVER_ATTRS = {"ttype", "level", "group", "regs", "red", "phi", "chars",
+                "table", "_pivot", "_at", "sep", "order", "probes", "pin",
+                "rational", "dirs", "exp_of"}
+
+
+def test_value_memo_lives_on_the_sheet():
+    sheet = build_gl2_sheet(11)
+    for lab in sheet.labels():
+        recover_E(sheet, lab, validate=False)
+    expected = vars(sheet)["_expected"]
+    twists = vars(sheet)["_expansions"]
+    # one memo of expected values per (torus, level), beside the twist memo
+    assert set(expected) == {(tt, sheet.zeta_level) for tt in sheet.tori}
+    assert all(not isinstance(v, dict) for v in twists.values())
+    # verified hits took the sheet's own value tuples into the memo
+    own = {id(v.num) for row in sheet.rows for f in row.values.values()
+           for v in f.values()}
+    held = [v for values in expected.values() for v in values.values()]
+    assert held and any(id(v) in own for v in held)
+    # the cached solvers hold no memo and gain no attribute for one
+    for tt in sheet.tori:
+        solver = _solver(tt, sheet.zeta_level)
+        assert set(vars(solver)) <= SOLVER_ATTRS
+        assert not any(v is values for v in vars(solver).values()
+                       for values in expected.values())
+    # a copy starts without the memo, and builds its own
+    copy_ = dataclasses.replace(sheet)
+    assert "_expected" not in vars(copy_)
+    recover_E(copy_, "principal:2,5", validate=False)
+    assert vars(copy_)["_expected"] is not expected
+    assert all(vars(copy_)["_expected"][k] is not expected[k]
+               for k in vars(copy_)["_expected"])
 
 
 def twist(f, ttype, cexps, level=120):
@@ -309,17 +348,18 @@ def test_twist_memo_serves_only_verified_twists(data):
     s = data.draw(st.integers(0, len(regs) - 1))
     changed = dict(twisted)
     changed[regs[s]] = changed[regs[s]] + 1
-    memo = {}
+    memo, expected = {}, {}
     with pytest.MonkeyPatch.context() as mp:
         calls = counting(mp)
-        base = recovery._memo_decompose(memo, char_fn(tt, planted, 120), tt)
+        base = recovery._memo_decompose(memo, expected,
+                                        char_fn(tt, planted, 120), tt)
         assert terms_of(base) == planted and len(calls) == 1
         # one value off: no candidate twist verifies, so the search runs
         with pytest.raises(NoExpansionError):
-            recovery._memo_decompose(memo, changed, tt)
+            recovery._memo_decompose(memo, expected, changed, tt)
         assert len(calls) == 2
         # an exact twist is served with no search
-        got = recovery._memo_decompose(memo, twisted, tt)
+        got = recovery._memo_decompose(memo, expected, twisted, tt)
         assert len(calls) == 2
     assert got == sparse_decompose(twisted, tt)
 
@@ -328,16 +368,16 @@ def test_twist_memo_serves_only_verified_twists(data):
 def test_twist_memo_zero_function(monkeypatch, ttype):
     regs = regular_elements(ttype)
     zero = {e: CycNum.zero(120) for e in regs}
-    memo = {}
+    memo, expected = {}, {}
     calls = counting(monkeypatch)
-    first = recovery._memo_decompose(memo, zero, ttype)
+    first = recovery._memo_decompose(memo, expected, zero, ttype)
     assert first.m == 0 and len(calls) == 1
-    assert recovery._memo_decompose(memo, dict(zero), ttype) == first
+    assert recovery._memo_decompose(memo, expected, dict(zero), ttype) == first
     assert len(calls) == 1
     one_point = dict(zero)
     one_point[regs[-1]] = root(120, 0)
     with pytest.raises(NoExpansionError):
-        recovery._memo_decompose(memo, one_point, ttype)
+        recovery._memo_decompose(memo, expected, one_point, ttype)
     assert len(calls) == 2
 
 
@@ -361,13 +401,13 @@ def test_twist_memo_rows_vanishing_at_sample_zero(monkeypatch, blocks):
     tt = TorusType(SPEC11, blocks)
     labels = rows[blocks]
     assert len(labels) >= 2
-    memo = {}
+    memo, expected = {}, {}
     calls = counting(monkeypatch)
     got = []
     for lab in labels:
         f = sheet.row(lab).values[blocks]
         assert f[regular_elements(tt)[0]].is_zero()
-        got.append(recovery._memo_decompose(memo, f, tt))
+        got.append(recovery._memo_decompose(memo, expected, f, tt))
     # the rows are twists of one another: one search, then verified hits
     assert len(calls) == 1
     monkeypatch.undo()
