@@ -53,16 +53,18 @@ on functions on the regular locus that maps expansions with at most two
 terms onto expansions with at most two terms, so f' has exactly one short
 expansion, E(f) theta_c, exactly when f has one.  recover_E therefore
 keeps a memo on the CharacterSheet instance.  Each searched expansion is
-indexed by (s*, f(s*) zeta^x) for every exponent x that the characters
-take at s*, the first regular sample with f(s*) != 0 (a twist keeps the
-zero set; the zero function has a key of its own).  A lookup of f' tries
-E theta_c for each character with theta_c(s*) = x and accepts it only if
-it matches f' on every regular element.  A verified hit is the unique
-short expansion: f' = E theta_c = f theta_c on the locus, and any short
-expansion E' of f' gives the short expansion E' theta_c^-1 of f, which by
-the search that found E equals E.  A miss runs sparse_decompose, which
-itself is uncached.  The memo lives and dies with its sheet, and errors
-are not kept.  So does the memo of expected values that verifies the hits
+indexed by (s*, hash of f(s*) zeta^x) for every exponent x that the
+characters take at s*, the first regular sample with f(s*) != 0 (a twist
+keeps the zero set; the zero function has a key of its own).  A lookup
+of f' tries E theta_c for each character with theta_c(s*) = x and
+accepts it only if it matches f' on every regular element, so a hash
+collision costs a rejected candidate, never a wrong answer, and the memo
+holds no value vectors.  A verified hit is the unique short expansion:
+f' = E theta_c = f theta_c on the locus, and any short expansion E' of f'
+gives the short expansion E' theta_c^-1 of f, which by the search that
+found E equals E.  A miss runs sparse_decompose, which itself is
+uncached.  The memo lives and dies with its sheet, and errors are not
+kept.  So does the memo of expected values that verifies the hits
 (_verify): twists of one expansion expect the same values again and again.
 """
 
@@ -77,7 +79,8 @@ from typing import Mapping, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar, enumerate_chars
 from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled
-from .sheets import CharacterSheet, SheetValidationError, validate_sheet
+from .sheets import (
+    CharacterSheet, IndexRow, SheetValidationError, validate_sheet)
 from .tori import (
     GeomClassId,
     GroupSpec,
@@ -381,23 +384,16 @@ def _solver(ttype: TorusType, level: int) -> _TorusSolver:
     return _TorusSolver(ttype, level)
 
 
-def _down(w: tuple[int, ...], down: tuple[int, ...]) -> tuple[int, ...]:
-    """w * zeta^-1, one companion step, O(phi): the coordinates move down
-    and the constant term comes back times down = red[N - 1]."""
-    c = w[0]
-    v = w[1:] + (0,)
-    return tuple(map(add, v, _scaled(down, c))) if c else v
-
-
 def _shifter(solver: _TorusSolver, fvec):
     """shift(s, e) = f(s) * zeta^-e, memoized for one input function.
 
     One decomposition shares it between the one- and two-term scans.  On
     the split torus theta_a(s) takes q - 1 values, so K characters cost
     only q - 1 products per sample.  A shift whose neighbour e - 1 at the
-    same sample is cached costs one companion step (_down).  Otherwise the
+    same sample is cached costs one companion step, O(phi): coordinates
+    move down and the constant term comes back times red[N - 1].  Else the
     nonzero coordinates are folded, O(nnz * phi).  A cached e + 1 is not
-    used: the scans reach the exponents of a sample in ascending order.
+    used: the scans and the twist memo go up the exponents of a sample.
     """
     N, red = solver.level, solver.red
     down = red[N - 1]
@@ -409,7 +405,9 @@ def _shifter(solver: _TorusSolver, fvec):
             return v
         w = cache.get((s, (e - 1) % N))
         if w is not None:
-            v = _down(w, down)
+            v = w[1:] + (0,)
+            if w[0]:
+                v = tuple(map(add, v, _scaled(down, w[0])))
         else:
             v = tuple(_fold(red, [((i - e) % N, x)
                                   for i, x in enumerate(fvec[s]) if x]))
@@ -595,31 +593,42 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
 # -- the subset search ------------------------------------------------------
 
 def _prepare(f: Mapping[tuple[int, ...], CycNum],
-             T: TorusType) -> tuple[int, list[tuple[int, ...]]]:
-    """(level, fvec): f as integer power-basis vectors in locus order.
+             T: TorusType) -> tuple[int, list[tuple[int, ...]], int | None]:
+    """(level, fvec, s): f as integer power-basis vectors in locus order,
+    and its first nonzero sample (None for the zero function).
 
-    level is the lcm of the torus exponent and every value level.  Keys
-    are reduced by tori._exps unless they already are exactly the regular
-    tuples.  Raises ValueError when a key has the wrong length or the
-    domain is not the regular locus.
+    level is the lcm of the torus exponent and every value level.  Each
+    entry of an index row's table, or value object of another map, is
+    lifted and tested once.  Other maps have their keys reduced by
+    tori._exps unless they are exactly the regular tuples; ValueError when
+    a key has the wrong length or the domain is not the regular locus.
     """
     regs = regular_elements(T)
-    keyed = f
-    # len(f) keys that include every one of the len(regs) distinct regs
-    if len(f) != len(regs) or not all(map(f.__contains__, regs)):
-        keyed = {_exps(T, k): v for k, v in f.items()}
-        missing = [e for e in regs if e not in keyed]
-        extra = sorted(set(keyed) - set(regs))
-        if missing or extra:
-            raise ValueError(
-                f"function domain does not match the regular locus of "
-                f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
-    vals = list(map(keyed.__getitem__, regs))
-    levels = set(map(attrgetter("level"), vals))
+    if type(f) is IndexRow and tuple(f.pos) == regs:
+        table, idx = f.table, f.idx
+    else:
+        keyed = f
+        # len(f) keys that include every one of the len(regs) distinct regs
+        if len(f) != len(regs) or not all(map(f.__contains__, regs)):
+            keyed = {_exps(T, k): v for k, v in f.items()}
+            missing = [e for e in regs if e not in keyed]
+            extra = sorted(set(keyed) - set(regs))
+            if missing or extra:
+                raise ValueError(
+                    f"function domain does not match the regular locus of "
+                    f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
+        ids = list(map(id, map(keyed.__getitem__, regs)))
+        objs = dict(zip(map(id, keyed.values()), keyed.values()))
+        table = list(objs.values())
+        idx = list(map(dict(zip(objs, count())).__getitem__, ids))
+    levels = set(map(attrgetter("level"), table))
     level = math.lcm(points(T).exponent, *levels)
     if levels != {level}:
-        vals = [v.lift(level) for v in vals]
-    return level, list(map(attrgetter("num"), vals))
+        table = [v.lift(level) for v in table]
+    nums = list(map(attrgetter("num"), table))
+    nonzero = list(map(any, nums))
+    return (level, list(map(nums.__getitem__, idx)),
+            next(compress(count(), map(nonzero.__getitem__, idx)), None))
 
 
 def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
@@ -643,13 +652,13 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
             f"the enumeration budget (GL_3 first passes at q = 6151, where "
             f"the split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
     _require_gate(spec)
-    level, fvec = _prepare(f, T)
+    level, fvec, s = _prepare(f, T)
     solver = _solver(T, level)
     bound = min(spec.weyl_order, len(solver.chars))
 
     shift = _shifter(solver, fvec)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if all(not any(v) for v in fvec):
+    if s is None:
         found.append(((), ()))
     found += [((ia,), (c,)) for ia, c in
               _scan_singles(solver, fvec, 2 - len(found), shift)]
@@ -680,7 +689,7 @@ def _memo_decompose(memo: dict, expected: dict,
                     T: TorusType) -> Expansion:
     """sparse_decompose(f, T), served from the twist memo when it can be.
 
-    memo maps (T, level, s*, f(s*) zeta^x) to the (x, indices,
+    memo maps (T, level, s*, hash of f(s*) zeta^x) to the (x, indices,
     coefficients) of every searched expansion, and (T, level) to the
     empty expansion of the zero function (module docstring).  A candidate
     E theta_c is accepted only after _verify has checked it on every
@@ -689,11 +698,10 @@ def _memo_decompose(memo: dict, expected: dict,
     module global, so a wrapper sees every search; errors are not stored.
     """
     try:
-        level, fvec = _prepare(f, T)
+        level, fvec, s = _prepare(f, T)
     except ValueError:
         # not searchable: sparse_decompose raises the same error
         return sparse_decompose(f, T)
-    s = next(compress(count(), map(any, fvec)), None)
     if s is None:
         if (T, level) not in memo:
             memo[T, level] = sparse_decompose(f, T)
@@ -701,7 +709,7 @@ def _memo_decompose(memo: dict, expected: dict,
     solver = _solver(T, level)
     at = solver.at(s)
     values = expected.setdefault((T, level), {})
-    for x, idxs, coeffs in memo.get((T, level, s, fvec[s]), ()):
+    for x, idxs, coeffs in memo.get((T, level, s, hash(fvec[s])), ()):
         for c in at[x]:
             twisted = tuple(solver.times(i, c) for i in idxs)
             if _verify(solver, fvec, twisted, coeffs, values):
@@ -710,13 +718,11 @@ def _memo_decompose(memo: dict, expected: dict,
     e = sparse_decompose(f, T)
     entry = (tuple(solver.chars.index(th) for th, _ in e.terms),
              tuple(co for _, co in e.terms))
-    # f(s*) zeta^x for x = -k mod N, k = 0, ..., N - 1: one step each
-    v, down = fvec[s], solver.red[level - 1]
-    for k in range(level):
-        x = -k % level
-        if x in at:
-            memo.setdefault((T, level, s, v), []).append((x, *entry))
-        v = _down(v, down)
+    # f(s*) zeta^x = shift(s*, k), k = -x mod N, for the x taken at s*
+    shift = _shifter(solver, fvec)
+    for k in sorted(-x % level for x in at):
+        memo.setdefault((T, level, s, hash(shift(s, k))), []).append(
+            (-k % level, *entry))
     return e
 
 

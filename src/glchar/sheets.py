@@ -11,14 +11,23 @@ Built-in generators cover GL_1 and GL_2 at any prime power q (GL_2 by
 the classical value formulas over tables keyed by exponent residue);
 larger n arrives only through load_sheet.  save_sheet writes JSON format
 2 (distinct values plus index rows); load_sheet also reads version 1.
+
+In memory a built or format 2 sheet has the same layout: one table of
+distinct values, and per row and torus an IndexRow, a read-only Mapping
+over an array of indices into it in regular_elements order (copy one with
+dict(...) to edit it).  Plain dict rows, from library callers and version
+1 files, are valid too and take the generic paths.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import count, repeat
 from operator import attrgetter
 from typing import Iterable
 
@@ -117,14 +126,36 @@ class IrrLabel:
                 "principal": q + 1, "cuspidal": q - 1}[self.family]
 
 
-ValueMap = dict[tuple[int, ...], CycNum]
+class IndexRow(Mapping):
+    """Read-only values of one row on one torus: table[idx[p]] at the p-th
+    key of pos (regular elements to positions, shared by a sheet's rows).
+    idx is an array, typecode 'H' while the table has <= 65,536 entries."""
+
+    __slots__ = ("pos", "table", "idx")
+
+    def __init__(self, pos: dict, table: list[CycNum],
+                 indices: Iterable[int]):
+        self.pos, self.table = pos, table
+        self.idx = array("H" if len(table) <= 1 << 16 else "I", indices)
+
+    def __getitem__(self, key):
+        return self.table[self.idx[self.pos[key]]]
+
+    def __iter__(self):
+        return iter(self.pos)
+
+    def __len__(self):
+        return len(self.pos)
 
 
 @dataclass
 class SheetRow:
+    """One irreducible; values maps torus blocks to its values there: an
+    IndexRow on built and format 2 sheets (read-only), or any Mapping."""
+
     label: str
     dim: int
-    values: dict[tuple[int, ...], ValueMap]  # keyed by torus blocks
+    values: dict[tuple[int, ...], Mapping[tuple[int, ...], CycNum]]
 
 
 @dataclass
@@ -154,11 +185,12 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     (tt,) = enumerate_tori(spec)
     N = q - 1
     regs = regular_elements(tt)
+    pos = dict(zip(regs, count()))
     roots = [root(N, m) for m in range(N)]
     rows = []
     for k in range(q - 1):
         label = IrrLabel.make(spec, "onedim", (k,))
-        vals = dict(zip(regs, [roots[k * e % N] for (e,) in regs]))
+        vals = IndexRow(pos, roots, [k * e % N for (e,) in regs])
         rows.append(SheetRow(label.format(), 1, {tt.blocks: vals}))
     return CharacterSheet(spec, N, (tt,), rows)
 
@@ -182,7 +214,7 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
 
     A value depends on its slot only through a residue: m = k(i+j) or ka
     mod q-1, (u, v) = (ki+lj, kj+li) mod q-1, or ca mod N.  Rows read
-    tables keyed by residue, and each distinct value is one CycNum.
+    tables keyed by residue, of indices into the table of distinct values.
     """
     spec = GroupSpec(2, q)
     N = q * q - 1
@@ -198,17 +230,20 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
     labels += {IrrLabel.make(spec, "cuspidal", (c,))
                for c in range(1, N) if c % (q + 1)}
 
-    interned: dict[CycNum, CycNum] = {}
+    index: dict[CycNum, int] = {}  # of each distinct value in the table
 
     @cache
-    def val(sign: int, *exps: int) -> CycNum:
+    def val(sign: int, *exps: int) -> int:
         v = CycNum.from_terms(N, [(e, sign) for e in exps])
-        return interned.setdefault(v, v)
+        return index.setdefault(v, len(index))
 
     det = {s: [[val(s, k * m % r * (q + 1)) for m in range(r)]
                for k in range(r)] for s in (1, -1)}
-    pair = cache(lambda x: val(1, x // r * (q + 1), x % r * (q + 1)))
-    cusp = cache(lambda m: val(-1, m, m * q))
+    pair = [val(1, x // r * (q + 1), x % r * (q + 1)) for x in range(r * r)]
+    cusp = [val(-1, m, m * q) for m in range(N)]
+    zero = val(1)
+    table = list(index)
+    pos_sp, pos_el = (dict(zip(regs, count())) for regs in (regs_sp, regs_el))
     sums = [(i + j) % r for i, j in regs_sp]
     ells = [a % r for (a,) in regs_el]
 
@@ -217,21 +252,21 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
         fam, par = lab.family, lab.params
         if fam == "onedim" or fam == "steinberg":
             k, s = par[0], 1 if fam == "onedim" else -1
-            vsp = dict(zip(regs_sp, map(det[1][k].__getitem__, sums)))
-            vel = dict(zip(regs_el, map(det[s][k].__getitem__, ells)))
+            vsp = map(det[1][k].__getitem__, sums)
+            vel = map(det[s][k].__getitem__, ells)
         elif fam == "principal":
             k, l = par
-            vsp = dict(zip(regs_sp, map(pair, [
+            vsp = map(pair.__getitem__, [
                 (k * i + l * j) % r * r + (k * j + l * i) % r
-                for i, j in regs_sp])))
-            vel = dict.fromkeys(regs_el, val(1))
+                for i, j in regs_sp])
+            vel = repeat(zero, len(regs_el))
         else:
             c = par[0]
-            vsp = dict.fromkeys(regs_sp, val(1))
-            vel = dict(zip(regs_el, map(cusp, [c * a % N
-                                               for (a,) in regs_el])))
-        rows.append(SheetRow(lab.format(), lab.dim(spec),
-                             {sp.blocks: vsp, el.blocks: vel}))
+            vsp = repeat(zero, len(regs_sp))
+            vel = map(cusp.__getitem__, [c * a % N for (a,) in regs_el])
+        rows.append(SheetRow(lab.format(), lab.dim(spec), {
+            sp.blocks: IndexRow(pos_sp, table, vsp),
+            el.blocks: IndexRow(pos_el, table, vel)}))
     return CharacterSheet(spec, N, (sp, el), rows)
 
 
@@ -312,14 +347,15 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
 
     classes = {tt.blocks: _regular_classes(tt) for tt in sheet.tori}
     reg_sets = {tt.blocks: set(regular_elements(tt)) for tt in sheet.tori}
-    # class functions satisfy f == f o succ, succ[p] the next element after
-    # regs[p] in its class's cycle; levels first, as == raises across levels
+    # an index row of a class function has idx == idx o succ, succ[p] the
+    # next element after regs[p] in its class's cycle; other rows itemize
     succ: dict[tuple[int, ...], list[int]] = {}
     for tt in sheet.tori:
         pos = {e: p for p, e in enumerate(regular_elements(tt))}
         nxt = {e: e1 for cls in classes[tt.blocks]
                for e, e1 in zip(cls, cls[1:] + cls[:1])}
         succ[tt.blocks] = [pos[nxt[e]] for e in regular_elements(tt)]
+    fast: dict[tuple, bool] = {}  # keys and levels, by torus, pos, table
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
             bad.append(f"row {r.label}: value maps keyed by "
@@ -328,12 +364,15 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
         for tt in sheet.tori:
             vals = r.values[tt.blocks]
             regs = regular_elements(tt)
-            vs = (list(vals.values()) if tuple(vals) == regs
-                  else list(map(vals.__getitem__, regs))
-                  if set(vals) == reg_sets[tt.blocks] else None)
-            if (vs is not None and set(map(_level, vs)) <= {sheet.zeta_level}
-                    and vs == list(map(vs.__getitem__, succ[tt.blocks]))):
-                continue
+            if type(vals) is IndexRow:
+                key = (tt.blocks, id(vals.pos), id(vals.table))
+                if key not in fast:
+                    fast[key] = tuple(vals.pos) == regs and set(
+                        map(_level, vals.table)) <= {sheet.zeta_level}
+                idx = vals.idx.tolist()
+                if fast[key] and idx == list(
+                        map(idx.__getitem__, succ[tt.blocks])):
+                    continue
             missing = [e for e in regs if e not in vals]
             extra = [e for e in vals if e not in reg_sets[tt.blocks]]
             if missing:
@@ -429,24 +468,24 @@ def sheet_from_dict(data) -> CharacterSheet:
             raise SheetFormatError(
                 f"{where}: bad value triples: {err}") from None
 
-    def from_indices(indices: list, tt: TorusType, where: str) -> ValueMap:
-        regs = regular_elements(tt)
-        if len(indices) != len(regs):
+    def from_indices(indices: list, tt: TorusType, where: str) -> IndexRow:
+        pos = positions[tt.blocks]
+        if len(indices) != len(pos):
             raise SheetFormatError(f"{where}: {len(indices)} indices for "
-                                   f"{len(regs)} regular elements")
+                                   f"{len(pos)} regular elements")
         if indices and (set(map(type, indices)) != {int}  # True is an int
                         or min(indices) < 0 or max(indices) >= len(table)):
             raise SheetFormatError(f"{where}: an index is not an int in "
                                    f"range({len(table)})")
-        return dict(zip(regs, map(table.__getitem__, indices)))
+        return IndexRow(pos, table, indices)
 
-    def from_entries(entries: list, tt: TorusType, where: str) -> ValueMap:
+    def from_entries(entries: list, tt: TorusType, where: str) -> dict:
         grp = points(tt)
         # before any entry is parsed: more entries than points must repeat one
         if len(entries) > grp.order:
             raise SheetFormatError(f"{where}: {len(entries)} entries for "
                                    f"{grp.order} points")
-        vals: ValueMap = {}
+        vals: dict[tuple[int, ...], CycNum] = {}
         rank = len(grp.moduli)
         for ent in entries:
             e = need(ent, "element", list)
@@ -469,13 +508,15 @@ def sheet_from_dict(data) -> CharacterSheet:
             raise SheetFormatError(f"{len(table)} values for {slots} slots "
                                    f"(rows times regular elements)")
         table = [value(t, "values") for t in table]
+        positions = {tt.blocks: dict(zip(regular_elements(tt), count()))
+                     for tt in tori}
     by_label = {tt.label: tt for tt in tori}
     rows = []
     for item in items:
         label = need(item, "label", str)
         dim = need(item, "dim", int)
         values_in = need(item, "values", dict)
-        values: dict[tuple[int, ...], ValueMap] = {}
+        values: dict[tuple[int, ...], Mapping] = {}
         for tlab, tt in by_label.items():
             if tlab not in values_in:
                 raise SheetFormatError(
@@ -501,40 +542,32 @@ def sheet_to_json_text(sheet: CharacterSheet) -> str:
 
     Each distinct value is written once to the "values" table, in order of
     first appearance (rows, then tori, then elements in sorted order), and
-    the rows hold indices into it.  A value is looked up by id first
-    (rows share value objects, so this is the common hit) and then by
-    value, so a built sheet and its reload give the same bytes.
+    the rows hold indices into it.  An index row is written by remapping
+    its array, each entry of its table looked up by value once; any other
+    map is read value by value.  So a built sheet and its reload give the
+    same bytes.
     """
-    table: list[list[list[int]]] = []
-    by_id: dict[int, int] = {}
-    by_value: dict[CycNum, int] = {}
+    index: dict[CycNum, int] = {}  # of each distinct value, in order
+    remaps: dict[int, dict[int, int]] = {}  # by id of an index row's table
 
-    def index(v: CycNum) -> int:
-        i = by_id.get(id(v))
-        if i is None:
-            i = by_id[id(v)] = by_value.setdefault(v, len(table))
-            if i == len(table):
-                table.append(v.to_triples())
-        return i
+    def indices(vals, tt: TorusType) -> list[int]:
+        if type(vals) is IndexRow and tuple(vals.pos) == regular_elements(tt):
+            remap, idx = remaps.setdefault(id(vals.table), {}), vals.idx
+            for i in sorted(set(idx).difference(remap), key=idx.index):
+                remap[i] = index.setdefault(vals.table[i], len(index))
+            return list(map(remap.__getitem__, idx))
+        return [index.setdefault(vals[e], len(index)) for e in sorted(vals)]
 
-    def indices(vals: ValueMap, tt: TorusType) -> list[int]:
-        vs = (list(vals.values()) if tuple(vals) == regular_elements(tt)
-              else [vals[e] for e in sorted(vals)])
-        out = list(map(by_id.get, map(id, vs)))
-        if None in out:
-            out = [index(v) if i is None else i for i, v in zip(out, vs)]
-        return out
-
-    irreducibles = [
-        {"label": r.label, "dim": r.dim,
-         "values": {tt.label: indices(r.values[tt.blocks], tt)
-                    for tt in sheet.tori}}
-        for r in sheet.rows]
-    return json.dumps({"format": 2, "group": "GL", "n": sheet.spec.n,
-                       "q": sheet.spec.q, "zeta_level": sheet.zeta_level,
-                       "tori": [t.label for t in sheet.tori],
-                       "values": table, "irreducibles": irreducibles},
-                      separators=(",", ":")) + "\n"
+    dumps = partial(json.dumps, separators=(",", ":"))
+    # a row at a time: json holds a string per number until it joins them
+    rows = ",".join(dumps({"label": r.label, "dim": r.dim, "values": {
+        tt.label: indices(r.values[tt.blocks], tt) for tt in sheet.tori}})
+        for r in sheet.rows)
+    head = dumps({"format": 2, "group": "GL", "n": sheet.spec.n,
+                  "q": sheet.spec.q, "zeta_level": sheet.zeta_level,
+                  "tori": [t.label for t in sheet.tori],
+                  "values": [v.to_triples() for v in index]})
+    return f'{head[:-1]},"irreducibles":[{rows}]}}\n'
 
 
 def save_sheet(sheet: CharacterSheet, path: str) -> None:

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 import glchar.cli as cli
 from glchar.cli import main
 from glchar.cyclotomic import CycNum, root
-from glchar.sheets import (SheetFormatError, build_gl1_sheet, build_gl2_sheet,
-                           load_sheet, save_sheet, sheet_from_dict)
+from glchar.sheets import (SheetFormatError, SheetValidationError,
+                           build_gl1_sheet, build_gl2_sheet, load_sheet,
+                           save_sheet, sheet_from_dict, sheet_to_json_text)
 from glchar.tori import GroupSpec, torus_from_label
 
 from oracle_conjugacy import weyl_orbit
@@ -683,6 +684,24 @@ def test_hostile_format_2_sheet_exits_3(capsys, tmp_path, case):
     code, out, err = run(capsys, "recover", "--sheet", str(path))
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_values_table_past_two_byte_indices_exits_3(capsys, tmp_path):
+    # more than 65,536 distinct values, so the index arrays need four bytes;
+    # one slot points past 65,535 and breaks its class
+    data = json.loads(sheet_to_json_text(build_gl2_sheet(17)))
+    data["values"] += [[[k, 1, 0]] for k in range(10**6, 10**6 + 65_536)]
+    data["irreducibles"][0]["values"]["1+1"][1] = len(data["values"]) - 1
+    message = ("row onedim:0, torus 1+1: not constant on the class of "
+               "(0, 2) (differs at (2, 0))")
+    with pytest.raises(SheetValidationError) as exc:
+        sheet_from_dict(data)
+    assert str(exc.value) == message
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    del data, exc
+    code, out, err = run(capsys, "recover", "--sheet", str(path))
+    assert (code, out, err) == (3, "", f"error: sheet rejected: {message}\n")
 
 
 def test_unrecoverable_class_function_exits_4(capsys, tmp_path):

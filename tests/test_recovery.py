@@ -580,7 +580,8 @@ def test_unipotent_checks_validation_before_the_label():
     sheet = build_gl2_sheet(11)
     with pytest.raises(KeyError):
         is_unipotent(sheet, "no such row")
-    vals = sheet.row("cuspidal:1").values[(2,)]
+    row = sheet.row("cuspidal:1")
+    vals = row.values[(2,)] = dict(row.values[(2,)])  # built rows are read-only
     vals[(1,)] = vals[(1,)] + 1  # its class partner (11,) keeps the old value
     with pytest.raises(SheetValidationError, match="not constant"):
         is_unipotent(sheet, "no such row")
@@ -626,9 +627,8 @@ def test_constant_root_of_unity_has_no_expansion():
     # but zeta * theta_0 is the only short expansion of the constant zeta,
     # and its coefficient is not an integer
     sheet = build_gl2_sheet(11)
-    vals = sheet.row("cuspidal:1").values[ELL11.blocks]
-    for e in vals:
-        vals[e] = root(120, 1)
+    sheet.row("cuspidal:1").values[ELL11.blocks] = dict.fromkeys(
+        regular_elements(ELL11), root(120, 1))
     assert constant_on_every_locus(sheet, "cuspidal:1")
     with pytest.raises(NoExpansionError):
         is_unipotent(sheet, "cuspidal:1")

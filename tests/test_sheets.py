@@ -2,12 +2,15 @@
 
 import copy
 import json
+import tracemalloc
+from array import array
 
 import pytest
 
 from glchar.cyclotomic import CycNum, root
 from glchar.sheets import (
     CharacterSheet,
+    IndexRow,
     IrrLabel,
     SheetFormatError,
     SheetRow,
@@ -107,8 +110,10 @@ def test_validate_flags_class_function_violation():
     sheet = build_gl2_sheet(5)
     sp = sheet.tori[0]
     row = sheet.row("principal:0,1")
-    # perturb one value; its swap partner keeps the old value
-    row.values[sp.blocks][(0, 1)] = row.values[sp.blocks][(0, 1)] + 1
+    # perturb one value of a copy (built rows are read-only); its swap
+    # partner keeps the old value
+    vals = row.values[sp.blocks] = dict(row.values[sp.blocks])
+    vals[(0, 1)] = vals[(0, 1)] + 1
     report = validate_sheet(sheet)
     assert not report.ok
     assert any("not constant" in v for v in report.violations)
@@ -138,16 +143,55 @@ PLANTED = [
 def test_validate_class_function_violation_text(q, blocks, label, planted,
                                                 text):
     sheet = build_gl2_sheet(q)
-    vals = sheet.row(label).values[blocks]
+    row = sheet.row(label)
+    vals = row.values[blocks] = dict(row.values[blocks])
     vals[planted] = vals[planted] + 1
     assert validate_sheet(sheet).violations == (text,)
+
+
+@pytest.mark.parametrize("q,blocks,label,planted,text", PLANTED,
+                         ids=["q5-split", "q5-elliptic", "q11-split",
+                              "q11-elliptic"])
+def test_validate_index_row_violation_text(q, blocks, label, planted, text):
+    # the same plant made in the index array: another value of the table
+    sheet = build_gl2_sheet(q)
+    row = sheet.row(label)
+    view = row.values[blocks]
+    idx = array(view.idx.typecode, view.idx)
+    p = list(view).index(planted)
+    idx[p] = (idx[p] + 1) % len(view.table)
+    row.values[blocks] = IndexRow(view.pos, view.table, idx)
+    assert validate_sheet(sheet).violations == (text,)
+
+
+def test_index_row_level_violation_text():
+    # a table one level off: within each class the levels agree
+    sheet = build_gl2_sheet(5)
+    row = sheet.row("cuspidal:1")
+    view = row.values[(2,)]
+    table = [v.lift(2 * sheet.zeta_level) for v in view.table]
+    row.values[(2,)] = IndexRow(view.pos, table, view.idx)
+    assert validate_sheet(sheet).violations == (
+        "row cuspidal:1, torus 2: value at level 48 != 24",)
+
+
+def test_index_rows_under_the_wrong_torus_read_as_their_dict_copies():
+    sheet, copies = build_gl2_sheet(5), build_gl2_sheet(5)
+    for s in (sheet, copies):
+        row = s.row("cuspidal:1")
+        sp, el = (row.values[tt.blocks] for tt in s.tori)
+        if s is copies:
+            sp, el = dict(sp), dict(el)
+        row.values = {(1, 1): el, (2,): sp}
+    texts = validate_sheet(copies).violations
+    assert texts and validate_sheet(sheet).violations == texts
 
 
 def _reverse_maps(sheet):
     """The sheet with every row's maps re-inserted in reverse order, so no
     value map has its keys in regular_elements order."""
     for r in sheet.rows:
-        r.values = {b: dict(reversed(m.items()))
+        r.values = {b: dict(reversed(dict(m).items()))
                     for b, m in reversed(r.values.items())}
     return sheet
 
@@ -255,6 +299,26 @@ def test_builders_match_the_slotwise_formulas(q):
         objects = {id(v): v for v, _ in pairs.values()}
         assert len(set(objects.values())) == len(objects)
         del sheet, expected, pairs
+
+
+def test_built_and_loaded_sheets_hold_index_arrays():
+    # 511,104 slots at q=23: a dict entry per slot retained about 20 MiB
+    # either way; one value table plus two-byte indices stay under 4 MiB
+    def retained(make):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = make()
+            return kept, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    sheet, built = retained(lambda: build_gl2_sheet(23))
+    data = json.loads(sheet_to_json_text(sheet))
+    loaded, parsed = retained(lambda: sheet_from_dict(data))
+    assert {v.idx.typecode for r in loaded.rows
+            for v in r.values.values()} == {"H"}
+    assert built <= 4 << 20 and parsed <= 4 << 20, (built, parsed)
 
 
 EIGENVALUE_CASES = [(n, q) for n in (1, 2, 3, 4)
