@@ -77,17 +77,15 @@ def _load_or_build(args) -> CharacterSheet:
 
 
 def _sorted_rows(sheet: CharacterSheet):
-    if sheet.spec.n <= 2:
-        return sorted(sheet.rows,
-                      key=lambda r: IrrLabel.parse(sheet.spec, r.label).sort_key())
-    return list(sheet.rows)
+    return sorted(sheet.rows,
+                  key=lambda r: IrrLabel.parse(sheet.spec, r.label).sort_key())
 
 
 def _canonical_label(sheet: CharacterSheet, text: str) -> str:
     try:
         return IrrLabel.parse(sheet.spec, text).format()
     except ValueError:
-        return text  # loaded sheets may use labels outside the grammar
+        return text  # names no row: sheet.row raises KeyError
 
 
 def _report_line(rep) -> str:

@@ -80,7 +80,7 @@ from typing import Mapping, Sequence
 from .abelian import DEFAULT_BUDGET, AbChar, enumerate_chars
 from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled
 from .sheets import (
-    CharacterSheet, IndexRow, SheetValidationError, validate_sheet)
+    CharacterSheet, SheetValidationError, index_row, validate_sheet)
 from .tori import (
     GeomClassId,
     GroupSpec,
@@ -597,30 +597,24 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
     """(level, fvec, s): f as integer power-basis vectors in locus order,
     and its first nonzero sample (None for the zero function).
 
-    level is the lcm of the torus exponent and every value level.  Each
-    entry of an index row's table, or value object of another map, is
-    lifted and tested once.  Other maps have their keys reduced by
-    tori._exps unless they are exactly the regular tuples; ValueError when
+    level is the lcm of the torus exponent and every value level.  f is
+    read through its sheets.index_row, after its keys are reduced by
+    tori._exps when they are not exactly the regular tuples, and each
+    entry of the row's table is lifted and tested once.  ValueError when
     a key has the wrong length or the domain is not the regular locus.
     """
-    regs = regular_elements(T)
-    if type(f) is IndexRow and tuple(f.pos) == regs:
-        table, idx = f.table, f.idx
-    else:
-        keyed = f
-        # len(f) keys that include every one of the len(regs) distinct regs
-        if len(f) != len(regs) or not all(map(f.__contains__, regs)):
-            keyed = {_exps(T, k): v for k, v in f.items()}
-            missing = [e for e in regs if e not in keyed]
-            extra = sorted(set(keyed) - set(regs))
-            if missing or extra:
-                raise ValueError(
-                    f"function domain does not match the regular locus of "
-                    f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
-        ids = list(map(id, map(keyed.__getitem__, regs)))
-        objs = dict(zip(map(id, keyed.values()), keyed.values()))
-        table = list(objs.values())
-        idx = list(map(dict(zip(objs, count())).__getitem__, ids))
+    row = index_row(f, T)
+    if row is None:
+        keyed = {_exps(T, k): v for k, v in f.items()}
+        regs = regular_elements(T)
+        missing = [e for e in regs if e not in keyed]
+        extra = sorted(set(keyed) - set(regs))
+        if missing or extra:
+            raise ValueError(
+                f"function domain does not match the regular locus of "
+                f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
+        row = index_row(keyed, T)
+    table, idx = row.table, row.idx
     levels = set(map(attrgetter("level"), table))
     level = math.lcm(points(T).exponent, *levels)
     if levels != {level}:

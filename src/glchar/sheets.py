@@ -9,14 +9,14 @@ assumption.
 
 Built-in generators cover GL_1 and GL_2 at any prime power q (GL_2 by
 the classical value formulas over tables keyed by exponent residue);
-larger n arrives only through load_sheet.  save_sheet writes JSON format
-2 (distinct values plus index rows); load_sheet also reads version 1.
+load_sheet refuses larger n.  save_sheet writes JSON format 2 (distinct
+values plus index rows); load_sheet also reads version 1.
 
-In memory a built or format 2 sheet has the same layout: one table of
-distinct values, and per row and torus an IndexRow, a read-only Mapping
-over an array of indices into it in regular_elements order (copy one with
-dict(...) to edit it).  Plain dict rows, from library callers and version
-1 files, are valid too and take the generic paths.
+In memory a row on a torus is an IndexRow, a read-only Mapping over an
+array of indices into a table of values (copy one with dict(...) to edit
+it).  Built and loaded rows are index rows, and index_row indexes a plain
+map where it is read; only a map whose keys are not the regular elements
+is read value by value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import count, repeat
-from operator import attrgetter
 from typing import Iterable
 
 from .abelian import EnumerationBudgetError
@@ -40,12 +39,12 @@ from .tori import (
     eigenvalues,
     enumerate_tori,
     points,
+    positions,
     regular_elements,
     torus_from_label,
 )
 
 FAMILIES = ("onedim", "steinberg", "principal", "cuspidal")
-_level = attrgetter("level")
 
 
 class SheetFormatError(ValueError):
@@ -128,8 +127,8 @@ class IrrLabel:
 
 class IndexRow(Mapping):
     """Read-only values of one row on one torus: table[idx[p]] at the p-th
-    key of pos (regular elements to positions, shared by a sheet's rows).
-    idx is an array, typecode 'H' while the table has <= 65,536 entries."""
+    key of pos (tori.positions of the torus, in a sheet).  idx is an array,
+    typecode 'H' while the table has <= 65,536 entries, else 'I'."""
 
     __slots__ = ("pos", "table", "idx")
 
@@ -148,10 +147,26 @@ class IndexRow(Mapping):
         return len(self.pos)
 
 
+def index_row(vals: Mapping, tt: TorusType) -> IndexRow | None:
+    """vals as an IndexRow over positions(tt) (itself if it is one), or None
+    when its keys are not the regular elements of tt; a new one's table is
+    the map's distinct value objects, in order of first appearance."""
+    pos = positions(tt)
+    if type(vals) is IndexRow and vals.pos is pos:
+        return vals
+    if len(vals) != len(pos) or not all(map(vals.__contains__, pos)):
+        return None
+    objs = list(vals.values())
+    first = dict(zip(map(id, objs), objs))  # by id, in first appearance
+    number = dict(zip(first, count()))
+    where = dict(zip(vals, map(number.__getitem__, map(id, objs))))
+    return IndexRow(pos, list(first.values()), map(where.__getitem__, pos))
+
+
 @dataclass
 class SheetRow:
     """One irreducible; values maps torus blocks to its values there: an
-    IndexRow on built and format 2 sheets (read-only), or any Mapping."""
+    IndexRow on built and loaded sheets (read-only), or any Mapping."""
 
     label: str
     dim: int
@@ -184,13 +199,12 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     spec = GroupSpec(1, q)
     (tt,) = enumerate_tori(spec)
     N = q - 1
-    regs = regular_elements(tt)
-    pos = dict(zip(regs, count()))
     roots = [root(N, m) for m in range(N)]
     rows = []
     for k in range(q - 1):
         label = IrrLabel.make(spec, "onedim", (k,))
-        vals = IndexRow(pos, roots, [k * e % N for (e,) in regs])
+        vals = IndexRow(positions(tt), roots,
+                        [k * e % N for (e,) in regular_elements(tt)])
         rows.append(SheetRow(label.format(), 1, {tt.blocks: vals}))
     return CharacterSheet(spec, N, (tt,), rows)
 
@@ -243,7 +257,6 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
     cusp = [val(-1, m, m * q) for m in range(N)]
     zero = val(1)
     table = list(index)
-    pos_sp, pos_el = (dict(zip(regs, count())) for regs in (regs_sp, regs_el))
     sums = [(i + j) % r for i, j in regs_sp]
     ells = [a % r for (a,) in regs_el]
 
@@ -265,8 +278,8 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
             vsp = repeat(zero, len(regs_sp))
             vel = map(cusp.__getitem__, [c * a % N for (a,) in regs_el])
         rows.append(SheetRow(lab.format(), lab.dim(spec), {
-            sp.blocks: IndexRow(pos_sp, table, vsp),
-            el.blocks: IndexRow(pos_el, table, vel)}))
+            sp.blocks: IndexRow(positions(sp), table, vsp),
+            el.blocks: IndexRow(positions(el), table, vel)}))
     return CharacterSheet(spec, N, (sp, el), rows)
 
 
@@ -303,8 +316,8 @@ def _regular_classes(tt: TorusType) -> list[list[tuple[int, ...]]]:
     return list(classes.values())
 
 
-def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
-    """Structural and semantic checks; every violation itemized."""
+def _header_violations(sheet: CharacterSheet) -> list[str]:
+    """validate_sheet's checks that enumerate no torus."""
     bad: list[str] = []
     spec = sheet.spec
     expected_tori = enumerate_tori(spec)
@@ -344,18 +357,23 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
     if mass != spec.group_order:
         bad.append(f"sum of dim^2 is {mass}, group order is "
                    f"{spec.group_order}")
+    return bad
 
+
+def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
+    """Structural and semantic checks; every violation itemized."""
+    bad = _header_violations(sheet)
     classes = {tt.blocks: _regular_classes(tt) for tt in sheet.tori}
-    reg_sets = {tt.blocks: set(regular_elements(tt)) for tt in sheet.tori}
-    # an index row of a class function has idx == idx o succ, succ[p] the
-    # next element after regs[p] in its class's cycle; other rows itemize
+    # a class function has idx == idx o succ, succ[p] the position of the
+    # next element after the p-th in its class's cycle
     succ: dict[tuple[int, ...], list[int]] = {}
     for tt in sheet.tori:
-        pos = {e: p for p, e in enumerate(regular_elements(tt))}
+        pos = positions(tt)
         nxt = {e: e1 for cls in classes[tt.blocks]
                for e, e1 in zip(cls, cls[1:] + cls[:1])}
-        succ[tt.blocks] = [pos[nxt[e]] for e in regular_elements(tt)]
-    fast: dict[tuple, bool] = {}  # keys and levels, by torus, pos, table
+        succ[tt.blocks] = [pos[nxt[e]] for e in pos]
+    # by id of each table, kept alive: its levels other than zeta_level
+    wrong: dict[int, tuple[list[CycNum], list[int]]] = {}
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
             bad.append(f"row {r.label}: value maps keyed by "
@@ -363,35 +381,31 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
             continue
         for tt in sheet.tori:
             vals = r.values[tt.blocks]
-            regs = regular_elements(tt)
-            if type(vals) is IndexRow:
-                key = (tt.blocks, id(vals.pos), id(vals.table))
-                if key not in fast:
-                    fast[key] = tuple(vals.pos) == regs and set(
-                        map(_level, vals.table)) <= {sheet.zeta_level}
-                idx = vals.idx.tolist()
-                if fast[key] and idx == list(
-                        map(idx.__getitem__, succ[tt.blocks])):
-                    continue
-            missing = [e for e in regs if e not in vals]
-            extra = [e for e in vals if e not in reg_sets[tt.blocks]]
-            if missing:
-                bad.append(f"row {r.label}, torus {tt.label}: missing "
-                           f"regular elements, e.g. {missing[0]}")
-            if extra:
-                bad.append(f"row {r.label}, torus {tt.label}: value on "
-                           f"non-regular element {extra[0]}")
-            if missing or extra:
+            row = index_row(vals, tt)
+            if row is None:
+                pos = positions(tt)
+                missing = [e for e in pos if e not in vals]
+                extra = [e for e in vals if e not in pos]
+                if missing:
+                    bad.append(f"row {r.label}, torus {tt.label}: missing "
+                               f"regular elements, e.g. {missing[0]}")
+                if extra:
+                    bad.append(f"row {r.label}, torus {tt.label}: value on "
+                               f"non-regular element {extra[0]}")
                 continue
-            for v in vals.values():
-                if v.level != sheet.zeta_level:
-                    bad.append(f"row {r.label}, torus {tt.label}: value at "
-                               f"level {v.level} != {sheet.zeta_level}")
-                    break
+            if id(row.table) not in wrong:
+                wrong[id(row.table)] = (row.table, [
+                    v.level for v in row.table if v.level != sheet.zeta_level])
+            for level in wrong[id(row.table)][1][:1]:
+                bad.append(f"row {r.label}, torus {tt.label}: value at "
+                           f"level {level} != {sheet.zeta_level}")
+            idx = row.idx.tolist()
+            if idx == list(map(idx.__getitem__, succ[tt.blocks])):
+                continue
             for cls in classes[tt.blocks]:
-                v0 = vals[cls[0]]
+                v0 = row[cls[0]]
                 for e in cls[1:]:
-                    v = vals[e]
+                    v = row[e]
                     if v is not v0 and v != v0:
                         bad.append(f"row {r.label}, torus {tt.label}: not "
                                    f"constant on the class of {cls[0]} "
@@ -410,7 +424,8 @@ def sheet_from_dict(data) -> CharacterSheet:
     format 2 has indices into the file's "values" table, one per regular
     element in regular_elements order; version 1 (no "format" key) has
     {"element", "value"} entries.  SheetFormatError for a schema
-    violation, SheetValidationError for a sheet that fails validation.
+    violation or n >= 3, SheetValidationError for a sheet that fails
+    validation, raised before any torus is enumerated if its header does.
     """
     def need(d, key, kind):
         if not isinstance(d, dict) or key not in d:
@@ -427,6 +442,8 @@ def sheet_from_dict(data) -> CharacterSheet:
     if v2 and need(data, "format", int) != 2:
         raise SheetFormatError("format must be 2, or absent for version 1")
     n = need(data, "n", int)
+    if n >= 3:  # GL_3 first passes the gate at q = 6151, over the budget
+        raise SheetFormatError(f"n = {n}: no GL_n sheet with n >= 3 recovers")
     q = need(data, "q", int)
     # before GroupSpec and zeta_level_for: a larger group can never be
     # enumerated and validated
@@ -452,10 +469,14 @@ def sheet_from_dict(data) -> CharacterSheet:
             tori.append(torus_from_label(spec, lab))
         except ValueError as e:
             raise SheetFormatError(str(e)) from None
-    # Per load, equal elements and equal values share one object.  Keys are
-    # type-checked first, so 1.0 or True never hits the entry of a 1.
-    elements: dict[tuple[int, ...], tuple[int, ...]] = {}
-    interned: dict[tuple[tuple[int, int, int], ...], CycNum] = {}
+    items = need(data, "irreducibles", list)
+    rows = [SheetRow(need(item, "label", str), need(item, "dim", int), {})
+            for item in items]
+    sheet = CharacterSheet(spec, zeta_level, tuple(tori), rows)
+    header = _header_violations(sheet)
+    if header:
+        raise SheetValidationError(SheetValidationReport(tuple(header)))
+    interned: dict[tuple[tuple[int, int, int], ...], CycNum] = {}  # per load
 
     def value(triples, where: str) -> CycNum:
         try:
@@ -469,7 +490,7 @@ def sheet_from_dict(data) -> CharacterSheet:
                 f"{where}: bad value triples: {err}") from None
 
     def from_indices(indices: list, tt: TorusType, where: str) -> IndexRow:
-        pos = positions[tt.blocks]
+        pos = positions(tt)
         if len(indices) != len(pos):
             raise SheetFormatError(f"{where}: {len(indices)} indices for "
                                    f"{len(pos)} regular elements")
@@ -479,7 +500,7 @@ def sheet_from_dict(data) -> CharacterSheet:
                                    f"range({len(table)})")
         return IndexRow(pos, table, indices)
 
-    def from_entries(entries: list, tt: TorusType, where: str) -> dict:
+    def from_entries(entries: list, tt: TorusType, where: str) -> Mapping:
         grp = points(tt)
         # before any entry is parsed: more entries than points must repeat one
         if len(entries) > grp.order:
@@ -492,14 +513,13 @@ def sheet_from_dict(data) -> CharacterSheet:
             key = tuple(e)
             if len(key) != rank or not all(type(x) is int for x in key):
                 raise SheetFormatError(f"{where}: bad element {e}")
-            key = elements.setdefault(key, key)
             v = value(need(ent, "value", list), where)
             if key in vals:
                 raise SheetFormatError(f"{where}: duplicate element {key}")
             vals[key] = v
-        return vals
+        row = index_row(vals, tt)
+        return vals if row is None else row
 
-    items = need(data, "irreducibles", list)
     if v2:
         table = need(data, "values", list)
         # before any value is parsed: each value fills at least one slot
@@ -508,15 +528,10 @@ def sheet_from_dict(data) -> CharacterSheet:
             raise SheetFormatError(f"{len(table)} values for {slots} slots "
                                    f"(rows times regular elements)")
         table = [value(t, "values") for t in table]
-        positions = {tt.blocks: dict(zip(regular_elements(tt), count()))
-                     for tt in tori}
     by_label = {tt.label: tt for tt in tori}
-    rows = []
-    for item in items:
-        label = need(item, "label", str)
-        dim = need(item, "dim", int)
+    for row, item in zip(rows, items):
+        label = row.label
         values_in = need(item, "values", dict)
-        values: dict[tuple[int, ...], Mapping] = {}
         for tlab, tt in by_label.items():
             if tlab not in values_in:
                 raise SheetFormatError(
@@ -524,12 +539,10 @@ def sheet_from_dict(data) -> CharacterSheet:
             entries = values_in[tlab]
             if not isinstance(entries, list):
                 raise SheetFormatError(f"row {label!r}: values must be a list")
-            values[tt.blocks] = (from_indices if v2 else from_entries)(
+            row.values[tt.blocks] = (from_indices if v2 else from_entries)(
                 entries, tt, f"row {label!r}, torus {tlab}")
         if values_in.keys() - by_label:
             raise SheetFormatError(f"row {label!r}: values for unknown tori")
-        rows.append(SheetRow(label, dim, values))
-    sheet = CharacterSheet(spec, zeta_level, tuple(tori), rows)
     report = validate_sheet(sheet)
     if not report.ok:
         raise SheetValidationError(report)
@@ -542,21 +555,25 @@ def sheet_to_json_text(sheet: CharacterSheet) -> str:
 
     Each distinct value is written once to the "values" table, in order of
     first appearance (rows, then tori, then elements in sorted order), and
-    the rows hold indices into it.  An index row is written by remapping
-    its array, each entry of its table looked up by value once; any other
-    map is read value by value.  So a built sheet and its reload give the
-    same bytes.
+    the rows hold indices into it.  A row is written by remapping the
+    array of its index_row, each entry of a table looked up by value once;
+    only a map whose keys are not the regular elements is read value by
+    value.  So a built sheet and its reload give the same bytes.
     """
     index: dict[CycNum, int] = {}  # of each distinct value, in order
-    remaps: dict[int, dict[int, int]] = {}  # by id of an index row's table
+    # by id of each table, kept alive: its indices to theirs in index
+    remaps: dict[int, tuple[list[CycNum], dict[int, int]]] = {}
 
     def indices(vals, tt: TorusType) -> list[int]:
-        if type(vals) is IndexRow and tuple(vals.pos) == regular_elements(tt):
-            remap, idx = remaps.setdefault(id(vals.table), {}), vals.idx
-            for i in sorted(set(idx).difference(remap), key=idx.index):
-                remap[i] = index.setdefault(vals.table[i], len(index))
-            return list(map(remap.__getitem__, idx))
-        return [index.setdefault(vals[e], len(index)) for e in sorted(vals)]
+        row = index_row(vals, tt)
+        if row is None:
+            return [index.setdefault(vals[e], len(index))
+                    for e in sorted(vals)]
+        table, remap = remaps.setdefault(id(row.table), (row.table, {}))
+        fresh = set(row.idx).difference(remap)  # few once a table is seen
+        for i in filter(fresh.__contains__, fresh and dict.fromkeys(row.idx)):
+            remap[i] = index.setdefault(table[i], len(index))
+        return list(map(remap.__getitem__, row.idx))
 
     dumps = partial(json.dumps, separators=(",", ":"))
     # a row at a time: json holds a string per number until it joins them

@@ -168,6 +168,12 @@ def regular_elements(ttype: TorusType) -> tuple[tuple[int, ...], ...]:
                  if is_regular(ttype, exps))
 
 
+@lru_cache(maxsize=None)
+def positions(ttype: TorusType) -> dict[tuple[int, ...], int]:
+    """Each regular element's index in regular_elements(ttype); shared."""
+    return {e: p for p, e in enumerate(regular_elements(ttype))}
+
+
 def _mobius(m: int) -> int:
     powers = _factorize(m).values()
     return 0 if any(e > 1 for e in powers) else (-1) ** len(powers)

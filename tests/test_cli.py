@@ -607,19 +607,36 @@ def test_huge_zeta_level_exits_3_before_values_are_parsed(tmp_path):
     assert "zeta_level 1000000 != lcm of torus exponents 8" in proc.stderr
 
 
-@pytest.mark.parametrize("n,q", [(40, 3), (100, 2), (2, 2**61 - 1),
-                                 (True, 11)])
-def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q):
+# a header that validation refuses, of a group whose two tori have about
+# 2 * 10**6 points between them: refused before either is enumerated
+Q997 = {"zeta_level": 994008, "tori": ["1+1", "2"]}
+ONE_ROW = [{"label": "onedim:0", "dim": 1, "values": {}}]
+
+
+@pytest.mark.parametrize("n,q,header,stderr", [
+    (40, 3, {}, None), (100, 2, {}, None), (2, 2**61 - 1, {}, None),
+    (True, 11, {}, None),
+    (2, 997, Q997, "error: sheet rejected: row count 0 != 994008; sum of "
+                   "dim^2 is 0, group order is 987061872096\n"),
+    (2, 997, {**Q997, "irreducibles": ONE_ROW}, None),
+    (3, 97, {"zeta_level": 89441856, "tori": ["1+1+1", "2+1", "3"]},
+     "error: sheet rejected: n = 3: no GL_n sheet with n >= 3 recovers\n"),
+], ids=["40-3", "100-2", "2-2305843009213693951", "True-11", "2-997",
+        "2-997-one-row", "3-97"])
+def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q,
+                                                      header, stderr):
     # no torus of a group with q^n - 1 over the enumeration budget can be
-    # validated, so the header alone rejects the file, before the trial
-    # division of q and the partitions of n (the subprocess timeout only
-    # guards against a hang)
+    # validated, and no GL_n sheet with n >= 3 recovered, so the header
+    # alone rejects the file, before the trial division of q and the
+    # partitions of n; a header within the budget that validation refuses
+    # is refused before any torus is enumerated (the subprocess timeout
+    # only guards against a hang)
     # in version 1 and in format 2
     for extra in ({}, {"format": 2, "values": []}):
         path = tmp_path / "hostile.json"
         path.write_text(json.dumps({"group": "GL", "n": n, "q": q,
                                     "zeta_level": 1, "tori": [],
-                                    "irreducibles": [], **extra}))
+                                    "irreducibles": [], **header, **extra}))
         argv = ["recover", "--sheet", str(path)]
         proc = subprocess.run([sys.executable, "-m", "glchar", *argv],
                               capture_output=True, text=True, timeout=60)
@@ -629,6 +646,7 @@ def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q):
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "sheet rejected" in err
+        assert stderr is None or err == proc.stderr == stderr
 
 
 def _put(*path, value):

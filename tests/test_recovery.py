@@ -35,6 +35,7 @@ from glchar.sheets import (
     SheetValidationError,
     build_gl1_sheet,
     build_gl2_sheet,
+    validate_sheet,
 )
 from glchar.tori import GroupSpec, TorusType, points, regular_elements
 
@@ -86,6 +87,17 @@ def test_cuspidal_elliptic_values_invert():
          for (a,) in regular_elements(ELL11)}
     e = sparse_decompose(f, ELL11)
     assert terms_of(e) == [((1,), -1), ((11,), -1)]
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_plain_dict_rows_recover_like_index_rows(q):
+    built, plain = build_gl2_sheet(q), build_gl2_sheet(q)
+    for r in plain.rows:
+        r.values = {b: dict(m) for b, m in r.values.items()}
+    assert validate_sheet(plain).ok
+    for r in built.rows:
+        assert (recover_E(plain, r.label, validate=False)
+                == recover_E(built, r.label, validate=False)), r.label
 
 
 def test_bound_above_two_is_rejected():

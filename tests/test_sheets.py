@@ -303,7 +303,8 @@ def test_builders_match_the_slotwise_formulas(q):
 
 def test_built_and_loaded_sheets_hold_index_arrays():
     # 511,104 slots at q=23: a dict entry per slot retained about 20 MiB
-    # either way; one value table plus two-byte indices stay under 4 MiB
+    # either way; one value table plus two-byte indices stay under 4 MiB,
+    # and a version 1 load, with a table per row and torus, under 6 MiB
     def retained(make):
         tracemalloc.start()
         try:
@@ -316,9 +317,40 @@ def test_built_and_loaded_sheets_hold_index_arrays():
     sheet, built = retained(lambda: build_gl2_sheet(23))
     data = json.loads(sheet_to_json_text(sheet))
     loaded, parsed = retained(lambda: sheet_from_dict(data))
-    assert {v.idx.typecode for r in loaded.rows
-            for v in r.values.values()} == {"H"}
+    # the document json.loads makes of the version 1 text, without the
+    # 95 MB text
+    data = sheet_to_dict(sheet)
+    from_v1, parsed_v1 = retained(lambda: sheet_from_dict(data))
+    del data
+    assert from_v1 == sheet
+    for s in (loaded, from_v1):
+        assert {(type(v), v.idx.typecode) for r in s.rows
+                for v in r.values.values()} == {(IndexRow, "H")}
     assert built <= 4 << 20 and parsed <= 4 << 20, (built, parsed)
+    assert parsed_v1 <= 6 << 20, parsed_v1
+
+
+def _dict_maps(sheet):
+    """The sheet with every value map replaced by a plain dict copy."""
+    for r in sheet.rows:
+        r.values = {b: dict(m) for b, m in r.values.items()}
+    return sheet
+
+
+def test_plain_maps_emit_and_validate_through_live_tables():
+    # every plain map is indexed into a table of its own, and emit and
+    # validation cache by the id of a table: a table freed while its id is
+    # a key would hand its remap or its level to the next table
+    sheet = _dict_maps(build_gl2_sheet(11))
+    assert sheet_to_json_text(sheet) == v2_text(sheet)
+    el, N = sheet.tori[1], sheet.zeta_level
+    lifted = sheet.rows[::2]
+    for r in lifted:
+        r.values[el.blocks] = {e: v.lift(2 * N)
+                               for e, v in r.values[el.blocks].items()}
+    assert validate_sheet(sheet).violations == tuple(
+        f"row {r.label}, torus 2: value at level {2 * N} != {N}"
+        for r in lifted)
 
 
 EIGENVALUE_CASES = [(n, q) for n in (1, 2, 3, 4)
