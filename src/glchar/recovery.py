@@ -66,6 +66,12 @@ found E equals E.  A miss runs sparse_decompose, which itself is
 uncached.  The memo lives and dies with its sheet, and errors are not
 kept.  So does the memo of expected values that verifies the hits
 (_verify): twists of one expansion expect the same values again and again.
+So does the third per-sheet dict, of prepared value tables: every row of a
+built or loaded sheet indexes one tuple of values, which is lifted, read as
+power-basis vectors and zero-tested once per sheet and torus, so a torus
+input costs one index lookup per regular element (_prepare).  At q = 23
+the sheet table has 485 entries, and preparing it for each of the 1,056
+torus inputs took a third of the whole recovery.
 """
 
 from __future__ import annotations
@@ -592,16 +598,22 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
 
 # -- the subset search ------------------------------------------------------
 
-def _prepare(f: Mapping[tuple[int, ...], CycNum],
-             T: TorusType) -> tuple[int, list[tuple[int, ...]], int | None]:
+def _prepare(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
+             tables: dict | None = None,
+             ) -> tuple[int, list[tuple[int, ...]], int | None]:
     """(level, fvec, s): f as integer power-basis vectors in locus order,
     and its first nonzero sample (None for the zero function).
 
     level is the lcm of the torus exponent and every value level.  f is
     read through its sheets.index_row, after its keys are reduced by
-    tori._exps when they are not exactly the regular tuples, and each
-    entry of the row's table is lifted and tested once.  ValueError when
-    a key has the wrong length or the domain is not the regular locus.
+    tori._exps when they are not exactly the regular tuples.  Each entry
+    of the row's table is lifted, read and zero-tested once per call, or,
+    when f is itself an index row over a tuple table, once per tables:
+    tables maps (id(table), T) to (table, level, nums, nonzero), and
+    holding the table keeps its id from being reused.  A converted map or
+    a list table is prepared per call, so tables grows only with the tuple
+    tables of the rows it serves.  ValueError when a key has the wrong
+    length or the domain is not the regular locus.
     """
     row = index_row(f, T)
     if row is None:
@@ -615,12 +627,18 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
                 f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
         row = index_row(keyed, T)
     table, idx = row.table, row.idx
-    levels = set(map(attrgetter("level"), table))
-    level = math.lcm(points(T).exponent, *levels)
-    if levels != {level}:
-        table = [v.lift(level) for v in table]
-    nums = list(map(attrgetter("num"), table))
-    nonzero = list(map(any, nums))
+    cacheable = tables is not None and row is f and type(table) is tuple
+    prepared = tables.get((id(table), T)) if cacheable else None
+    if prepared is None:
+        levels = set(map(attrgetter("level"), table))
+        level = math.lcm(points(T).exponent, *levels)
+        lifted = table if levels == {level} else [
+            v.lift(level) for v in table]
+        nums = list(map(attrgetter("num"), lifted))
+        prepared = (table, level, nums, list(map(any, nums)))
+        if cacheable:
+            tables[id(table), T] = prepared
+    _, level, nums, nonzero = prepared
     return (level, list(map(nums.__getitem__, idx)),
             next(compress(count(), map(nonzero.__getitem__, idx)), None))
 
@@ -680,7 +698,7 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
 
 def _memo_decompose(memo: dict, expected: dict,
                     f: Mapping[tuple[int, ...], CycNum],
-                    T: TorusType) -> Expansion:
+                    T: TorusType, tables: dict | None = None) -> Expansion:
     """sparse_decompose(f, T), served from the twist memo when it can be.
 
     memo maps (T, level, s*, hash of f(s*) zeta^x) to the (x, indices,
@@ -690,9 +708,10 @@ def _memo_decompose(memo: dict, expected: dict,
     regular element, with expected[T, level] as its memo.  A miss, or an
     input that sparse_decompose refuses, runs the search through the
     module global, so a wrapper sees every search; errors are not stored.
+    tables, when given, holds the prepared value tables (_prepare).
     """
     try:
-        level, fvec, s = _prepare(f, T)
+        level, fvec, s = _prepare(f, T, tables)
     except ValueError:
         # not searchable: sparse_decompose raises the same error
         return sparse_decompose(f, T)
@@ -744,11 +763,13 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if not report.ok:
             raise SheetValidationError(report)
     row = sheet.row(label)
-    # the per-sheet twist memo and memo of expected values (module docstring)
+    # the per-sheet twist memo, memo of expected values and prepared value
+    # tables (module docstring)
     memo = vars(sheet).setdefault("_expansions", {})
     expected = vars(sheet).setdefault("_expected", {})
+    tables = vars(sheet).setdefault("_tables", {})
     expansions = tuple(
-        _memo_decompose(memo, expected, row.values[tt.blocks], tt)
+        _memo_decompose(memo, expected, row.values[tt.blocks], tt, tables)
         for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(

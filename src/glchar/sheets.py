@@ -14,9 +14,10 @@ values plus index rows); load_sheet also reads version 1.
 
 In memory a row on a torus is an IndexRow, a read-only Mapping over an
 array of indices into a table of values (copy one with dict(...) to edit
-it).  Built and loaded rows are index rows, and index_row indexes a plain
-map where it is read; only a map whose keys are not the regular elements
-is read value by value.
+it).  Built and loaded rows are index rows over tuple tables, so a table
+never changes once made and recovery prepares each one once per sheet;
+index_row indexes a plain map where it is read, and only a map whose keys
+are not the regular elements is read value by value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import count, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .abelian import EnumerationBudgetError
 from .cyclotomic import CycNum, root, triples_key
@@ -128,11 +129,13 @@ class IrrLabel:
 class IndexRow(Mapping):
     """Read-only values of one row on one torus: table[idx[p]] at the p-th
     key of pos (tori.positions of the torus, in a sheet).  idx is an array,
-    typecode 'H' while the table has <= 65,536 entries, else 'I'."""
+    typecode 'H' while the table has <= 65,536 entries, else 'I'.  The
+    table is a tuple on built and loaded sheets; recovery caches its
+    preparation per sheet only then, so a list table is read afresh."""
 
     __slots__ = ("pos", "table", "idx")
 
-    def __init__(self, pos: dict, table: list[CycNum],
+    def __init__(self, pos: dict, table: Sequence[CycNum],
                  indices: Iterable[int]):
         self.pos, self.table = pos, table
         self.idx = array("H" if len(table) <= 1 << 16 else "I", indices)
@@ -150,7 +153,8 @@ class IndexRow(Mapping):
 def index_row(vals: Mapping, tt: TorusType) -> IndexRow | None:
     """vals as an IndexRow over positions(tt) (itself if it is one), or None
     when its keys are not the regular elements of tt; a new one's table is
-    the map's distinct value objects, in order of first appearance."""
+    a tuple of the map's distinct value objects, in order of first
+    appearance."""
     pos = positions(tt)
     if type(vals) is IndexRow and vals.pos is pos:
         return vals
@@ -160,7 +164,7 @@ def index_row(vals: Mapping, tt: TorusType) -> IndexRow | None:
     first = dict(zip(map(id, objs), objs))  # by id, in first appearance
     number = dict(zip(first, count()))
     where = dict(zip(vals, map(number.__getitem__, map(id, objs))))
-    return IndexRow(pos, list(first.values()), map(where.__getitem__, pos))
+    return IndexRow(pos, tuple(first.values()), map(where.__getitem__, pos))
 
 
 @dataclass
@@ -199,7 +203,7 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     spec = GroupSpec(1, q)
     (tt,) = enumerate_tori(spec)
     N = q - 1
-    roots = [root(N, m) for m in range(N)]
+    roots = tuple(root(N, m) for m in range(N))
     rows = []
     for k in range(q - 1):
         label = IrrLabel.make(spec, "onedim", (k,))
@@ -256,7 +260,7 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
     pair = [val(1, x // r * (q + 1), x % r * (q + 1)) for x in range(r * r)]
     cusp = [val(-1, m, m * q) for m in range(N)]
     zero = val(1)
-    table = list(index)
+    table = tuple(index)
     sums = [(i + j) % r for i, j in regs_sp]
     ells = [a % r for (a,) in regs_el]
 
@@ -373,7 +377,7 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
                for e, e1 in zip(cls, cls[1:] + cls[:1])}
         succ[tt.blocks] = [pos[nxt[e]] for e in pos]
     # by id of each table, kept alive: its levels other than zeta_level
-    wrong: dict[int, tuple[list[CycNum], list[int]]] = {}
+    wrong: dict[int, tuple[Sequence[CycNum], list[int]]] = {}
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
             bad.append(f"row {r.label}: value maps keyed by "
@@ -527,7 +531,7 @@ def sheet_from_dict(data) -> CharacterSheet:
         if len(table) > slots:
             raise SheetFormatError(f"{len(table)} values for {slots} slots "
                                    f"(rows times regular elements)")
-        table = [value(t, "values") for t in table]
+        table = tuple(value(t, "values") for t in table)
     by_label = {tt.label: tt for tt in tori}
     for row, item in zip(rows, items):
         label = row.label
@@ -562,7 +566,7 @@ def sheet_to_json_text(sheet: CharacterSheet) -> str:
     """
     index: dict[CycNum, int] = {}  # of each distinct value, in order
     # by id of each table, kept alive: its indices to theirs in index
-    remaps: dict[int, tuple[list[CycNum], dict[int, int]]] = {}
+    remaps: dict[int, tuple[Sequence[CycNum], dict[int, int]]] = {}
 
     def indices(vals, tt: TorusType) -> list[int]:
         row = index_row(vals, tt)

@@ -8,6 +8,7 @@ in the fast path cannot silently change which expansions are accepted.
 
 import copy
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,13 +32,15 @@ from glchar.recovery import (
 )
 import glchar.recovery as recovery
 from glchar.sheets import (
+    IndexRow,
     SheetRow,
     SheetValidationError,
     build_gl1_sheet,
     build_gl2_sheet,
     validate_sheet,
 )
-from glchar.tori import GroupSpec, TorusType, points, regular_elements
+from glchar.tori import (
+    GroupSpec, TorusType, points, positions, regular_elements)
 
 from oracle_conjugacy import weyl_orbit
 from oracle_pairs import solve_subset_reference
@@ -425,6 +428,121 @@ def test_twist_memo_rows_vanishing_at_sample_zero(monkeypatch, blocks):
     monkeypatch.undo()
     for lab, e in zip(labels, got):
         assert e == sparse_decompose(sheet.row(lab).values[blocks], tt), lab
+
+
+# -- prepared value tables ----------------------------------------------------
+
+def prepare_oracle(f, tt):
+    """(level, fvec, s*) of f read value by value, with no table."""
+    vals = [f[e] for e in regular_elements(tt)]
+    level = math.lcm(points(tt).exponent, *(v.level for v in vals))
+    return (level, [v.lift(level).num for v in vals],
+            next((p for p, v in enumerate(vals) if not v.is_zero()), None))
+
+
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_prepared_tables_match_uncached_prepare(q):
+    sheet = build_gl2_sheet(q)
+    tables = {}
+    zero_on = set()
+    for r in sheet.rows:
+        for tt in sheet.tori:
+            f = r.values[tt.blocks]
+            got = recovery._prepare(f, tt, tables)
+            assert got == recovery._prepare(f, tt) == prepare_oracle(f, tt), \
+                (r.label, tt.label)
+            if got[2] is None:
+                zero_on.add((r.label.partition(":")[0], tt.label))
+    # rows that vanish on a whole torus take the cached path too
+    assert zero_on == {("cuspidal", "1+1"), ("principal", "2")}
+    # every row indexes the sheet's one table: one entry per torus, which
+    # holds the table its key names
+    assert len(tables) == len(sheet.tori)
+    assert all(key == (id(entry[0]), key[1]) for key, entry in tables.items())
+
+
+def test_prepared_table_at_two_levels_is_lifted():
+    # every other entry of the table lifted to level 2N: the row's level is
+    # 2N, and the entries still at N are lifted in the prepared table
+    sheet = build_gl2_sheet(11)
+    tt, N = ELL11, sheet.zeta_level
+    row = sheet.row("cuspidal:1")
+    view = row.values[tt.blocks]
+    table = tuple(v.lift(2 * N) if i % 2 else v
+                  for i, v in enumerate(view.table))
+    mixed = IndexRow(view.pos, table, view.idx)
+    tables = {}
+    for f in (view, mixed, view, mixed):
+        assert (recovery._prepare(f, tt, tables) == recovery._prepare(f, tt)
+                == prepare_oracle(f, tt))
+    assert recovery._prepare(mixed, tt, tables)[0] == 2 * N
+    assert len(tables) == 2
+    rep = recover_E(sheet, "cuspidal:1", validate=False)
+    row.values[tt.blocks] = mixed
+    assert recover_E(sheet, "cuspidal:1", validate=False) == rep
+
+
+def test_prepared_tables_hold_their_tables():
+    # one-entry tables made and dropped in turn: the id of a dropped tuple
+    # is soon reused, so an entry that did not hold its table would serve
+    # the values of a dead one
+    pos = positions(SPLIT11)
+    zeros = [0] * len(pos)
+    memo, expected, tables = {}, {}, {}
+    for c in (1, 2, -1, 3, -2, 4):
+        row = IndexRow(pos, (CycNum.from_terms(120, [(0, c)]),), zeros)
+        got = recovery._memo_decompose(memo, expected, row, SPLIT11, tables)
+        assert terms_of(got) == [((0, 0), c)]
+        del row
+    assert len(tables) == 6
+    assert all(key[0] == id(entry[0]) for key, entry in tables.items())
+
+
+def test_prepared_tables_live_on_the_sheet():
+    sheet = build_gl2_sheet(11)
+    for lab in sheet.labels():
+        recover_E(sheet, lab, validate=False)
+    tables = vars(sheet)["_tables"]
+    (table,) = {id(r.values[tt.blocks].table)
+                for r in sheet.rows for tt in sheet.tori}
+    assert set(tables) == {(table, tt) for tt in sheet.tori}
+    # the cached solvers gain no attribute for it
+    for tt in sheet.tori:
+        assert set(vars(_solver(tt, sheet.zeta_level))) <= SOLVER_ATTRS
+    # a copy starts without it, and another sheet never shares it
+    copy_ = dataclasses.replace(sheet)
+    assert "_tables" not in vars(copy_)
+    recover_E(copy_, "principal:2,5", validate=False)
+    assert vars(copy_)["_tables"] is not tables
+    other = build_gl2_sheet(11)
+    assert "_tables" not in vars(other)
+    recover_E(other, "principal:2,5", validate=False)
+    assert vars(other)["_tables"] is not tables
+    assert not set(vars(other)["_tables"]) & set(tables)
+
+
+@pytest.mark.parametrize("kind", ["dict", "list"])
+def test_rows_off_a_tuple_table_are_prepared_per_call(kind):
+    # a plain map is converted on every call, and a list table may change:
+    # neither is cached, so recovering them again adds no entry
+    sheet = build_gl2_sheet(11)
+    rep = recover_E(sheet, "principal:2,5", validate=False)
+    before = len(vars(sheet)["_tables"])
+    vals = {blocks: dict(view) if kind == "dict" else
+            IndexRow(view.pos, list(view.table), view.idx)
+            for blocks, view in sheet.row("principal:2,5").values.items()}
+    sheet.rows.append(SheetRow("copy", 12, vals))
+    for _ in range(2):
+        got = recover_E(sheet, "copy", validate=False)
+        assert got.expansions == rep.expansions
+    assert len(vars(sheet)["_tables"]) == before
+    if kind == "list":
+        # negated in place: the next recovery reads the new values
+        for view in vals.values():
+            view.table[:] = [-v for v in view.table]
+        got = recover_E(sheet, "copy", validate=False)
+        assert [[(th, -c) for th, c in e.terms] for e in got.expansions] \
+            == [list(e.terms) for e in rep.expansions]
 
 
 # -- dual-route agreement ----------------------------------------------------

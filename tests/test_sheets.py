@@ -19,6 +19,7 @@ from glchar.sheets import (
     build_gl1_sheet,
     build_gl2_sheet,
     build_sheet,
+    index_row,
     load_sheet,
     save_sheet,
     sheet_from_dict,
@@ -173,6 +174,21 @@ def test_index_row_level_violation_text():
     row.values[(2,)] = IndexRow(view.pos, table, view.idx)
     assert validate_sheet(sheet).violations == (
         "row cuspidal:1, torus 2: value at level 48 != 24",)
+
+
+def test_built_and_loaded_sheets_hold_tuple_tables():
+    # recovery caches a table's preparation only for a tuple, which cannot
+    # change once made
+    built = build_gl2_sheet(11)
+    sheets = [build_gl1_sheet(7), built,
+              sheet_from_dict(json.loads(sheet_to_json_text(built))),
+              sheet_from_dict(json.loads(v1_text(built)))]
+    for sheet in sheets:
+        for r in sheet.rows:
+            for tt in sheet.tori:
+                view = r.values[tt.blocks]
+                assert type(view) is IndexRow and type(view.table) is tuple
+                assert type(index_row(dict(view), tt).table) is tuple
 
 
 def test_index_rows_under_the_wrong_torus_read_as_their_dict_copies():
