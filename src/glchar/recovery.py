@@ -52,24 +52,27 @@ sheet fall into 18 such classes).  Multiplying by theta_c is a bijection
 on functions on the regular locus that maps expansions with at most two
 terms onto expansions with at most two terms, so f' has exactly one short
 expansion, E(f) theta_c, exactly when f has one.  recover_E therefore
-keeps a memo on the CharacterSheet instance.  Each searched expansion is
-indexed by (s*, hash of f(s*) zeta^x) for every exponent x that the
-characters take at s*, the first regular sample with f(s*) != 0 (a twist
-keeps the zero set; the zero function has a key of its own).  A lookup
-of f' tries E theta_c for each character with theta_c(s*) = x and
+keeps one memo on the CharacterSheet instance: for each (T, level), the
+twists, and the expected values that verify them.  Each searched
+expansion is indexed by (s*, hash of f(s*) zeta^x) for every exponent x
+that the characters take at s*, the first regular sample with f(s*) != 0
+(a twist keeps the zero set; the zero function is kept under None).  A
+lookup of f' tries E theta_c for each character with theta_c(s*) = x and
 accepts it only if it matches f' on every regular element, so a hash
 collision costs a rejected candidate, never a wrong answer, and the memo
 holds no value vectors.  A verified hit is the unique short expansion:
 f' = E theta_c = f theta_c on the locus, and any short expansion E' of f'
 gives the short expansion E' theta_c^-1 of f, which by the search that
-found E equals E.  A miss runs sparse_decompose, which itself is
-uncached.  The memo lives and dies with its sheet, and errors are not
-kept.  So does the memo of expected values that verifies the hits
-(_verify): twists of one expansion expect the same values again and again.
-So does the third per-sheet dict, of prepared value tables: every row of a
-built or loaded sheet indexes one tuple of values, which is lifted, read as
-power-basis vectors and zero-tested once per sheet and torus, so a torus
-input costs one index lookup per regular element (_prepare).  At q = 23
+found E equals E.  A miss runs sparse_decompose, which itself keeps no
+memo.  The memo lives and dies with its sheet, and errors are not kept.
+The expected values are _verify's memo: twists of one expansion expect
+the same values again and again.
+
+A value table is prepared where it lives: every row of a built or loaded
+sheet indexes one sheets.ValueTable, which is lifted, read as power-basis
+vectors and zero-tested once per torus, the result kept in the table's own
+__dict__, so a torus input costs one index lookup per regular element
+(_prepare), whether recover_E or sparse_decompose reads it.  At q = 23
 the sheet table has 485 entries, and preparing it for each of the 1,056
 torus inputs took a third of the whole recovery.
 """
@@ -598,22 +601,18 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
 
 # -- the subset search ------------------------------------------------------
 
-def _prepare(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
-             tables: dict | None = None,
-             ) -> tuple[int, list[tuple[int, ...]], int | None]:
+def _prepare(f: Mapping[tuple[int, ...], CycNum],
+             T: TorusType) -> tuple[int, list[tuple[int, ...]], int | None]:
     """(level, fvec, s): f as integer power-basis vectors in locus order,
     and its first nonzero sample (None for the zero function).
 
     level is the lcm of the torus exponent and every value level.  f is
     read through its sheets.index_row, after its keys are reduced by
-    tori._exps when they are not exactly the regular tuples.  Each entry
-    of the row's table is lifted, read and zero-tested once per call, or,
-    when f is itself an index row over a tuple table, once per tables:
-    tables maps (id(table), T) to (table, level, nums, nonzero), and
-    holding the table keeps its id from being reused.  A converted map or
-    a list table is prepared per call, so tables grows only with the tuple
-    tables of the rows it serves.  ValueError when a key has the wrong
-    length or the domain is not the regular locus.
+    tori._exps when they are not exactly the regular tuples.  The row's
+    table is lifted, read and zero-tested once per torus, and kept as
+    (level, nums, nonzero) in vars(table)[T]; a ValueTable never changes,
+    so every later row over it only indexes that.  ValueError when a key
+    has the wrong length or the domain is not the regular locus.
     """
     row = index_row(f, T)
     if row is None:
@@ -627,18 +626,15 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
                 f"{T.label}: missing {missing[:3]}, extra {extra[:3]}")
         row = index_row(keyed, T)
     table, idx = row.table, row.idx
-    cacheable = tables is not None and row is f and type(table) is tuple
-    prepared = tables.get((id(table), T)) if cacheable else None
+    prepared = vars(table).get(T)
     if prepared is None:
         levels = set(map(attrgetter("level"), table))
         level = math.lcm(points(T).exponent, *levels)
         lifted = table if levels == {level} else [
             v.lift(level) for v in table]
         nums = list(map(attrgetter("num"), lifted))
-        prepared = (table, level, nums, list(map(any, nums)))
-        if cacheable:
-            tables[id(table), T] = prepared
-    _, level, nums, nonzero = prepared
+        prepared = vars(table)[T] = (level, nums, list(map(any, nums)))
+    level, nums, nonzero = prepared
     return (level, list(map(nums.__getitem__, idx)),
             next(compress(count(), map(nonzero.__getitem__, idx)), None))
 
@@ -696,36 +692,31 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
 
 # -- the twist memo -----------------------------------------------------------
 
-def _memo_decompose(memo: dict, expected: dict,
-                    f: Mapping[tuple[int, ...], CycNum],
-                    T: TorusType, tables: dict | None = None) -> Expansion:
+def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
+                    T: TorusType) -> Expansion:
     """sparse_decompose(f, T), served from the twist memo when it can be.
 
-    memo maps (T, level, s*, hash of f(s*) zeta^x) to the (x, indices,
-    coefficients) of every searched expansion, and (T, level) to the
-    empty expansion of the zero function (module docstring).  A candidate
-    E theta_c is accepted only after _verify has checked it on every
-    regular element, with expected[T, level] as its memo.  A miss, or an
-    input that sparse_decompose refuses, runs the search through the
-    module global, so a wrapper sees every search; errors are not stored.
-    tables, when given, holds the prepared value tables (_prepare).
+    memo maps (T, level) to (twists, expected).  twists maps (s*, hash of
+    f(s*) zeta^x) to the (x, indices, coefficients) of every searched
+    expansion, and None to the empty expansion of the zero function
+    (module docstring).  A candidate E theta_c is accepted only after
+    _verify has checked it on every regular element, with expected as its
+    memo.  A miss runs the search through the module global, so a wrapper
+    sees every search; errors are not stored, and an input _prepare
+    refuses stores nothing.
     """
-    try:
-        level, fvec, s = _prepare(f, T, tables)
-    except ValueError:
-        # not searchable: sparse_decompose raises the same error
-        return sparse_decompose(f, T)
+    level, fvec, s = _prepare(f, T)
+    twists, expected = memo.setdefault((T, level), ({}, {}))
     if s is None:
-        if (T, level) not in memo:
-            memo[T, level] = sparse_decompose(f, T)
-        return memo[T, level]
+        if None not in twists:
+            twists[None] = sparse_decompose(f, T)
+        return twists[None]
     solver = _solver(T, level)
     at = solver.at(s)
-    values = expected.setdefault((T, level), {})
-    for x, idxs, coeffs in memo.get((T, level, s, hash(fvec[s])), ()):
+    for x, idxs, coeffs in twists.get((s, hash(fvec[s])), ()):
         for c in at[x]:
             twisted = tuple(solver.times(i, c) for i in idxs)
-            if _verify(solver, fvec, twisted, coeffs, values):
+            if _verify(solver, fvec, twisted, coeffs, expected):
                 return Expansion(T, tuple(
                     (solver.chars[i], co) for i, co in zip(twisted, coeffs)))
     e = sparse_decompose(f, T)
@@ -734,7 +725,7 @@ def _memo_decompose(memo: dict, expected: dict,
     # f(s*) zeta^x = shift(s*, k), k = -x mod N, for the x taken at s*
     shift = _shifter(solver, fvec)
     for k in sorted(-x % level for x in at):
-        memo.setdefault((T, level, s, hash(shift(s, k))), []).append(
+        twists.setdefault((s, hash(shift(s, k))), []).append(
             (-k % level, *entry))
     return e
 
@@ -763,14 +754,9 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
         if not report.ok:
             raise SheetValidationError(report)
     row = sheet.row(label)
-    # the per-sheet twist memo, memo of expected values and prepared value
-    # tables (module docstring)
-    memo = vars(sheet).setdefault("_expansions", {})
-    expected = vars(sheet).setdefault("_expected", {})
-    tables = vars(sheet).setdefault("_tables", {})
-    expansions = tuple(
-        _memo_decompose(memo, expected, row.values[tt.blocks], tt, tables)
-        for tt in sheet.tori)
+    memo = vars(sheet).setdefault("_memo", {})  # module docstring
+    expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt)
+                       for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(
             f"{label}: empty support on every torus")

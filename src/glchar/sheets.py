@@ -13,11 +13,12 @@ load_sheet refuses larger n.  save_sheet writes JSON format 2 (distinct
 values plus index rows); load_sheet also reads version 1.
 
 In memory a row on a torus is an IndexRow, a read-only Mapping over an
-array of indices into a table of values (copy one with dict(...) to edit
-it).  Built and loaded rows are index rows over tuple tables, so a table
-never changes once made and recovery prepares each one once per sheet;
-index_row indexes a plain map where it is read, and only a map whose keys
-are not the regular elements is read value by value.
+array of indices into a ValueTable (copy one with dict(...) to edit it).
+A ValueTable is a tuple, so it never changes once made, and it carries
+what recovery prepares from it, once per torus, in its own __dict__.
+Built and loaded sheets make one per table; index_row indexes a plain map
+where it is read, and only a map whose keys are not the regular elements
+is read value by value.
 """
 
 from __future__ import annotations
@@ -126,17 +127,25 @@ class IrrLabel:
                 "principal": q + 1, "cuspidal": q - 1}[self.family]
 
 
+class ValueTable(tuple):
+    """The values that index rows point into.  Its __dict__ holds, per
+    torus, what recovery._prepare derives from it; a tuple never changes,
+    so that stays true for as long as the table lives."""
+
+
 class IndexRow(Mapping):
     """Read-only values of one row on one torus: table[idx[p]] at the p-th
     key of pos (tori.positions of the torus, in a sheet).  idx is an array,
-    typecode 'H' while the table has <= 65,536 entries, else 'I'.  The
-    table is a tuple on built and loaded sheets; recovery caches its
-    preparation per sheet only then, so a list table is read afresh."""
+    typecode 'H' while the table has <= 65,536 entries, else 'I'.  A table
+    that is not a ValueTable is copied into one, so a list changed later
+    does not change the row."""
 
     __slots__ = ("pos", "table", "idx")
 
     def __init__(self, pos: dict, table: Sequence[CycNum],
                  indices: Iterable[int]):
+        if not isinstance(table, ValueTable):
+            table = ValueTable(table)
         self.pos, self.table = pos, table
         self.idx = array("H" if len(table) <= 1 << 16 else "I", indices)
 
@@ -152,9 +161,8 @@ class IndexRow(Mapping):
 
 def index_row(vals: Mapping, tt: TorusType) -> IndexRow | None:
     """vals as an IndexRow over positions(tt) (itself if it is one), or None
-    when its keys are not the regular elements of tt; a new one's table is
-    a tuple of the map's distinct value objects, in order of first
-    appearance."""
+    when its keys are not the regular elements of tt; a new one's table
+    holds the map's distinct value objects, in order of first appearance."""
     pos = positions(tt)
     if type(vals) is IndexRow and vals.pos is pos:
         return vals
@@ -164,7 +172,8 @@ def index_row(vals: Mapping, tt: TorusType) -> IndexRow | None:
     first = dict(zip(map(id, objs), objs))  # by id, in first appearance
     number = dict(zip(first, count()))
     where = dict(zip(vals, map(number.__getitem__, map(id, objs))))
-    return IndexRow(pos, tuple(first.values()), map(where.__getitem__, pos))
+    return IndexRow(pos, ValueTable(first.values()),
+                    map(where.__getitem__, pos))
 
 
 @dataclass
@@ -203,7 +212,7 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     spec = GroupSpec(1, q)
     (tt,) = enumerate_tori(spec)
     N = q - 1
-    roots = tuple(root(N, m) for m in range(N))
+    roots = ValueTable(root(N, m) for m in range(N))
     rows = []
     for k in range(q - 1):
         label = IrrLabel.make(spec, "onedim", (k,))
@@ -260,7 +269,7 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
     pair = [val(1, x // r * (q + 1), x % r * (q + 1)) for x in range(r * r)]
     cusp = [val(-1, m, m * q) for m in range(N)]
     zero = val(1)
-    table = tuple(index)
+    table = ValueTable(index)
     sums = [(i + j) % r for i, j in regs_sp]
     ells = [a % r for (a,) in regs_el]
 
@@ -531,7 +540,7 @@ def sheet_from_dict(data) -> CharacterSheet:
         if len(table) > slots:
             raise SheetFormatError(f"{len(table)} values for {slots} slots "
                                    f"(rows times regular elements)")
-        table = tuple(value(t, "values") for t in table)
+        table = ValueTable(value(t, "values") for t in table)
     by_label = {tt.label: tt for tt in tori}
     for row, item in zip(rows, items):
         label = row.label
@@ -600,6 +609,8 @@ def load_sheet(path: str) -> CharacterSheet:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # also bytes that are not UTF-8, an int over Python's digit
+            # limit and arrays nested past the recursion limit
             raise SheetFormatError(f"not valid JSON: {e}") from None
     return sheet_from_dict(data)

@@ -649,6 +649,33 @@ def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q,
         assert stderr is None or err == proc.stderr == stderr
 
 
+# bytes whose parse raises something other than json.JSONDecodeError
+UNPARSABLE = {
+    "not UTF-8": b"\xff\xfe",
+    "5000-digit int": b'{"format": 2, "values": [[[1' + b"0" * 4999
+                      + b', 1, 0]]]}',
+    "nested 200000 deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("data", UNPARSABLE.values(), ids=UNPARSABLE)
+def test_unparsable_sheet_bytes_exit_3_within_a_second(capsys, tmp_path,
+                                                       data):
+    # a decoding error, Python's int digit limit and the recursion limit
+    # are all a sheet the parser refused: exit 3 with no traceback
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(data)
+    argv = ["recover", "--sheet", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "glchar", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: sheet rejected: not valid JSON: ")
+    assert "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (3, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
 def _put(*path, value):
     def mutate(data):
         for key in path[:-1]:

@@ -35,6 +35,7 @@ from glchar.sheets import (
     IndexRow,
     SheetRow,
     SheetValidationError,
+    ValueTable,
     build_gl1_sheet,
     build_gl2_sheet,
     validate_sheet,
@@ -255,21 +256,22 @@ def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
     # one search per twist class of (torus, function) inputs
     assert len(calls) == searches
     assert len(sheet.rows) * len(sheet.tori) == {11: 240, 13: 336}[q]
-    # each search is stored once: the zero function under its own key,
-    # any other expansion under the rotations of its first nonzero value
-    memo = vars(sheet)["_expansions"]
-    stored = {(k[:3], entry[1:]) for k, entries in memo.items()
-              if len(k) == 4 for entry in entries}
-    assert len(stored) + sum(len(k) == 2 for k in memo) == searches
-    # key shapes: (T, level) for the zero function, else (T, level, s*, v)
-    assert {len(k) for k in memo} == {2, 4}
-    assert all(k[:2] in vars(sheet)["_expected"] for k in memo if len(k) == 4)
+    # one (twists, expected) per (torus, level); each search is stored
+    # once: the zero function under None, any other expansion under the
+    # rotations (s*, v) of its first nonzero value
+    memo = vars(sheet)["_memo"]
+    assert set(memo) == {(tt, sheet.zeta_level) for tt in sheet.tori}
+    twists = [t for t, _ in memo.values()]
+    stored = {(id(t), k[0], entry[1:]) for t in twists
+              for k, entries in t.items() if k is not None
+              for entry in entries}
+    assert len(stored) + sum(None in t for t in twists) == searches
+    assert all(k is None or len(k) == 2 for t in twists for k in t)
     for lab, rep in zip(sheet.labels(), whole):
-        # a new instance per row carries empty memos, so every torus runs
+        # a new instance per row carries an empty memo, so every torus runs
         # its own search
         fresh = dataclasses.replace(sheet)
-        assert "_expansions" not in vars(fresh)
-        assert "_expected" not in vars(fresh)
+        assert "_memo" not in vars(fresh)
         del calls[:]
         assert recover_E(fresh, lab, validate=False) == rep
         assert len(calls) == len(sheet.tori)
@@ -287,11 +289,15 @@ def test_memo_never_serves_a_different_domain(monkeypatch, change):
     else:
         del split[(0, 1)]
     sheet.rows.append(SheetRow("hostile", 1, vals))
+    memo = vars(sheet)["_memo"]
+    before = copy.deepcopy(memo)
     del calls[:]
-    for _ in range(2):  # errors are not memoized: both calls search
+    for _ in range(2):  # errors are not memoized: both calls raise
         with pytest.raises(ValueError, match="does not match the regular"):
             recover_E(sheet, "hostile", validate=False)
-    assert len(calls) == 2
+    # refused before any search, and nothing stored for the hostile row
+    assert calls == []
+    assert memo == before
 
 
 def test_two_sheets_do_not_share_a_memo(monkeypatch):
@@ -300,11 +306,12 @@ def test_two_sheets_do_not_share_a_memo(monkeypatch):
     rep = recover_E(first, "principal:2,5", validate=False)
     assert recover_E(first, "principal:2,5", validate=False) == rep
     assert len(calls) == 2
-    assert "_expansions" not in vars(second)
+    assert "_memo" not in vars(second)
     assert recover_E(second, "principal:2,5", validate=False) == rep
     assert len(calls) == 4
-    assert vars(first)["_expansions"] is not vars(second)["_expansions"]
-    assert vars(first)["_expected"] is not vars(second)["_expected"]
+    one, two = vars(first)["_memo"], vars(second)["_memo"]
+    assert one is not two and set(one) == set(two)
+    assert all(x is not y for key in one for x, y in zip(one[key], two[key]))
 
 
 SOLVER_ATTRS = {"ttype", "level", "group", "regs", "red", "phi", "chars",
@@ -316,29 +323,32 @@ def test_value_memo_lives_on_the_sheet():
     sheet = build_gl2_sheet(11)
     for lab in sheet.labels():
         recover_E(sheet, lab, validate=False)
-    expected = vars(sheet)["_expected"]
-    twists = vars(sheet)["_expansions"]
-    # one memo of expected values per (torus, level), beside the twist memo
-    assert set(expected) == {(tt, sheet.zeta_level) for tt in sheet.tori}
-    assert all(not isinstance(v, dict) for v in twists.values())
+    memo = vars(sheet)["_memo"]
+    # the one per-sheet entry, beside the dataclass fields
+    assert set(vars(sheet)) == {
+        f.name for f in dataclasses.fields(sheet)} | {"_memo"}
+    # one memo of expected values per (torus, level), beside its twists
+    assert set(memo) == {(tt, sheet.zeta_level) for tt in sheet.tori}
+    assert all(not isinstance(v, dict) for twists, _ in memo.values()
+               for v in twists.values())
     # verified hits took the sheet's own value tuples into the memo
     own = {id(v.num) for row in sheet.rows for f in row.values.values()
            for v in f.values()}
-    held = [v for values in expected.values() for v in values.values()]
+    held = [v for _, expected in memo.values() for v in expected.values()]
     assert held and any(id(v) in own for v in held)
     # the cached solvers hold no memo and gain no attribute for one
     for tt in sheet.tori:
         solver = _solver(tt, sheet.zeta_level)
         assert set(vars(solver)) <= SOLVER_ATTRS
-        assert not any(v is values for v in vars(solver).values()
-                       for values in expected.values())
+        assert not any(v is d for v in vars(solver).values()
+                       for entry in memo.values() for d in entry)
     # a copy starts without the memo, and builds its own
     copy_ = dataclasses.replace(sheet)
-    assert "_expected" not in vars(copy_)
+    assert "_memo" not in vars(copy_)
     recover_E(copy_, "principal:2,5", validate=False)
-    assert vars(copy_)["_expected"] is not expected
-    assert all(vars(copy_)["_expected"][k] is not expected[k]
-               for k in vars(copy_)["_expected"])
+    theirs = vars(copy_)["_memo"]
+    assert theirs is not memo
+    assert all(theirs[k][1] is not memo[k][1] for k in theirs)
 
 
 def twist(f, ttype, cexps, level=120):
@@ -363,18 +373,17 @@ def test_twist_memo_serves_only_verified_twists(data):
     s = data.draw(st.integers(0, len(regs) - 1))
     changed = dict(twisted)
     changed[regs[s]] = changed[regs[s]] + 1
-    memo, expected = {}, {}
+    memo = {}
     with pytest.MonkeyPatch.context() as mp:
         calls = counting(mp)
-        base = recovery._memo_decompose(memo, expected,
-                                        char_fn(tt, planted, 120), tt)
+        base = recovery._memo_decompose(memo, char_fn(tt, planted, 120), tt)
         assert terms_of(base) == planted and len(calls) == 1
         # one value off: no candidate twist verifies, so the search runs
         with pytest.raises(NoExpansionError):
-            recovery._memo_decompose(memo, expected, changed, tt)
+            recovery._memo_decompose(memo, changed, tt)
         assert len(calls) == 2
         # an exact twist is served with no search
-        got = recovery._memo_decompose(memo, expected, twisted, tt)
+        got = recovery._memo_decompose(memo, twisted, tt)
         assert len(calls) == 2
     assert got == sparse_decompose(twisted, tt)
 
@@ -383,17 +392,19 @@ def test_twist_memo_serves_only_verified_twists(data):
 def test_twist_memo_zero_function(monkeypatch, ttype):
     regs = regular_elements(ttype)
     zero = {e: CycNum.zero(120) for e in regs}
-    memo, expected = {}, {}
+    memo = {}
     calls = counting(monkeypatch)
-    first = recovery._memo_decompose(memo, expected, zero, ttype)
+    first = recovery._memo_decompose(memo, zero, ttype)
     assert first.m == 0 and len(calls) == 1
-    assert recovery._memo_decompose(memo, expected, dict(zero), ttype) == first
+    assert memo[ttype, 120][0] == {None: first}
+    assert recovery._memo_decompose(memo, dict(zero), ttype) == first
     assert len(calls) == 1
     one_point = dict(zero)
     one_point[regs[-1]] = root(120, 0)
     with pytest.raises(NoExpansionError):
-        recovery._memo_decompose(memo, expected, one_point, ttype)
+        recovery._memo_decompose(memo, one_point, ttype)
     assert len(calls) == 2
+    assert memo[ttype, 120][0] == {None: first}
 
 
 def vanishing_rows(q):
@@ -416,13 +427,13 @@ def test_twist_memo_rows_vanishing_at_sample_zero(monkeypatch, blocks):
     tt = TorusType(SPEC11, blocks)
     labels = rows[blocks]
     assert len(labels) >= 2
-    memo, expected = {}, {}
+    memo = {}
     calls = counting(monkeypatch)
     got = []
     for lab in labels:
         f = sheet.row(lab).values[blocks]
         assert f[regular_elements(tt)[0]].is_zero()
-        got.append(recovery._memo_decompose(memo, expected, f, tt))
+        got.append(recovery._memo_decompose(memo, f, tt))
     # the rows are twists of one another: one search, then verified hits
     assert len(calls) == 1
     monkeypatch.undo()
@@ -440,25 +451,31 @@ def prepare_oracle(f, tt):
             next((p for p, v in enumerate(vals) if not v.is_zero()), None))
 
 
+def sheet_table(sheet):
+    """The one value table every row of a built GL_2 sheet indexes."""
+    (table,) = {id(r.values[tt.blocks].table): r.values[tt.blocks].table
+                for r in sheet.rows for tt in sheet.tori}.values()
+    return table
+
+
 @pytest.mark.parametrize("q", [11, 13, 16])
 def test_prepared_tables_match_uncached_prepare(q):
     sheet = build_gl2_sheet(q)
-    tables = {}
     zero_on = set()
     for r in sheet.rows:
         for tt in sheet.tori:
             f = r.values[tt.blocks]
-            got = recovery._prepare(f, tt, tables)
-            assert got == recovery._prepare(f, tt) == prepare_oracle(f, tt), \
-                (r.label, tt.label)
+            # the sheet's table, prepared once; a dict copy, indexed into a
+            # new table and prepared afresh; the oracle, with no table
+            got = recovery._prepare(f, tt)
+            assert got == recovery._prepare(dict(f), tt) == \
+                prepare_oracle(f, tt), (r.label, tt.label)
             if got[2] is None:
                 zero_on.add((r.label.partition(":")[0], tt.label))
     # rows that vanish on a whole torus take the cached path too
     assert zero_on == {("cuspidal", "1+1"), ("principal", "2")}
-    # every row indexes the sheet's one table: one entry per torus, which
-    # holds the table its key names
-    assert len(tables) == len(sheet.tori)
-    assert all(key == (id(entry[0]), key[1]) for key, entry in tables.items())
+    # every row indexes the sheet's one table: one entry per torus on it
+    assert set(vars(sheet_table(sheet))) == set(sheet.tori)
 
 
 def test_prepared_table_at_two_levels_is_lifted():
@@ -471,78 +488,103 @@ def test_prepared_table_at_two_levels_is_lifted():
     table = tuple(v.lift(2 * N) if i % 2 else v
                   for i, v in enumerate(view.table))
     mixed = IndexRow(view.pos, table, view.idx)
-    tables = {}
     for f in (view, mixed, view, mixed):
-        assert (recovery._prepare(f, tt, tables) == recovery._prepare(f, tt)
-                == prepare_oracle(f, tt))
-    assert recovery._prepare(mixed, tt, tables)[0] == 2 * N
-    assert len(tables) == 2
+        assert recovery._prepare(f, tt) == prepare_oracle(f, tt)
+    assert recovery._prepare(mixed, tt)[0] == 2 * N
+    assert vars(mixed.table)[tt][0] == 2 * N
+    assert vars(view.table)[tt][0] == N
     rep = recover_E(sheet, "cuspidal:1", validate=False)
     row.values[tt.blocks] = mixed
     assert recover_E(sheet, "cuspidal:1", validate=False) == rep
 
 
 def test_prepared_tables_hold_their_tables():
-    # one-entry tables made and dropped in turn: the id of a dropped tuple
-    # is soon reused, so an entry that did not hold its table would serve
-    # the values of a dead one
+    # one-entry tables made and dropped in turn: the id of a dropped table
+    # is soon reused, but each table carries its own preparation, so none
+    # is served the values of a dead one
     pos = positions(SPLIT11)
     zeros = [0] * len(pos)
-    memo, expected, tables = {}, {}, {}
+    memo = {}
     for c in (1, 2, -1, 3, -2, 4):
         row = IndexRow(pos, (CycNum.from_terms(120, [(0, c)]),), zeros)
-        got = recovery._memo_decompose(memo, expected, row, SPLIT11, tables)
+        got = recovery._memo_decompose(memo, row, SPLIT11)
         assert terms_of(got) == [((0, 0), c)]
+        assert vars(row.table)[SPLIT11][1] == [row.table[0].num]
         del row
-    assert len(tables) == 6
-    assert all(key[0] == id(entry[0]) for key, entry in tables.items())
 
 
 def test_prepared_tables_live_on_the_sheet():
     sheet = build_gl2_sheet(11)
     for lab in sheet.labels():
         recover_E(sheet, lab, validate=False)
-    tables = vars(sheet)["_tables"]
-    (table,) = {id(r.values[tt.blocks].table)
-                for r in sheet.rows for tt in sheet.tori}
-    assert set(tables) == {(table, tt) for tt in sheet.tori}
+    # the sheet's one table carries one entry per torus
+    table = sheet_table(sheet)
+    assert set(vars(table)) == set(sheet.tori)
     # the cached solvers gain no attribute for it
     for tt in sheet.tori:
         assert set(vars(_solver(tt, sheet.zeta_level))) <= SOLVER_ATTRS
-    # a copy starts without it, and another sheet never shares it
+    # a copy shares the table, and so its entries; another sheet has its
+    # own table and prepares it afresh
     copy_ = dataclasses.replace(sheet)
-    assert "_tables" not in vars(copy_)
-    recover_E(copy_, "principal:2,5", validate=False)
-    assert vars(copy_)["_tables"] is not tables
+    assert sheet_table(copy_) is table
     other = build_gl2_sheet(11)
-    assert "_tables" not in vars(other)
+    theirs = sheet_table(other)
+    assert theirs is not table and not vars(theirs)
     recover_E(other, "principal:2,5", validate=False)
-    assert vars(other)["_tables"] is not tables
-    assert not set(vars(other)["_tables"]) & set(tables)
+    assert set(vars(theirs)) == set(sheet.tori)
+    assert all(vars(theirs)[tt] is not vars(table)[tt] for tt in sheet.tori)
 
 
-@pytest.mark.parametrize("kind", ["dict", "list"])
-def test_rows_off_a_tuple_table_are_prepared_per_call(kind):
-    # a plain map is converted on every call, and a list table may change:
-    # neither is cached, so recovering them again adds no entry
+def test_plain_map_rows_are_prepared_per_call():
+    # a plain map is indexed into a new table on every call, so recovering
+    # it again leaves the sheet's own table as it was
     sheet = build_gl2_sheet(11)
     rep = recover_E(sheet, "principal:2,5", validate=False)
-    before = len(vars(sheet)["_tables"])
-    vals = {blocks: dict(view) if kind == "dict" else
-            IndexRow(view.pos, list(view.table), view.idx)
+    table = sheet_table(sheet)
+    before = dict(vars(table))
+    vals = {blocks: dict(view)
             for blocks, view in sheet.row("principal:2,5").values.items()}
     sheet.rows.append(SheetRow("copy", 12, vals))
     for _ in range(2):
         got = recover_E(sheet, "copy", validate=False)
         assert got.expansions == rep.expansions
-    assert len(vars(sheet)["_tables"]) == before
-    if kind == "list":
-        # negated in place: the next recovery reads the new values
-        for view in vals.values():
-            view.table[:] = [-v for v in view.table]
-        got = recover_E(sheet, "copy", validate=False)
-        assert [[(th, -c) for th, c in e.terms] for e in got.expansions] \
-            == [list(e.terms) for e in rep.expansions]
+    assert vars(table).keys() == before.keys()
+    assert all(vars(table)[tt] is before[tt] for tt in before)
+
+
+def test_sparse_decompose_reuses_the_prepared_table():
+    # a library call on a built row, after recover_E, takes the entry that
+    # recover_E left on the table, and lifts nothing again
+    sheet = build_gl2_sheet(11)
+    rep = recover_E(sheet, "cuspidal:1", validate=False)
+    f = sheet.row("cuspidal:1").values[ELL11.blocks]
+    entry = vars(f.table)[ELL11]
+    assert sparse_decompose(f, ELL11) == rep.expansions[1]
+    assert vars(f.table)[ELL11] is entry
+
+
+def test_memo_miss_prepares_once(monkeypatch):
+    # the search a miss runs reads the entry _memo_decompose just made: the
+    # table is passed over as often as by one preparation
+    sheet = build_gl2_sheet(11)
+    view = sheet.row("principal:2,5").values[SPLIT11.blocks]
+    passes = []
+
+    class Spy(ValueTable):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    recovery._prepare(IndexRow(view.pos, Spy(view.table), view.idx), SPLIT11)
+    once = len(passes)
+    assert once
+    del passes[:]
+    calls = counting(monkeypatch)
+    row = IndexRow(view.pos, Spy(view.table), view.idx)
+    got = recovery._memo_decompose({}, row, SPLIT11)
+    assert len(calls) == 1 and len(passes) == once
+    monkeypatch.undo()
+    assert got == sparse_decompose(view, SPLIT11)
 
 
 # -- dual-route agreement ----------------------------------------------------

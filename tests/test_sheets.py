@@ -15,6 +15,7 @@ from glchar.sheets import (
     SheetFormatError,
     SheetRow,
     SheetValidationError,
+    ValueTable,
     _regular_classes,
     build_gl1_sheet,
     build_gl2_sheet,
@@ -177,8 +178,8 @@ def test_index_row_level_violation_text():
 
 
 def test_built_and_loaded_sheets_hold_tuple_tables():
-    # recovery caches a table's preparation only for a tuple, which cannot
-    # change once made
+    # recovery keeps a table's preparation on the table, a tuple that
+    # cannot change once made
     built = build_gl2_sheet(11)
     sheets = [build_gl1_sheet(7), built,
               sheet_from_dict(json.loads(sheet_to_json_text(built))),
@@ -187,8 +188,22 @@ def test_built_and_loaded_sheets_hold_tuple_tables():
         for r in sheet.rows:
             for tt in sheet.tori:
                 view = r.values[tt.blocks]
-                assert type(view) is IndexRow and type(view.table) is tuple
-                assert type(index_row(dict(view), tt).table) is tuple
+                assert type(view) is IndexRow
+                assert type(view.table) is ValueTable
+                assert type(index_row(dict(view), tt).table) is ValueTable
+
+
+def test_index_row_snapshots_a_list_table():
+    sheet = build_gl2_sheet(5)
+    view = sheet.row("cuspidal:1").values[(2,)]
+    values = list(view.table)
+    row = IndexRow(view.pos, values, view.idx)
+    assert type(row.table) is ValueTable and dict(row) == dict(view)
+    # the row holds a copy: changing the list afterwards does not change it
+    values[:] = [-v for v in values]
+    assert dict(row) == dict(view)
+    # a value table is shared, not copied
+    assert IndexRow(view.pos, view.table, view.idx).table is view.table
 
 
 def test_index_rows_under_the_wrong_torus_read_as_their_dict_copies():
