@@ -2,8 +2,11 @@
 
 scan_pairs_reference is the O(K^2) pivot screen that the indexed scan in
 glchar.recovery replaced.  It is kept only as a differential oracle, so it
-reads nothing from the solver but its value tables, and it checks every
-candidate on the whole regular locus with its own verifier.
+reads nothing from the solver but its torus, level, characters and
+reduction table: the exponent of every character at every regular element
+comes from table_reference, one AbChar.value_exponent call each, not from
+the solver's mixed-radix columns.  It checks every candidate on the whole
+regular locus with its own verifier.
 
 For each pair a < b, with d the difference character b - a, the two sample
 equations c_a + c_b zeta^{d(s)} = f(s) zeta^{-theta_a(s)} at s0 and at the
@@ -24,7 +27,22 @@ plain_fold on every sample in locus order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
+
+from glchar.abelian import enumerate_chars
+from glchar.tori import points, regular_elements
+
+
+@lru_cache(maxsize=None)
+def table_reference(tt, level) -> tuple[tuple[int, ...], ...]:
+    """[i][s]: exponent of zeta_level taken by the i-th character of tt
+    (enumerate_chars order) at the s-th regular element (locus order)."""
+    grp = points(tt)
+    lift = level // grp.exponent
+    regs = regular_elements(tt)
+    return tuple(tuple(lift * ch.value_exponent(e) % level for e in regs)
+                 for ch in enumerate_chars(grp))
 
 
 def plain_fold(red, terms) -> list[int]:
@@ -45,7 +63,7 @@ def mul_root(vec: Sequence[int], e: int, red, N: int) -> tuple[int, ...]:
 
 def verify_reference(solver, fvec, idxs, coeffs) -> bool:
     """Whether sum c_i theta_i = f on every regular element."""
-    table = solver.table
+    table = table_reference(solver.ttype, solver.level)
     for s in range(len(solver.regs)):
         terms = [(table[i][s], c) for i, c in zip(idxs, coeffs)]
         if tuple(plain_fold(solver.red, terms)) != fvec[s]:
@@ -75,7 +93,7 @@ def scan_pairs_reference(solver, fvec, cap: int | None = None
     """The first cap valid two-term expansions (ia, ib, ca, cb), in subset
     order; cap=None lists them all."""
     N, red, phi = solver.level, solver.red, solver.phi
-    table = solver.table
+    table = table_reference(solver.ttype, N)
     K = len(solver.chars)
     didx = _delta_table(solver)
     probes: dict[int, int] = {}
@@ -150,7 +168,8 @@ def solve_subset_reference(solver, fvec,
     m = len(idxs)
     if m == 0:
         raise ValueError("empty subset has no system to solve")
-    red, table, phi = solver.red, solver.table, solver.phi
+    red, phi = solver.red, solver.phi
+    table = table_reference(solver.ttype, solver.level)
     rows: list[tuple[int, list[Fraction], Fraction]] = []
     for s in range(len(solver.regs)):
         fs = fvec[s]

@@ -3,7 +3,8 @@
 Each kernel is checked against a slower construction kept here as its
 oracle: the fold against a coordinate-by-coordinate sum, the memoized one-
 and two-row verifier against the general-fold verifier, the direction
-against gcd division, and the mixed-radix solver table against one
+against gcd division, and the solver's exponents, the mixed-radix
+columns and the lazy rows over the generator columns, against one
 value_exponent call per character and regular element.
 """
 
@@ -19,20 +20,12 @@ from glchar.recovery import _direction, _solver, _TorusSolver, _verify
 from glchar.sheets import zeta_level_for
 from glchar.tori import GroupSpec, TorusType, enumerate_tori, points, regular_elements
 
-from oracle_pairs import plain_fold, verify_reference
+from oracle_pairs import plain_fold, table_reference, verify_reference
 
 FOLD_LEVELS = [1, 2, 3, 120, 168, 360]
 
 
-# -- solver table -------------------------------------------------------------
-
-def table_reference(tt, level):
-    grp = points(tt)
-    lift = level // grp.exponent
-    solver = _TorusSolver(tt, level)
-    return [[lift * ch.value_exponent(e) % level for e in solver.regs]
-            for ch in solver.chars]
-
+# -- solver exponents ---------------------------------------------------------
 
 SOLVER_TORI = [(tt, level)
                for n, qs in ((2, (11, 13, 17)), (1, (2, 3, 4, 5)))
@@ -47,8 +40,15 @@ SOLVER_TORI = [(tt, level)
     ids=[f"GL{t.spec.n}-q{t.spec.q}-{t.label}-N{lv}" for t, lv in SOLVER_TORI])
 def test_solver_table_matches_value_exponent(tt, level):
     solver = _TorusSolver(tt, level)
-    assert solver.table == table_reference(tt, level)
-    assert len(solver.table) == len(solver.chars) == points(tt).order
+    ref = table_reference(tt, level)
+    assert len(ref) == len(solver.chars) == points(tt).order
+    # the column at every sample, in character order
+    for s in range(len(solver.regs)):
+        assert solver.col(s) == [row[s] for row in ref]
+    # the lazy row of every character, in verification order
+    assert sorted(solver.order) == list(range(len(solver.regs)))
+    for i, row in enumerate(ref):
+        assert list(solver.exps(i)) == [row[s] for s in solver.order]
 
 
 # -- fold ---------------------------------------------------------------------
@@ -225,8 +225,9 @@ def test_verify_memo_wrong_and_right_in_any_order(m, order):
         assert memo_is_sound(solver, memo)
     # the entry at the last sample holds one of f's own tuples, equal to
     # f there, never the bad value
-    key = ((coeffs[0], solver.table[idxs[0]][last]) if m == 1 else
-           (*coeffs, solver.table[idxs[0]][last], solver.table[idxs[1]][last]))
+    ref = table_reference(solver.ttype, solver.level)
+    key = ((coeffs[0], ref[idxs[0]][last]) if m == 1 else
+           (*coeffs, ref[idxs[0]][last], ref[idxs[1]][last]))
     assert memo[key] == fvec[last]
     assert any(memo[key] is v for v in fvec)
     assert _verify(solver, fvec, idxs, coeffs, memo)

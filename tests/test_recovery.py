@@ -9,19 +9,21 @@ in the fast path cannot silently change which expansions are accepted.
 import copy
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from glchar.abelian import AbChar
-from glchar.cyclotomic import CycNum, root
+from glchar.cyclotomic import CycNum, _context, root
 from glchar.recovery import (
     Expansion,
     NoExpansionError,
     NonUniqueError,
     QConditionViolated,
     RecoveryInconsistencyError,
+    _TorusSolver,
     _scan_pairs,
     _scan_singles,
     _solver,
@@ -39,9 +41,11 @@ from glchar.sheets import (
     build_gl1_sheet,
     build_gl2_sheet,
     validate_sheet,
+    zeta_level_for,
 )
 from glchar.tori import (
-    GroupSpec, TorusType, points, positions, regular_elements)
+    GroupSpec, TorusType, enumerate_tori, points, positions,
+    regular_elements)
 
 from oracle_conjugacy import weyl_orbit
 from oracle_pairs import solve_subset_reference
@@ -175,11 +179,13 @@ def test_keys_of_the_wrong_length_are_refused():
     # truncated to its first two coordinates
     f = char_fn(SPLIT11, [((2, 5), 3)])
     longer = {e + (0,): v for e, v in f.items()}
-    with pytest.raises(ValueError, match="wrong length"):
+    with pytest.raises(ValueError, match=r"regular locus.*extra \[\(0, 1, 0\)"):
         sparse_decompose(longer, SPLIT11)
-    # keys that only need reducing mod the moduli still decompose
+    # keys are not reduced mod the moduli: the domain must be the regular
+    # tuples themselves
     shifted = {(i + 10, j - 10): v for (i, j), v in f.items()}
-    assert terms_of(sparse_decompose(shifted, SPLIT11)) == [((2, 5), 3)]
+    with pytest.raises(ValueError, match="regular locus"):
+        sparse_decompose(shifted, SPLIT11)
 
 
 def test_expansion_coefficient_is_a_plain_int():
@@ -315,8 +321,46 @@ def test_two_sheets_do_not_share_a_memo(monkeypatch):
 
 
 SOLVER_ATTRS = {"ttype", "level", "group", "regs", "red", "phi", "chars",
-                "table", "_pivot", "_at", "sep", "order", "probes", "pin",
+                "_col", "_pivot", "_at", "sep", "order", "gens", "pin",
                 "rational", "dirs", "exp_of"}
+
+
+def test_rational_refuses_a_character_constant_on_the_locus():
+    # off the gate: the split torus of GL_2(F_3) has two regular elements,
+    # and the character (1, 1) is -1 at both, so it has no probe
+    tt = TorusType(GroupSpec(2, 3), (1, 1))
+    solver = _TorusSolver(tt, 2)
+    d = [ch.cexps for ch in solver.chars].index((1, 1))
+    assert list(solver.exps(d)) == [1, 1]
+    assert d in solver.pin.values()
+    with pytest.raises(ValueError, match=r"\(1, 1\) is constant on the "
+                       r"regular locus of 1\+1"):
+        solver.rational
+
+
+def test_solvers_retain_little_memory_at_q41():
+    # a K x R exponent table held 179 MiB at q=41; the cached columns, the
+    # generator columns and the pair index hold a few MiB.  The reduction
+    # table and the regular elements are module caches shared with the
+    # sheet, so they are made before counting
+    spec = GroupSpec(2, 41)
+    level = zeta_level_for(spec)
+    _context(level)
+    tori = enumerate_tori(spec)
+    for tt in tori:
+        regular_elements(tt)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [_TorusSolver(tt, level) for tt in tori]
+        for solver in kept:
+            solver.sep, solver.pin, solver.dirs, solver.rational
+            solver.at(0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 16 << 20, retained
+    assert all(set(vars(s)) <= SOLVER_ATTRS for s in kept)
 
 
 def test_value_memo_lives_on_the_sheet():
