@@ -12,9 +12,8 @@ value table is ever materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 DEFAULT_BUDGET = 10**6
 
@@ -23,14 +22,18 @@ class EnumerationBudgetError(RuntimeError):
     """Group too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class _FinAbGroup(NamedTuple):
     moduli: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-        if any(m < 1 for m in self.moduli):
+
+class FinAbGroup(_FinAbGroup):
+    __slots__ = ()
+
+    def __new__(cls, moduli: Sequence[int]):
+        moduli = tuple(int(m) for m in moduli)
+        if any(m < 1 for m in moduli):
             raise ValueError("moduli must be positive")
+        return super().__new__(cls, moduli)
 
     @property
     def rank(self) -> int:
@@ -48,17 +51,20 @@ class FinAbGroup:
         return AbChar(self, tuple(cexps))
 
 
-@dataclass(frozen=True)
-class AbChar:
+class _AbChar(NamedTuple):
     group: FinAbGroup
     cexps: tuple[int, ...]
 
-    def __post_init__(self):
-        m = self.group.moduli
-        if len(self.cexps) != len(m):
+
+class AbChar(_AbChar):
+    __slots__ = ()
+
+    def __new__(cls, group: FinAbGroup, cexps: Sequence[int]):
+        m = group.moduli
+        if len(cexps) != len(m):
             raise ValueError("character tuple has wrong length")
-        object.__setattr__(self, "cexps",
-                           tuple(c % mi for c, mi in zip(self.cexps, m)))
+        return super().__new__(
+            cls, group, tuple(c % mi for c, mi in zip(cexps, m)))
 
     def is_trivial(self) -> bool:
         return not any(self.cexps)

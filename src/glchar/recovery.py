@@ -73,11 +73,10 @@ each of the 1,056 torus inputs took a third of the whole recovery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, count, repeat
 from operator import add, attrgetter, floordiv, mod, mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar, enumerate_chars
 from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled
@@ -143,8 +142,12 @@ def _require_gate(spec: GroupSpec):
     return report
 
 
-@dataclass(frozen=True)
-class Expansion:
+class _Expansion(NamedTuple):
+    torus: TorusType
+    terms: tuple[tuple[AbChar, int], ...]
+
+
+class Expansion(_Expansion):
     """An exact expansion f = sum of c_i * theta_i on the regular locus.
 
     Characters are pairwise distinct and listed in lexicographic exponent
@@ -152,13 +155,13 @@ class Expansion:
     function.
     """
 
-    torus: TorusType
-    terms: tuple[tuple[AbChar, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        grp = points(self.torus)
+    def __new__(cls, torus: TorusType,
+                terms: Sequence[tuple[AbChar, int]]):
+        grp = points(torus)
         seen = set()
-        for th, c in self.terms:
+        for th, c in terms:
             if th.group != grp:
                 raise ValueError("character is not on the torus points")
             if type(c) is not int or c == 0:  # True is an int too
@@ -166,8 +169,8 @@ class Expansion:
             if th.cexps in seen:
                 raise ValueError(f"repeated character {th.cexps}")
             seen.add(th.cexps)
-        object.__setattr__(
-            self, "terms", tuple(sorted(self.terms, key=lambda p: p[0].cexps)))
+        return super().__new__(
+            cls, torus, tuple(sorted(terms, key=lambda p: p[0].cexps)))
 
     @property
     def m(self) -> int:
@@ -179,8 +182,7 @@ class Expansion:
         return " + ".join(f"{c}*theta{th.cexps}" for th, c in self.terms)
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     """Per-torus expansions of one irreducible plus the derived labels."""
 
     label: str
@@ -790,8 +792,7 @@ def is_unipotent(sheet: CharacterSheet, label: str, *,
     return recover_E(sheet, label, validate=validate).unipotent
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     torus: TorusType
     size: int
     det: CycNum

@@ -27,10 +27,9 @@ import json
 import math
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import count, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .abelian import EnumerationBudgetError
 from .cyclotomic import CycNum, root, triples_key
@@ -61,8 +60,7 @@ class SheetValidationError(ValueError):
         super().__init__("; ".join(report.violations))
 
 
-@dataclass(frozen=True)
-class IrrLabel:
+class IrrLabel(NamedTuple):
     """Canonical label of a GL_1/GL_2 irreducible.
 
     onedim k and steinberg k carry k mod q-1; principal (k, l) is unordered
@@ -176,22 +174,35 @@ def index_row(vals: Mapping, tt: TorusType) -> IndexRow | None:
                     map(where.__getitem__, pos))
 
 
-@dataclass
 class SheetRow:
     """One irreducible; values maps torus blocks to its values there: an
     IndexRow on built and loaded sheets (read-only), or any Mapping."""
 
-    label: str
-    dim: int
-    values: dict[tuple[int, ...], Mapping[tuple[int, ...], CycNum]]
+    def __init__(self, label: str, dim: int, values: dict[
+            tuple[int, ...], Mapping[tuple[int, ...], CycNum]]):
+        self.label, self.dim, self.values = label, dim, values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.label, self.dim, self.values)
+                == (other.label, other.dim, other.values))
 
 
-@dataclass
 class CharacterSheet:
-    spec: GroupSpec
-    zeta_level: int
-    tori: tuple[TorusType, ...]
-    rows: list[SheetRow]
+    """Equal when its four fields are, so the memo that recover_E keeps
+    in its __dict__ stays out of equality."""
+
+    def __init__(self, spec: GroupSpec, zeta_level: int,
+                 tori: tuple[TorusType, ...], rows: list[SheetRow]):
+        self.spec, self.zeta_level, self.tori, self.rows = (
+            spec, zeta_level, tori, rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.spec, self.zeta_level, self.tori, self.rows)
+                == (other.spec, other.zeta_level, other.tori, other.rows))
 
     def row(self, label: str) -> SheetRow:
         for r in self.rows:
@@ -306,8 +317,7 @@ def build_sheet(n: int, q: int) -> CharacterSheet:
 
 # ------------------------------------------------------------- validation
 
-@dataclass(frozen=True)
-class SheetValidationReport:
+class SheetValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

@@ -17,11 +17,10 @@ arithmetic on exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar, EnumerationBudgetError, FinAbGroup
 from .cyclotomic import _factorize, divisors
@@ -50,18 +49,22 @@ def check_budget(n: int, q: int) -> None:
                     f"{DEFAULT_BUDGET} for n = {n}, q = {q}")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """GL_n over F_q."""
-
+class _GroupSpec(NamedTuple):
     n: int
     q: int
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class GroupSpec(_GroupSpec):
+    """GL_n over F_q."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, q: int):
+        if n < 1:
             raise ValueError("rank must be >= 1")
-        if not is_prime_power(self.q):
-            raise ValueError(f"q = {self.q} is not a prime power")
+        if not is_prime_power(q):
+            raise ValueError(f"q = {q} is not a prime power")
+        return super().__new__(cls, n, q)
 
     @property
     def weyl_order(self) -> int:
@@ -73,16 +76,19 @@ class GroupSpec:
         return math.prod(self.q**self.n - self.q**i for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class TorusType:
+class _TorusType(NamedTuple):
     spec: GroupSpec
     blocks: tuple[int, ...]
 
-    def __post_init__(self):
-        b = tuple(sorted((int(d) for d in self.blocks), reverse=True))
-        if sum(b) != self.spec.n or any(d < 1 for d in b):
-            raise ValueError(f"{self.blocks} is not a partition of {self.spec.n}")
-        object.__setattr__(self, "blocks", b)
+
+class TorusType(_TorusType):
+    __slots__ = ()
+
+    def __new__(cls, spec: GroupSpec, blocks: Sequence[int]):
+        b = tuple(sorted((int(d) for d in blocks), reverse=True))
+        if sum(b) != spec.n or any(d < 1 for d in b):
+            raise ValueError(f"{blocks} is not a partition of {spec.n}")
+        return super().__new__(cls, spec, b)
 
     @property
     def twist_order(self) -> int:
@@ -208,8 +214,7 @@ def _below_power_of_two(r: Fraction, k: int) -> bool:
     return r.numerator << k < r.denominator
 
 
-@dataclass(frozen=True)
-class QConditionReport:
+class QConditionReport(NamedTuple):
     """Non-regular ratio of every torus against the threshold 2^-k,
     k = threshold_exp = 2|W| - 1, kept as an exponent: at n >= 8, 2^k has
     over 24k decimal digits."""
@@ -255,8 +260,7 @@ def _check_pair(pair: Pair) -> None:
         raise ValueError("character is not on the rational points of the torus")
 
 
-@dataclass(frozen=True, order=True)
-class GeomClassId:
+class GeomClassId(NamedTuple):
     """Canonical label of a geometric conjugacy class of pairs."""
 
     level: int

@@ -282,6 +282,12 @@ PINNED_STDOUT = [
     # the frontier in tier-1: 1,680 torus inputs at level 840, about 4 s
     (["recover", "--q", "29", "--json"],
      "c20f0ac8d3b30f012a4f512f67ded23d3662d61ab9215f35c0bb484019e95059"),
+    # text mode: GeomClassId residues, Expansion.describe() and the exact
+    # Fraction ratios of the gate
+    (["recover", "--q", "13"],
+     "f093e6b2fe2abf4ebd56afc37cad15298237e2cb2ee43876800511080ab488a1"),
+    (["check-q", "--n", "2", "--q", "11"],
+     "9e86c346dd33214ed9fb2476120d633424779a7f62733da3852c754fbaf49250"),
 ]
 
 

@@ -1,9 +1,11 @@
-"""The command examples of README.md, run through glchar.cli.main.
+"""The examples of README.md, run through glchar.cli.main and exec.
 
 Every fenced block whose first line is `$ glchar ...` runs in this
 process.  A trailing `| head -N` keeps the first N lines of stdout, and
 what is left must equal the rest of the block, byte for byte, with exit
-code 0.  So the README cannot drift from the output of the CLI.
+code 0.  The Python block of the Library section runs too, and what it
+prints must equal the block shown after it.  So the README cannot drift
+from the output of the CLI or of the library.
 """
 
 import contextlib
@@ -18,6 +20,8 @@ from glchar.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLE = re.compile(r"^```\n\$ glchar (.*?)\n(.*?)^```$", re.M | re.S)
+LIBRARY = re.compile(
+    r"^```python\n(.*?)^```\n\nIt prints:\n\n```\n(.*?)^```$", re.M | re.S)
 
 
 def examples() -> list[tuple[str, str]]:
@@ -44,3 +48,11 @@ def test_readme_example_output(command, shown):
     assert code == 0
     lines = out.getvalue().splitlines(keepends=True)
     assert "".join(lines[:keep]) == shown
+
+
+def test_readme_library_example_output():
+    (code, shown), = LIBRARY.findall(README.read_text(encoding="utf-8"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue() == shown

@@ -7,7 +7,6 @@ in the fast path cannot silently change which expansions are accepted.
 """
 
 import copy
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +33,7 @@ from glchar.recovery import (
 )
 import glchar.recovery as recovery
 from glchar.sheets import (
+    CharacterSheet,
     IndexRow,
     SheetRow,
     SheetValidationError,
@@ -276,7 +276,8 @@ def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
     for lab, rep in zip(sheet.labels(), whole):
         # a new instance per row carries an empty memo, so every torus runs
         # its own search
-        fresh = dataclasses.replace(sheet)
+        fresh = CharacterSheet(sheet.spec, sheet.zeta_level, sheet.tori,
+                               sheet.rows)
         assert "_memo" not in vars(fresh)
         del calls[:]
         assert recover_E(fresh, lab, validate=False) == rep
@@ -368,9 +369,9 @@ def test_value_memo_lives_on_the_sheet():
     for lab in sheet.labels():
         recover_E(sheet, lab, validate=False)
     memo = vars(sheet)["_memo"]
-    # the one per-sheet entry, beside the dataclass fields
+    # the one per-sheet entry, beside the four fields
     assert set(vars(sheet)) == {
-        f.name for f in dataclasses.fields(sheet)} | {"_memo"}
+        "spec", "zeta_level", "tori", "rows", "_memo"}
     # one memo of expected values per (torus, level), beside its twists
     assert set(memo) == {(tt, sheet.zeta_level) for tt in sheet.tori}
     assert all(not isinstance(v, dict) for twists, _ in memo.values()
@@ -387,7 +388,8 @@ def test_value_memo_lives_on_the_sheet():
         assert not any(v is d for v in vars(solver).values()
                        for entry in memo.values() for d in entry)
     # a copy starts without the memo, and builds its own
-    copy_ = dataclasses.replace(sheet)
+    copy_ = CharacterSheet(sheet.spec, sheet.zeta_level, sheet.tori,
+                           sheet.rows)
     assert "_memo" not in vars(copy_)
     recover_E(copy_, "principal:2,5", validate=False)
     theirs = vars(copy_)["_memo"]
@@ -569,7 +571,8 @@ def test_prepared_tables_live_on_the_sheet():
         assert set(vars(_solver(tt, sheet.zeta_level))) <= SOLVER_ATTRS
     # a copy shares the table, and so its entries; another sheet has its
     # own table and prepares it afresh
-    copy_ = dataclasses.replace(sheet)
+    copy_ = CharacterSheet(sheet.spec, sheet.zeta_level, sheet.tori,
+                           sheet.rows)
     assert sheet_table(copy_) is table
     other = build_gl2_sheet(11)
     theirs = sheet_table(other)
