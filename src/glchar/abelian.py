@@ -22,11 +22,21 @@ class EnumerationBudgetError(RuntimeError):
     """Group too large for exhaustive enumeration."""
 
 
+class _Normalized:
+    """Before a named-tuple base: _replace then runs the constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _FinAbGroup(NamedTuple):
     moduli: tuple[int, ...]
 
 
-class FinAbGroup(_FinAbGroup):
+class FinAbGroup(_Normalized, _FinAbGroup):
     __slots__ = ()
 
     def __new__(cls, moduli: Sequence[int]):
@@ -56,7 +66,7 @@ class _AbChar(NamedTuple):
     cexps: tuple[int, ...]
 
 
-class AbChar(_AbChar):
+class AbChar(_Normalized, _AbChar):
     __slots__ = ()
 
     def __new__(cls, group: FinAbGroup, cexps: Sequence[int]):

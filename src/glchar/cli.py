@@ -142,10 +142,9 @@ def cmd_table(args) -> int:
 
 def cmd_recover(args) -> int:
     sheet = _load_or_build(args)
-    # built-in sheets are valid by construction; loaded ones were validated
     labels = ([_canonical_label(sheet, args.rho)] if args.rho is not None
               else [r.label for r in _sorted_rows(sheet)])
-    reports = [recover_E(sheet, lab, validate=False) for lab in labels]
+    reports = [recover_E(sheet, lab) for lab in labels]
     if args.json:
         if args.rho is not None:
             _emit_json(reports[0].to_dict())
@@ -161,7 +160,7 @@ def cmd_recover(args) -> int:
 def cmd_unipotent(args) -> int:
     sheet = _load_or_build(args)
     found = [row.label for row in _sorted_rows(sheet)
-             if is_unipotent(sheet, row.label, validate=False)]
+             if is_unipotent(sheet, row.label)]
     if args.json:
         _emit_json({"n": sheet.spec.n, "q": sheet.spec.q, "unipotent": found})
     else:

@@ -78,10 +78,9 @@ from itertools import compress, count, repeat
 from operator import add, attrgetter, floordiv, mod, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .abelian import DEFAULT_BUDGET, AbChar, enumerate_chars
+from .abelian import DEFAULT_BUDGET, AbChar, _Normalized, enumerate_chars
 from .cyclotomic import CycNum, CycMatrix, _context, _fold, _scaled
-from .sheets import (
-    CharacterSheet, SheetValidationError, index_row, validate_sheet)
+from .sheets import CharacterSheet, index_row
 from .tori import (
     GeomClassId,
     GroupSpec,
@@ -147,7 +146,7 @@ class _Expansion(NamedTuple):
     terms: tuple[tuple[AbChar, int], ...]
 
 
-class Expansion(_Expansion):
+class Expansion(_Normalized, _Expansion):
     """An exact expansion f = sum of c_i * theta_i on the regular locus.
 
     Characters are pairwise distinct and listed in lexicographic exponent
@@ -742,23 +741,18 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
 
     Each torus runs the exhaustive search of sparse_decompose, or takes a
     verified twist of an expansion that search found earlier on this
-    sheet, so a second valid expansion is a NonUniqueError.  Every support
-    has at most |W| terms: sparse_decompose returns at most min(|W|, K),
-    and a twist hit has the length of the searched expansion it twists.
-    Checks, and reports as hard errors: at least one torus has nonempty
-    support; all nonempty supports land in one geometric conjugacy class.
-    The unipotence flag records whether the trivial character appears in
-    some support.
+    sheet, so a second valid expansion is a NonUniqueError, and every
+    support has at most |W| terms (a twist has the length of what it
+    twists).  Hard errors: empty support on every torus, or supports in
+    more than one geometric conjugacy class.  The unipotence flag records
+    whether the trivial character appears in some support.
 
-    The search is serial.  jobs is accepted and ignored: it stays only
-    until the benchmark probe (perfbench/tracing.py) stops passing it.
+    The sheet is not checked: each answer is proved by its own search
+    (glchar.sheets checks a sheet where it enters).  The search is serial.
+    validate and jobs are accepted and ignored: they stay only until the
+    benchmark probe (perfbench/tracing.py) stops passing them.
     """
-    spec = sheet.spec
-    _require_gate(spec)
-    if validate:
-        report = validate_sheet(sheet)
-        if not report.ok:
-            raise SheetValidationError(report)
+    _require_gate(sheet.spec)
     row = sheet.row(label)
     memo = vars(sheet).setdefault("_memo", {})  # module docstring
     expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt)
@@ -779,8 +773,7 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
     return RecoveryReport(label, expansions, tagged[0][2], unipotent)
 
 
-def is_unipotent(sheet: CharacterSheet, label: str, *,
-                 validate: bool = True) -> bool:
+def is_unipotent(sheet: CharacterSheet, label: str) -> bool:
     """Whether the trivial character lies in some recovered support.
 
     Equivalently, the row is constant on every regular locus: a support
@@ -789,7 +782,7 @@ def is_unipotent(sheet: CharacterSheet, label: str, *,
     expansion c * theta_0 (a non-integer constant has no short expansion:
     NoExpansionError).  The test suite checks the equivalence on every row.
     """
-    return recover_E(sheet, label, validate=validate).unipotent
+    return recover_E(sheet, label).unipotent
 
 
 class GramReport(NamedTuple):

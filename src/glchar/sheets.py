@@ -10,7 +10,9 @@ assumption.
 Built-in generators cover GL_1 and GL_2 at any prime power q (GL_2 by
 the classical value formulas over tables keyed by exponent residue);
 load_sheet refuses larger n.  save_sheet writes JSON format 2 (distinct
-values plus index rows); load_sheet also reads version 1.
+values plus index rows); load_sheet also reads version 1.  A sheet is
+checked only where it enters: sheet_from_dict and load_sheet validate
+it, and built ones are valid by construction (the tests validate them).
 
 In memory a row on a torus is an IndexRow, a read-only Mapping over an
 array of indices into a ValueTable (copy one with dict(...) to edit it).

@@ -22,7 +22,8 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .abelian import DEFAULT_BUDGET, AbChar, EnumerationBudgetError, FinAbGroup
+from .abelian import (
+    DEFAULT_BUDGET, AbChar, EnumerationBudgetError, FinAbGroup, _Normalized)
 from .cyclotomic import _factorize, divisors
 
 
@@ -54,7 +55,7 @@ class _GroupSpec(NamedTuple):
     q: int
 
 
-class GroupSpec(_GroupSpec):
+class GroupSpec(_Normalized, _GroupSpec):
     """GL_n over F_q."""
 
     __slots__ = ()
@@ -81,7 +82,7 @@ class _TorusType(NamedTuple):
     blocks: tuple[int, ...]
 
 
-class TorusType(_TorusType):
+class TorusType(_Normalized, _TorusType):
     __slots__ = ()
 
     def __new__(cls, spec: GroupSpec, blocks: Sequence[int]):

@@ -70,6 +70,6 @@ def verify_dl_consistency(sheet):
     report = validate_sheet(sheet)
     if not report.ok:
         raise SheetValidationError(report)
-    reports = {row.label: recover_E(sheet, row.label, validate=False)
+    reports = {row.label: recover_E(sheet, row.label)
                for row in sheet.rows}
     return pattern_report(sheet, reports)

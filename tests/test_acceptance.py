@@ -61,7 +61,7 @@ def exhaustive_scan():
         sheet = build_gl2_sheet(q)
         assert validate_sheet(sheet).ok
         start = time.perf_counter()
-        reports = {row.label: recover_E(sheet, row.label, validate=False)
+        reports = {row.label: recover_E(sheet, row.label)
                    for row in sheet.rows}
         out[q] = ScanResult(sheet, reports, time.perf_counter() - start)
     return out
@@ -111,7 +111,7 @@ def test_criterion_4_exactly_two_unipotent_rows(exhaustive_scan):
             trivial_in_support = any(
                 th.is_trivial()
                 for exp in rep.expansions for th, _ in exp.terms)
-            decided = is_unipotent(scan.sheet, label, validate=False)
+            decided = is_unipotent(scan.sheet, label)
             assert decided == trivial_in_support == rep.unipotent, (q, label)
 
 
@@ -185,7 +185,7 @@ def test_criterion_8_gl1_every_row_recovers_itself():
         assert len(sheet.rows) == q - 1
         for row in sheet.rows:
             k = IrrLabel.parse(sheet.spec, row.label).params[0]
-            rep = recover_E(sheet, row.label, validate=False)
+            rep = recover_E(sheet, row.label)
             (exp,) = rep.expansions
             assert exp.m == 1
             ((theta, coeff),) = exp.terms

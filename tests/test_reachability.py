@@ -52,6 +52,10 @@ ALLOWED = {
         "library API; sheet values share one level, so only library calls "
         "with mixed-level values lift (test_cyclotomic, and "
         "test_recovery::test_mixed_level_values_are_lifted)",
+    "abelian._Normalized._make":
+        "library API; _replace copies a value type through it, and no "
+        "command copies one (test_value_types::"
+        "test_replace_goes_through_the_constructor)",
 }
 
 

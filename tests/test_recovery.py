@@ -7,6 +7,7 @@ in the fast path cannot silently change which expansions are accepted.
 """
 
 import copy
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -40,6 +41,8 @@ from glchar.sheets import (
     ValueTable,
     build_gl1_sheet,
     build_gl2_sheet,
+    sheet_from_dict,
+    sheet_to_json_text,
     validate_sheet,
     zeta_level_for,
 )
@@ -104,8 +107,7 @@ def test_plain_dict_rows_recover_like_index_rows(q):
         r.values = {b: dict(m) for b, m in r.values.items()}
     assert validate_sheet(plain).ok
     for r in built.rows:
-        assert (recover_E(plain, r.label, validate=False)
-                == recover_E(built, r.label, validate=False)), r.label
+        assert recover_E(plain, r.label) == recover_E(built, r.label), r.label
 
 
 def test_bound_above_two_is_rejected():
@@ -231,12 +233,59 @@ def test_nonunique_merge_is_reported(monkeypatch):
     assert second.m == 1
 
 
+def planted_sheet():
+    """The q=11 sheet with cuspidal:1 no class function: its elliptic value
+    at (1,) moved, and at the class partner (11,) kept."""
+    sheet = build_gl2_sheet(11)
+    row = sheet.row("cuspidal:1")
+    vals = row.values[(2,)] = dict(row.values[(2,)])  # built rows are read-only
+    vals[(1,)] = vals[(1,)] + 1
+    return sheet
+
+
 def test_recover_e_ignores_jobs():
-    # the benchmark probe still passes jobs=2; the search is serial
+    # the benchmark probe still passes validate= and jobs=2; the search is
+    # serial, and no keyword makes recover_E check the sheet
+    sheet = planted_sheet()
     for label in ("onedim:3", "steinberg:3", "principal:2,5", "cuspidal:7"):
         serial = recover_E(build_gl2_sheet(11), label).to_dict()
-        assert recover_E(build_gl2_sheet(11), label, validate=False,
-                         jobs=2).to_dict() == serial, label
+        for kw in ({"jobs": 2}, {"validate": True}, {"validate": False},
+                   {"validate": True, "jobs": 2}):
+            assert recover_E(sheet, label, **kw).to_dict() == serial, (
+                label, kw)
+
+
+def test_recover_e_validates_no_sheet(monkeypatch):
+    # the loader checks a sheet once; recovering every row checks it never
+    import glchar.sheets as sheets
+    real, calls = sheets.validate_sheet, []
+
+    def counted(sheet):
+        calls.append(sheet)
+        return real(sheet)
+
+    monkeypatch.setattr(sheets, "validate_sheet", counted)
+    monkeypatch.setattr(recovery, "validate_sheet", counted, raising=False)
+    sheet = build_gl2_sheet(11)
+    for lab in sheet.labels():
+        recover_E(sheet, lab)
+    assert calls == []
+    sheet_from_dict(json.loads(sheet_to_json_text(sheet)))
+    assert len(calls) == 1
+
+
+def test_planted_violation_spares_other_rows_and_fails_the_loader():
+    pristine, sheet = build_gl2_sheet(11), planted_sheet()
+    for lab in pristine.labels():
+        if lab != "cuspidal:1":
+            assert recover_E(sheet, lab) == recover_E(pristine, lab), lab
+    # the planted row's own answer fails its check on the regular locus
+    with pytest.raises(NoExpansionError):
+        recover_E(sheet, "cuspidal:1")
+    with pytest.raises(KeyError):
+        is_unipotent(sheet, "no such row")
+    with pytest.raises(SheetValidationError, match="not constant"):
+        sheet_from_dict(json.loads(sheet_to_json_text(sheet)))
 
 
 # -- per-sheet memo ------------------------------------------------------------
@@ -258,7 +307,7 @@ def counting(monkeypatch):
 def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
     sheet = build_gl2_sheet(q)
     calls = counting(monkeypatch)
-    whole = [recover_E(sheet, lab, validate=False) for lab in sheet.labels()]
+    whole = [recover_E(sheet, lab) for lab in sheet.labels()]
     # one search per twist class of (torus, function) inputs
     assert len(calls) == searches
     assert len(sheet.rows) * len(sheet.tori) == {11: 240, 13: 336}[q]
@@ -280,7 +329,7 @@ def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
                                sheet.rows)
         assert "_memo" not in vars(fresh)
         del calls[:]
-        assert recover_E(fresh, lab, validate=False) == rep
+        assert recover_E(fresh, lab) == rep
         assert len(calls) == len(sheet.tori)
 
 
@@ -288,7 +337,7 @@ def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
 def test_memo_never_serves_a_different_domain(monkeypatch, change):
     sheet = build_gl2_sheet(11)
     calls = counting(monkeypatch)
-    recover_E(sheet, "onedim:3", validate=False)
+    recover_E(sheet, "onedim:3")
     vals = {bl: dict(m) for bl, m in sheet.row("onedim:3").values.items()}
     split = vals[SPLIT11.blocks]
     if change == "extra":
@@ -301,7 +350,7 @@ def test_memo_never_serves_a_different_domain(monkeypatch, change):
     del calls[:]
     for _ in range(2):  # errors are not memoized: both calls raise
         with pytest.raises(ValueError, match="does not match the regular"):
-            recover_E(sheet, "hostile", validate=False)
+            recover_E(sheet, "hostile")
     # refused before any search, and nothing stored for the hostile row
     assert calls == []
     assert memo == before
@@ -310,11 +359,11 @@ def test_memo_never_serves_a_different_domain(monkeypatch, change):
 def test_two_sheets_do_not_share_a_memo(monkeypatch):
     first, second = build_gl2_sheet(11), build_gl2_sheet(11)
     calls = counting(monkeypatch)
-    rep = recover_E(first, "principal:2,5", validate=False)
-    assert recover_E(first, "principal:2,5", validate=False) == rep
+    rep = recover_E(first, "principal:2,5")
+    assert recover_E(first, "principal:2,5") == rep
     assert len(calls) == 2
     assert "_memo" not in vars(second)
-    assert recover_E(second, "principal:2,5", validate=False) == rep
+    assert recover_E(second, "principal:2,5") == rep
     assert len(calls) == 4
     one, two = vars(first)["_memo"], vars(second)["_memo"]
     assert one is not two and set(one) == set(two)
@@ -367,7 +416,7 @@ def test_solvers_retain_little_memory_at_q41():
 def test_value_memo_lives_on_the_sheet():
     sheet = build_gl2_sheet(11)
     for lab in sheet.labels():
-        recover_E(sheet, lab, validate=False)
+        recover_E(sheet, lab)
     memo = vars(sheet)["_memo"]
     # the one per-sheet entry, beside the four fields
     assert set(vars(sheet)) == {
@@ -391,7 +440,7 @@ def test_value_memo_lives_on_the_sheet():
     copy_ = CharacterSheet(sheet.spec, sheet.zeta_level, sheet.tori,
                            sheet.rows)
     assert "_memo" not in vars(copy_)
-    recover_E(copy_, "principal:2,5", validate=False)
+    recover_E(copy_, "principal:2,5")
     theirs = vars(copy_)["_memo"]
     assert theirs is not memo
     assert all(theirs[k][1] is not memo[k][1] for k in theirs)
@@ -539,9 +588,9 @@ def test_prepared_table_at_two_levels_is_lifted():
     assert recovery._prepare(mixed, tt)[0] == 2 * N
     assert vars(mixed.table)[tt][0] == 2 * N
     assert vars(view.table)[tt][0] == N
-    rep = recover_E(sheet, "cuspidal:1", validate=False)
+    rep = recover_E(sheet, "cuspidal:1")
     row.values[tt.blocks] = mixed
-    assert recover_E(sheet, "cuspidal:1", validate=False) == rep
+    assert recover_E(sheet, "cuspidal:1") == rep
 
 
 def test_prepared_tables_hold_their_tables():
@@ -562,7 +611,7 @@ def test_prepared_tables_hold_their_tables():
 def test_prepared_tables_live_on_the_sheet():
     sheet = build_gl2_sheet(11)
     for lab in sheet.labels():
-        recover_E(sheet, lab, validate=False)
+        recover_E(sheet, lab)
     # the sheet's one table carries one entry per torus
     table = sheet_table(sheet)
     assert set(vars(table)) == set(sheet.tori)
@@ -577,7 +626,7 @@ def test_prepared_tables_live_on_the_sheet():
     other = build_gl2_sheet(11)
     theirs = sheet_table(other)
     assert theirs is not table and not vars(theirs)
-    recover_E(other, "principal:2,5", validate=False)
+    recover_E(other, "principal:2,5")
     assert set(vars(theirs)) == set(sheet.tori)
     assert all(vars(theirs)[tt] is not vars(table)[tt] for tt in sheet.tori)
 
@@ -586,14 +635,14 @@ def test_plain_map_rows_are_prepared_per_call():
     # a plain map is indexed into a new table on every call, so recovering
     # it again leaves the sheet's own table as it was
     sheet = build_gl2_sheet(11)
-    rep = recover_E(sheet, "principal:2,5", validate=False)
+    rep = recover_E(sheet, "principal:2,5")
     table = sheet_table(sheet)
     before = dict(vars(table))
     vals = {blocks: dict(view)
             for blocks, view in sheet.row("principal:2,5").values.items()}
     sheet.rows.append(SheetRow("copy", 12, vals))
     for _ in range(2):
-        got = recover_E(sheet, "copy", validate=False)
+        got = recover_E(sheet, "copy")
         assert got.expansions == rep.expansions
     assert vars(table).keys() == before.keys()
     assert all(vars(table)[tt] is before[tt] for tt in before)
@@ -603,7 +652,7 @@ def test_sparse_decompose_reuses_the_prepared_table():
     # a library call on a built row, after recover_E, takes the entry that
     # recover_E left on the table, and lifts nothing again
     sheet = build_gl2_sheet(11)
-    rep = recover_E(sheet, "cuspidal:1", validate=False)
+    rep = recover_E(sheet, "cuspidal:1")
     f = sheet.row("cuspidal:1").values[ELL11.blocks]
     entry = vars(f.table)[ELL11]
     assert sparse_decompose(f, ELL11) == rep.expansions[1]
@@ -759,7 +808,7 @@ def test_recover_all_zero_row_is_inconsistent():
         (2,): {e: CycNum.zero(120) for e in regular_elements(ELL11)},
     }
     with pytest.raises(RecoveryInconsistencyError, match="empty support"):
-        recover_E(sheet, "cuspidal:1", validate=False)
+        recover_E(sheet, "cuspidal:1")
 
 
 def test_recover_mixed_classes_is_inconsistent():
@@ -768,7 +817,7 @@ def test_recover_mixed_classes_is_inconsistent():
     # split part still theta(2,2); elliptic replaced by a wrong character
     row.values[(2,)] = char_fn(ELL11, [((36,), 1)], level=120)
     with pytest.raises(RecoveryInconsistencyError, match="geometric classes"):
-        recover_E(sheet, "onedim:2", validate=False)
+        recover_E(sheet, "onedim:2")
 
 
 def test_corrupted_class_function_raises_no_expansion():
@@ -789,23 +838,10 @@ def test_corrupted_class_function_raises_no_expansion():
 
 def test_unipotent_rows_gl2():
     sheet = build_gl2_sheet(11)
-    assert is_unipotent(sheet, "onedim:0", validate=False)
-    assert is_unipotent(sheet, "steinberg:0", validate=False)
-    assert not is_unipotent(sheet, "onedim:3", validate=False)
-    assert not is_unipotent(sheet, "cuspidal:1", validate=False)
-
-
-def test_unipotent_checks_validation_before_the_label():
-    sheet = build_gl2_sheet(11)
-    with pytest.raises(KeyError):
-        is_unipotent(sheet, "no such row")
-    row = sheet.row("cuspidal:1")
-    vals = row.values[(2,)] = dict(row.values[(2,)])  # built rows are read-only
-    vals[(1,)] = vals[(1,)] + 1  # its class partner (11,) keeps the old value
-    with pytest.raises(SheetValidationError, match="not constant"):
-        is_unipotent(sheet, "no such row")
-    with pytest.raises(KeyError):
-        is_unipotent(sheet, "no such row", validate=False)
+    assert is_unipotent(sheet, "onedim:0")
+    assert is_unipotent(sheet, "steinberg:0")
+    assert not is_unipotent(sheet, "onedim:3")
+    assert not is_unipotent(sheet, "cuspidal:1")
 
 
 def test_unipotent_search_is_exhaustive(monkeypatch):
@@ -821,7 +857,7 @@ def test_unipotent_search_is_exhaustive(monkeypatch):
 
     monkeypatch.setattr(rec, "_scan_singles", fake)
     with pytest.raises(NonUniqueError):
-        is_unipotent(build_gl2_sheet(11), "onedim:3", validate=False)
+        is_unipotent(build_gl2_sheet(11), "onedim:3")
 
 
 def constant_on_every_locus(sheet, label):
@@ -836,7 +872,7 @@ def constant_on_every_locus(sheet, label):
 def test_unipotent_flag_equals_constancy_on_every_row(q):
     sheet = build_gl2_sheet(q)
     for row in sheet.rows:
-        rep = recover_E(sheet, row.label, validate=False)
+        rep = recover_E(sheet, row.label)
         assert rep.unipotent == constant_on_every_locus(sheet, row.label), \
             row.label
 

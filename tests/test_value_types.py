@@ -2,13 +2,14 @@
 
 Every immutable type hashes as the tuple of its fields, so dict and set
 orders, and with them the CLI's stdout, do not depend on how the types
-are made.  Their reprs, the normalization their constructors do and the
-errors they raise are pinned here.  A CLI process imports no
-dataclasses and no inspect: each costs every process several
+are made.  Their reprs, the normalization their constructors do (in
+_replace too) and the errors they raise are pinned here.  A CLI process
+imports no dataclasses and no inspect: each costs every process several
 milliseconds at startup.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -123,9 +124,42 @@ def test_constructors_refuse(make, message):
         make()
 
 
+# name -> (a value, a field change and the value its constructor makes of
+# that, a field change the constructor refuses and its message)
+REPLACED = {
+    "GroupSpec": (GroupSpec(2, 13), {"q": 11}, GroupSpec(2, 11),
+                  {"q": 6}, "q = 6 is not a prime power"),
+    "TorusType": (TorusType(GroupSpec(3, 5), (2, 1)), {"blocks": (1, 2)},
+                  TorusType(GroupSpec(3, 5), (2, 1)),
+                  {"blocks": (2, 2)}, r"\(2, 2\) is not a partition of 3"),
+    "FinAbGroup": (FinAbGroup((4, 6)), {"moduli": [4.0, True]},
+                   FinAbGroup((4, 1)), {"moduli": (0,)},
+                   "moduli must be positive"),
+    "AbChar": (AbChar(FinAbGroup((4, 6)), (1, 1)), {"cexps": (-1, 13)},
+               AbChar(FinAbGroup((4, 6)), (3, 1)), {"cexps": (1,)},
+               "character tuple has wrong length"),
+    "Expansion": (Expansion(GL1, ((theta(GL1, 1), 2),)),
+                  {"terms": [(theta(GL1, 3), -1), (theta(GL1, 1), 2)]},
+                  Expansion(GL1, ((theta(GL1, 1), 2), (theta(GL1, 3), -1))),
+                  {"terms": ((theta(GL1, 1), 0),)},
+                  "coefficient 0 is not a nonzero integer"),
+}
+
+
+@pytest.mark.parametrize("name", REPLACED)
+def test_replace_goes_through_the_constructor(name):
+    x, change, made, bad, message = REPLACED[name]
+    y = x._replace(**change)
+    assert type(y) is type(x) and repr(y) == repr(made)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        x._replace(**bad)
+    assert type(x).__slots__ == () and not hasattr(x, "__dict__")
+    assert pickle.loads(pickle.dumps(y)) == y
+
+
 def test_sheets_are_compared_by_their_fields_and_unhashable():
     sheet = build_gl2_sheet(11)
-    recover_E(sheet, "cuspidal:1", validate=False)
+    recover_E(sheet, "cuspidal:1")
     assert "_memo" in vars(sheet)
     fresh = build_gl2_sheet(11)
     assert sheet == fresh and not sheet != fresh
