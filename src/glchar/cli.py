@@ -70,8 +70,6 @@ def _load_or_build(args) -> CharacterSheet:
     """The sheet named by --sheet (validated on load) or the built-in one."""
     if args.sheet is not None:
         return load_sheet(args.sheet)
-    if args.q is None:
-        raise ValueError("either --q or --sheet is required")
     check_budget(args.n, args.q)
     return build_sheet(args.n, args.q)
 
@@ -204,16 +202,15 @@ def cmd_classes(args) -> int:
         _emit_json({
             "n": spec.n,
             "q": spec.q,
-            "level": ordered[0].level if ordered else None,
+            "level": ordered[0].level,
             "classes": [{"residues": list(gid.residues),
                          "torus": reps[gid][0].label,
                          "character": list(reps[gid][1].cexps)}
                         for gid in ordered],
         })
     else:
-        lvl = ordered[0].level if ordered else "-"
         print(f"GL_{spec.n}(F_{spec.q}): {len(ordered)} geometric "
-              f"classes at level {lvl}")
+              f"classes at level {ordered[0].level}")
         for gid in ordered:
             tt, ch = reps[gid]
             print(f"{gid.residues}: torus {tt.label}, theta {ch.cexps}")
@@ -277,13 +274,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--q", type=int, required=True)
 
-    sp = add("table", cmd_table, "emit a built-in character sheet")
-    sp.add_argument("--n", type=int, default=2, choices=(1, 2))
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--sheet", help="re-emit a sheet file instead")
-    sp.add_argument("--out", help="write the sheet JSON to this path")
-
     for name, fn, help_ in (
+            ("table", cmd_table, "emit a built-in character sheet"),
             ("recover", cmd_recover, "recover expansions, class, unipotence"),
             ("unipotent", cmd_unipotent, "list the unipotent rows")):
         sp = add(name, fn, help_)
@@ -292,6 +284,8 @@ def _build_parser() -> _Parser:
         g.add_argument("--sheet", help="load a sheet file")
         sp.add_argument("--n", type=int, default=2, choices=(1, 2),
                         help="rank for the built-in sheet")
+        if name == "table":
+            sp.add_argument("--out", help="write the sheet JSON to this path")
         if name == "recover":
             sp.add_argument("--rho", help="single irreducible label")
 

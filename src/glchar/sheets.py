@@ -8,11 +8,13 @@ class-function property is a checkable invariant rather than an input
 assumption.
 
 Built-in generators cover GL_1 and GL_2 at any prime power q (GL_2 by
-the classical value formulas over tables keyed by exponent residue);
-load_sheet refuses larger n.  save_sheet writes JSON format 2 (distinct
-values plus index rows); load_sheet also reads version 1.  A sheet is
-checked only where it enters: sheet_from_dict and load_sheet validate
-it, and built ones are valid by construction (the tests validate them).
+the classical value formulas over tables keyed by exponent residue).  No
+CharacterSheet with n >= 3 can be made: the constructor refuses one, and
+load_sheet refuses a file as soon as it reads n.  save_sheet writes JSON
+format 2 (distinct values plus index rows); load_sheet also reads
+version 1.  A sheet is checked only where it enters: sheet_from_dict and
+load_sheet validate it, and built ones are valid by construction (the
+tests validate them).
 
 In memory a row on a torus is an IndexRow, a read-only Mapping over an
 array of indices into a ValueTable (copy one with dict(...) to edit it).
@@ -31,7 +33,7 @@ from array import array
 from collections.abc import Mapping
 from functools import cache, partial
 from itertools import count, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .abelian import EnumerationBudgetError
 from .cyclotomic import CycNum, root, triples_key
@@ -48,6 +50,8 @@ from .tori import (
 )
 
 FAMILIES = ("onedim", "steinberg", "principal", "cuspidal")
+# GL_3 first passes the density gate at q = 6151, over the budget
+_NO_RANK = "n = {}: no GL_n sheet with n >= 3 recovers"
 
 
 class SheetFormatError(ValueError):
@@ -192,11 +196,14 @@ class SheetRow:
 
 
 class CharacterSheet:
-    """Equal when its four fields are, so the memo that recover_E keeps
-    in its __dict__ stays out of equality."""
+    """A GL_1 or GL_2 sheet: ValueError for n >= 3.  Equal when its four
+    fields are, so the memo that recover_E keeps in its __dict__ stays out
+    of equality."""
 
     def __init__(self, spec: GroupSpec, zeta_level: int,
                  tori: tuple[TorusType, ...], rows: list[SheetRow]):
+        if spec.n >= 3:
+            raise ValueError(_NO_RANK.format(spec.n))
         self.spec, self.zeta_level, self.tori, self.rows = (
             spec, zeta_level, tori, rows)
 
@@ -341,53 +348,51 @@ def _regular_classes(tt: TorusType) -> list[list[tuple[int, ...]]]:
     return list(classes.values())
 
 
-def _header_violations(sheet: CharacterSheet) -> list[str]:
+def _header_violations(sheet: CharacterSheet) -> Iterator[str]:
     """validate_sheet's checks that enumerate no torus."""
-    bad: list[str] = []
     spec = sheet.spec
     expected_tori = enumerate_tori(spec)
     if sorted(t.blocks for t in sheet.tori) != [t.blocks for t in expected_tori]:
-        bad.append(f"tori {[t.label for t in sheet.tori]} do not cover the "
-                   f"{len(expected_tori)} torus types exactly once")
+        yield (f"tori {[t.label for t in sheet.tori]} do not cover the "
+               f"{len(expected_tori)} torus types exactly once")
     level = zeta_level_for(spec)
     if sheet.zeta_level != level:
-        bad.append(f"zeta_level {sheet.zeta_level} != lcm of torus "
-                   f"exponents {level}")
+        yield f"zeta_level {sheet.zeta_level} != lcm of torus exponents {level}"
 
     labels = sheet.labels()
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
-        bad.append(f"duplicate labels: {dupes}")
-    if spec.n <= 2:
-        canon: dict[str, str] = {}
-        for lab in labels:
-            try:
-                c = IrrLabel.parse(spec, lab).format()
-            except ValueError as e:
-                bad.append(f"label {lab!r}: {e}")
-                continue
-            if c != lab:
-                bad.append(f"label {lab!r} is not in canonical form ({c!r})")
-            if c in canon and canon[c] != lab:
-                bad.append(f"labels {canon[c]!r} and {lab!r} name the same "
-                           f"irreducible {c!r}")
-            canon.setdefault(c, lab)
-        expected_rows = spec.q - 1 if spec.n == 1 else spec.q**2 - 1
-        if len(sheet.rows) != expected_rows:
-            bad.append(f"row count {len(sheet.rows)} != {expected_rows}")
+        yield f"duplicate labels: {dupes}"
+    canon: dict[str, str] = {}
+    for r in sheet.rows:
+        lab = r.label
+        try:
+            label = IrrLabel.parse(spec, lab)
+        except ValueError as e:
+            yield f"label {lab!r}: {e}"
+            continue
+        c = label.format()
+        if c != lab:
+            yield f"label {lab!r} is not in canonical form ({c!r})"
+        if c in canon and canon[c] != lab:
+            yield (f"labels {canon[c]!r} and {lab!r} name the same "
+                   f"irreducible {c!r}")
+        canon.setdefault(c, lab)
+        if r.dim != label.dim(spec):
+            yield f"row {lab}: dim {r.dim} != {label.dim(spec)}, its label's"
+    expected_rows = spec.q - 1 if spec.n == 1 else spec.q**2 - 1
+    if len(sheet.rows) != expected_rows:
+        yield f"row count {len(sheet.rows)} != {expected_rows}"
 
     mass = sum(r.dim * r.dim for r in sheet.rows)
     if any(r.dim < 1 for r in sheet.rows):
-        bad.append("nonpositive dimension present")
+        yield "nonpositive dimension present"
     if mass != spec.group_order:
-        bad.append(f"sum of dim^2 is {mass}, group order is "
-                   f"{spec.group_order}")
-    return bad
+        yield f"sum of dim^2 is {mass}, group order is {spec.group_order}"
 
 
-def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
-    """Structural and semantic checks; every violation itemized."""
-    bad = _header_violations(sheet)
+def _value_violations(sheet: CharacterSheet) -> Iterator[str]:
+    """validate_sheet's checks of the value maps."""
     classes = {tt.blocks: _regular_classes(tt) for tt in sheet.tori}
     # a class function has idx == idx o succ, succ[p] the position of the
     # next element after the p-th in its class's cycle
@@ -401,8 +406,8 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
     wrong: dict[int, tuple[Sequence[CycNum], list[int]]] = {}
     for r in sheet.rows:
         if set(r.values) != {tt.blocks for tt in sheet.tori}:
-            bad.append(f"row {r.label}: value maps keyed by "
-                       f"{sorted(r.values)} instead of the torus list")
+            yield (f"row {r.label}: value maps keyed by "
+                   f"{sorted(r.values)} instead of the torus list")
             continue
         for tt in sheet.tori:
             vals = r.values[tt.blocks]
@@ -412,18 +417,18 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
                 missing = [e for e in pos if e not in vals]
                 extra = [e for e in vals if e not in pos]
                 if missing:
-                    bad.append(f"row {r.label}, torus {tt.label}: missing "
-                               f"regular elements, e.g. {missing[0]}")
+                    yield (f"row {r.label}, torus {tt.label}: missing "
+                           f"regular elements, e.g. {missing[0]}")
                 if extra:
-                    bad.append(f"row {r.label}, torus {tt.label}: value on "
-                               f"non-regular element {extra[0]}")
+                    yield (f"row {r.label}, torus {tt.label}: value on "
+                           f"non-regular element {extra[0]}")
                 continue
             if id(row.table) not in wrong:
                 wrong[id(row.table)] = (row.table, [
                     v.level for v in row.table if v.level != sheet.zeta_level])
             for level in wrong[id(row.table)][1][:1]:
-                bad.append(f"row {r.label}, torus {tt.label}: value at "
-                           f"level {level} != {sheet.zeta_level}")
+                yield (f"row {r.label}, torus {tt.label}: value at "
+                       f"level {level} != {sheet.zeta_level}")
             idx = row.idx.tolist()
             if idx == list(map(idx.__getitem__, succ[tt.blocks])):
                 continue
@@ -432,11 +437,16 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
                 for e in cls[1:]:
                     v = row[e]
                     if v is not v0 and v != v0:
-                        bad.append(f"row {r.label}, torus {tt.label}: not "
-                                   f"constant on the class of {cls[0]} "
-                                   f"(differs at {e})")
+                        yield (f"row {r.label}, torus {tt.label}: not "
+                               f"constant on the class of {cls[0]} "
+                               f"(differs at {e})")
                         break
-    return SheetValidationReport(tuple(bad))
+
+
+def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
+    """Structural and semantic checks; every violation itemized."""
+    return SheetValidationReport(
+        (*_header_violations(sheet), *_value_violations(sheet)))
 
 
 # ------------------------------------------------------ JSON serialization
@@ -444,8 +454,9 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
 def sheet_from_dict(data) -> CharacterSheet:
     """The validated sheet of a file's dict, in format 2 or version 1.
 
-    Both share the header checks, one CycNum per distinct value triples
-    and validate_sheet.  They differ in a row's list for one torus:
+    Both share the checks of validate_sheet, its header pass before any
+    value is parsed and its value pass at the end, and one CycNum per
+    distinct value triples.  They differ in a row's list for one torus:
     format 2 has indices into the file's "values" table, one per regular
     element in regular_elements order; version 1 (no "format" key) has
     {"element", "value"} entries.  SheetFormatError for a schema
@@ -467,18 +478,15 @@ def sheet_from_dict(data) -> CharacterSheet:
     if v2 and need(data, "format", int) != 2:
         raise SheetFormatError("format must be 2, or absent for version 1")
     n = need(data, "n", int)
-    if n >= 3:  # GL_3 first passes the gate at q = 6151, over the budget
-        raise SheetFormatError(f"n = {n}: no GL_n sheet with n >= 3 recovers")
+    if n >= 3:  # before the budget check; CharacterSheet refuses it too
+        raise SheetFormatError(_NO_RANK.format(n))
     q = need(data, "q", int)
-    # before GroupSpec and zeta_level_for: a larger group can never be
-    # enumerated and validated
     try:
+        # before GroupSpec and zeta_level_for: a larger group can never be
+        # enumerated and validated
         check_budget(n, q)
-    except EnumerationBudgetError as e:
-        raise SheetFormatError(str(e)) from None
-    try:
         spec = GroupSpec(n, q)
-    except ValueError as e:
+    except (EnumerationBudgetError, ValueError) as e:
         raise SheetFormatError(str(e)) from None
     zeta_level = need(data, "zeta_level", int)
     # before any value is parsed: parsing allocates tables sized by the level
@@ -498,9 +506,9 @@ def sheet_from_dict(data) -> CharacterSheet:
     rows = [SheetRow(need(item, "label", str), need(item, "dim", int), {})
             for item in items]
     sheet = CharacterSheet(spec, zeta_level, tuple(tori), rows)
-    header = _header_violations(sheet)
-    if header:
-        raise SheetValidationError(SheetValidationReport(tuple(header)))
+    report = SheetValidationReport(tuple(_header_violations(sheet)))
+    if not report.ok:
+        raise SheetValidationError(report)
     interned: dict[tuple[tuple[int, int, int], ...], CycNum] = {}  # per load
 
     def value(triples, where: str) -> CycNum:
@@ -568,7 +576,7 @@ def sheet_from_dict(data) -> CharacterSheet:
                 entries, tt, f"row {label!r}, torus {tlab}")
         if values_in.keys() - by_label:
             raise SheetFormatError(f"row {label!r}: values for unknown tori")
-    report = validate_sheet(sheet)
+    report = SheetValidationReport(tuple(_value_violations(sheet)))
     if not report.ok:
         raise SheetValidationError(report)
     return sheet

@@ -103,10 +103,15 @@ def test_check_q_gl8_f2_fails_without_printing_2_to_the_k(extra):
     ["gram", "--q", "11", "--torus", "1+1"],
     ["recover", "--q", "11", "--fast"],
     ["unipotent", "--q", "11", "--fast"],
+    ["table"],
+    ["table", "--q", "5", "--sheet", "SHEET"],
 ])
-def test_usage_errors_exit_1(capsys, argv):
-    assert main(argv) == 1
-    capsys.readouterr()
+def test_usage_errors_exit_1(capsys, tmp_path, argv):
+    # SHEET is a valid q=3 file, so only the usage refuses it
+    path = tmp_path / "q3.json"
+    save_sheet(build_gl2_sheet(3), str(path))
+    argv = [str(path) if a == "SHEET" else a for a in argv]
+    assert run(capsys, *argv)[:2] == (1, "")
 
 
 def test_unknown_label_exits_1(capsys):
@@ -563,6 +568,22 @@ def test_row_label_without_parameters_exits_3(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--sheet", str(path))
     assert (code, out) == (3, "")
     assert "label 'cuspidal:': cuspidal takes one parameter" in err
+
+
+@pytest.mark.parametrize("argv", [["table"], ["recover"]])
+def test_row_dim_not_its_labels_exits_3(capsys, tmp_path, argv):
+    # the dims of steinberg:0 and principal:0,1 swapped: the sum of dim^2
+    # is still 48
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
+    rows = {r["label"]: r for r in data["irreducibles"]}
+    a, b = rows["steinberg:0"], rows["principal:0,1"]
+    a["dim"], b["dim"] = b["dim"], a["dim"]
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--sheet", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("error: sheet rejected: row steinberg:0: dim 4 != 3, its "
+                   "label's; row principal:0,1: dim 3 != 4, its label's\n")
 
 
 @pytest.mark.parametrize("argv", [["table"], ["recover"], ["unipotent"]])

@@ -52,6 +52,11 @@ ALLOWED = {
         "library API; sheet values share one level, so only library calls "
         "with mixed-level values lift (test_cyclotomic, and "
         "test_recovery::test_mixed_level_values_are_lifted)",
+    "sheets.validate_sheet":
+        "library API; the check of a sheet made or edited in memory. The "
+        "loader runs its header pass before any value is parsed and its "
+        "value pass at the end, so no command calls it whole (test_sheets "
+        "runs it on built sheets at many q)",
     "abelian._Normalized._make":
         "library API; _replace copies a value type through it, and no "
         "command copies one (test_value_types::"

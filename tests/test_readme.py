@@ -50,6 +50,15 @@ def test_readme_example_output(command, shown):
     assert "".join(lines[:keep]) == shown
 
 
+@pytest.mark.parametrize("command", ["table", "recover", "unipotent"])
+def test_readme_shows_the_sheet_commands_usage(capsys, monkeypatch, command):
+    # on one line each: argparse wraps usage at the terminal width
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert f"\n{usage}\n" in README.read_text(encoding="utf-8")
+
+
 def test_readme_library_example_output():
     (code, shown), = LIBRARY.findall(README.read_text(encoding="utf-8"))
     out = io.StringIO()

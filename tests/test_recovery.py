@@ -256,22 +256,25 @@ def test_recover_e_ignores_jobs():
 
 
 def test_recover_e_validates_no_sheet(monkeypatch):
-    # the loader checks a sheet once; recovering every row checks it never
+    # the loader checks a sheet once, by the header and value passes of
+    # validate_sheet; recovering every row checks it never
     import glchar.sheets as sheets
-    real, calls = sheets.validate_sheet, []
+    calls = []
 
-    def counted(sheet):
-        calls.append(sheet)
-        return real(sheet)
+    def counted(name):
+        real = getattr(sheets, name)
+        return lambda sheet: calls.append(name) or real(sheet)
 
-    monkeypatch.setattr(sheets, "validate_sheet", counted)
-    monkeypatch.setattr(recovery, "validate_sheet", counted, raising=False)
+    for name in ("validate_sheet", "_header_violations", "_value_violations"):
+        monkeypatch.setattr(sheets, name, counted(name))
+    monkeypatch.setattr(recovery, "validate_sheet", sheets.validate_sheet,
+                        raising=False)
     sheet = build_gl2_sheet(11)
     for lab in sheet.labels():
         recover_E(sheet, lab)
     assert calls == []
     sheet_from_dict(json.loads(sheet_to_json_text(sheet)))
-    assert len(calls) == 1
+    assert calls == ["_header_violations", "_value_violations"]
 
 
 def test_planted_violation_spares_other_rows_and_fails_the_loader():

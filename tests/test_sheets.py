@@ -424,6 +424,63 @@ def test_validate_flags_noncanonical_label():
     assert any("canonical form" in v for v in report.violations)
 
 
+def _swap_dims(data):
+    """The dict with the dims of steinberg:0 (q) and principal:0,1 (q + 1)
+    swapped, so the sum of dim^2 is still the group order."""
+    rows = {r["label"]: r for r in data["irreducibles"]}
+    a, b = rows["steinberg:0"], rows["principal:0,1"]
+    a["dim"], b["dim"] = b["dim"], a["dim"]
+    return data
+
+
+def test_row_dim_must_be_its_labels(monkeypatch):
+    # refused with the header, before any value is parsed
+    import glchar.sheets as sheets_mod
+    sheet = build_gl2_sheet(3)
+    files = [_swap_dims(to_dict(sheet))
+             for to_dict in (sheet_to_dict, sheet_to_dict_v2)]
+
+    def no_parse(*args):
+        raise AssertionError("a value was parsed before the header check")
+
+    monkeypatch.setattr(sheets_mod.CycNum, "from_triples", no_parse)
+    for data in files:
+        with pytest.raises(SheetValidationError) as exc:
+            sheet_from_dict(data)
+        assert exc.value.report.violations == (
+            "row steinberg:0: dim 4 != 3, its label's",
+            "row principal:0,1: dim 3 != 4, its label's")
+
+
+def test_load_runs_the_header_pass_once(monkeypatch):
+    # the header pass runs before any value is parsed, and the closing
+    # pass checks only the values
+    import glchar.sheets as sheets_mod
+    real, calls = sheets_mod._header_violations, []
+
+    def counted(sheet):
+        calls.append(sheet)
+        return real(sheet)
+
+    monkeypatch.setattr(sheets_mod, "_header_violations", counted)
+    sheet = build_gl2_sheet(5)
+    for text in (v1_text(sheet), sheet_to_json_text(sheet)):
+        calls.clear()
+        assert sheet_from_dict(json.loads(text)) == sheet
+        assert len(calls) == 1
+
+
+def test_no_gl3_sheet_can_be_made():
+    # the constructor refuses it with the loader's text
+    spec = GroupSpec(3, 5)
+    text = "n = 3: no GL_n sheet with n >= 3 recovers"
+    with pytest.raises(ValueError) as made:
+        CharacterSheet(spec, zeta_level_for(spec), enumerate_tori(spec), [])
+    with pytest.raises(SheetFormatError) as loaded:
+        sheet_from_dict({"group": "GL", "n": 3, "q": 5})
+    assert str(made.value) == str(loaded.value) == text
+
+
 def test_validate_flags_bad_mass_and_count():
     sheet = build_gl2_sheet(3)
     del sheet.rows[0]
