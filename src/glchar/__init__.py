@@ -5,8 +5,8 @@ indexes an irreducible character of a finite general linear group by a
 geometric conjugacy class of torus characters, using nothing but the
 character's values on regular semisimple torus elements.  The layers:
 
-cyclotomic  exact arithmetic in Z[zeta_N] on the power basis, Laplace
-            determinants (no division, no linear solving)
+cyclotomic  exact arithmetic in Z[zeta_N] on the power basis (no
+            division, no linear solving, no matrices)
 abelian     finite abelian groups in exponent coordinates: elements are
             plain exponent tuples, characters are AbChar
 tori        maximal torus types, their rational points T^F as a group,
@@ -15,18 +15,20 @@ tori        maximal torus types, their rational points T^F as a group,
 sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
 recovery    expansion search of at most two terms (|W| <= 2 wherever the
             gate passes within the enumeration budget), class assembly,
-            unipotence, the Gram audit; every entry point runs the one
-            exhaustive search, so every answer is proved unique
+            unipotence, and the Gram audit, which expands its own <= 4x4
+            determinant; every entry point runs the one exhaustive
+            search, so every answer is proved unique
 cli         deterministic command line front end
 
 The independent cross-checks (norm/pullback class decider on the points
-at Frobenius level m, the Weyl-orbit walker, Bareiss determinants, the
-rational subset solver, the packed convolution, the GL_2 decomposition
-pattern, the dict form of a sheet file) live in the tests as oracles.
+at Frobenius level m, the Weyl-orbit walker, the Bareiss Gram
+determinant, the rational subset solver, the packed convolution, the
+GL_2 decomposition pattern, the dict form of a sheet file) live in the
+tests as oracles.
 """
 
 from .abelian import AbChar, FinAbGroup
-from .cyclotomic import CycMatrix, CycNum, root
+from .cyclotomic import CycNum, root
 from .recovery import (
     Expansion,
     GramReport,
@@ -69,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbChar", "FinAbGroup",
-    "CycMatrix", "CycNum", "root",
+    "CycNum", "root",
     "Expansion", "GramReport", "NoExpansionError", "NonUniqueError",
     "QConditionViolated", "RecoveryInconsistencyError", "RecoveryReport",
     "gram_independence", "is_unipotent", "recover_E", "sparse_decompose",

@@ -16,7 +16,8 @@ Conventions used throughout:
   source level divides the target level).
 - Complex conjugation and inversion are deliberately absent:
   callers that need inverse root values invert on the group side
-  (s -> s^-1) instead, and determinants are division-free.
+  (s -> s^-1) instead.  There is no matrix type: the one determinant,
+  the Gram audit's (recovery.gram_independence), is expanded there.
 """
 
 from __future__ import annotations
@@ -354,56 +355,3 @@ def root(N: int, a: int) -> CycNum:
     """zeta_N^a as an element of Z[zeta_N]."""
     ctx = _context(N)
     return CycNum._raw(N, ctx.red[a % N])
-
-
-class CycMatrix:
-    """Immutable matrix over one cyclotomic field."""
-
-    __slots__ = ("level", "nrows", "ncols", "entries")
-
-    def __init__(self, level: int, rows: Iterable[Iterable[CycNum]]):
-        ent = tuple(tuple(r) for r in rows)
-        for r in ent:
-            for x in r:
-                if x.level != level:
-                    raise LevelMismatchError("matrix entry at wrong level")
-            if len(r) != len(ent[0]):
-                raise ValueError("ragged rows")
-        self.level = level
-        self.nrows = len(ent)
-        self.ncols = len(ent[0]) if ent else 0
-        self.entries = ent
-
-    def __getitem__(self, ij: tuple[int, int]) -> CycNum:
-        return self.entries[ij[0]][ij[1]]
-
-    def det(self) -> CycNum:
-        """Division-free Laplace expansion, memoized on the remaining column
-        set; row i = nrows - len(cols) is always the one expanded."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return root(self.level, 0)
-        ent = self.entries
-        memo: dict[tuple[int, ...], CycNum] = {}
-
-        def rec(cols: tuple[int, ...]) -> CycNum:
-            i = n - len(cols)
-            if len(cols) == 1:
-                return ent[i][cols[0]]
-            got = memo.get(cols)
-            if got is not None:
-                return got
-            acc = CycNum.zero(self.level)
-            for t, c in enumerate(cols):
-                x = ent[i][c]
-                if x.is_zero():
-                    continue
-                sub = rec(cols[:t] + cols[t + 1:])
-                term = x * sub
-                acc = acc + term if t % 2 == 0 else acc - term
-            memo[cols] = acc
-            return acc
-
-        return rec(tuple(range(n)))

@@ -489,11 +489,6 @@ def sheet_from_dict(data) -> CharacterSheet:
     except (EnumerationBudgetError, ValueError) as e:
         raise SheetFormatError(str(e)) from None
     zeta_level = need(data, "zeta_level", int)
-    # before any value is parsed: parsing allocates tables sized by the level
-    level = zeta_level_for(spec)
-    if zeta_level != level:
-        raise SheetFormatError(f"zeta_level {zeta_level} != lcm of torus "
-                               f"exponents {level}")
     tori = []
     for lab in need(data, "tori", list):
         if not isinstance(lab, str):
@@ -506,6 +501,8 @@ def sheet_from_dict(data) -> CharacterSheet:
     rows = [SheetRow(need(item, "label", str), need(item, "dim", int), {})
             for item in items]
     sheet = CharacterSheet(spec, zeta_level, tuple(tori), rows)
+    # before any value is parsed: parsing allocates tables sized by the
+    # level, and the header pass checks it
     report = SheetValidationReport(tuple(_header_violations(sheet)))
     if not report.ok:
         raise SheetValidationError(report)

@@ -293,6 +293,14 @@ PINNED_STDOUT = [
      "f093e6b2fe2abf4ebd56afc37cad15298237e2cb2ee43876800511080ab488a1"),
     (["check-q", "--n", "2", "--q", "11"],
      "9e86c346dd33214ed9fb2476120d633424779a7f62733da3852c754fbaf49250"),
+    # four characters on each torus at q = 41, the elliptic one at level
+    # 1,680 (phi = 384), and GL_1
+    (["gram", "--q", "41", "--torus", "1+1", "--chars", "0,0;1,3;5,2;7,7"],
+     "ea62b58b385ef2eefa767c3dc35cc4fa6e26f3c1c24e879fc374d8a3bbb75766"),
+    (["gram", "--q", "41", "--torus", "2", "--chars", "0;1;5;7", "--json"],
+     "403b5b5a856392f38c52814dde013b5ea3fe6b35d1e71563e6304eae9d9fee27"),
+    (["gram", "--q", "7", "--torus", "1", "--chars", "0;3"],
+     "18b53123170d886c16e509dd695ded3d0e2ccbab528e18cc13a21d04d9e284df"),
 ]
 
 

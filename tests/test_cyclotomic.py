@@ -1,19 +1,22 @@
 """Exact cyclotomic arithmetic: oracle fixtures and algebraic properties."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from glchar.abelian import enumerate_chars
 from glchar.cyclotomic import (
-    CycMatrix,
     CycNum,
     LevelMismatchError,
     _context,
     cyclotomic_poly,
     root,
 )
+from glchar.recovery import gram_independence
+from glchar.tori import GroupSpec, enumerate_tori, points, regular_elements
 
 
 # ---------------------------------------------------------------- oracles
@@ -299,12 +302,13 @@ def _int_vec_inverse(ctx, vec):
     return prod_t, r
 
 
-def det_bareiss(m):
-    """Oracle determinant: fraction-free Bareiss elimination, every division
-    exact in Z[zeta] (by the previous pivot, through its inverse)."""
-    ctx = _context(m.level)
-    n = m.nrows
-    mat = [[x.num for x in row] for row in m.entries]
+def det_bareiss(level, rows):
+    """Oracle determinant of a square matrix of CycNum at one level:
+    fraction-free Bareiss elimination, every division exact in Z[zeta] (by
+    the previous pivot, through its inverse)."""
+    ctx = _context(level)
+    n = len(rows)
+    mat = [[x.num for x in row] for row in rows]
     sign = 1
     prev = None
     zero = (0,) * ctx.phi
@@ -316,7 +320,7 @@ def det_bareiss(m):
                     sign = -sign
                     break
             else:
-                return CycNum.zero(m.level)
+                return CycNum.zero(level)
         pivot = mat[k][k]
         if prev is not None:
             inv_num, inv_den = _int_vec_inverse(ctx, prev)
@@ -335,59 +339,29 @@ def det_bareiss(m):
     vec = mat[n - 1][n - 1]
     if sign < 0:
         vec = tuple(-v for v in vec)
-    return CycNum(m.level, vec)
+    return CycNum(level, vec)
 
 
-def test_det_examples():
-    eye = CycMatrix(7, [[root(7, 0) if i == j else CycNum.zero(7)
-                         for j in range(3)] for i in range(3)])
-    assert eye.det() == root(7, 0)
-    assert CycMatrix(7, []).det() == root(7, 0)
-
-    row = [root(5, 1), root(5, 2)]
-    rep = CycMatrix(5, [row, row])
-    assert rep.det().is_zero()
-
-    m = CycMatrix(3, [[root(3, 0), root(3, 1)],
-                      [root(3, 2), root(3, 0)]])
-    assert m.det().is_zero()  # 1 - z3 * z3^2 = 0
-
-
-def test_det_2x2_multiplicative():
-    import random
-    rng = random.Random(7)
-    for _ in range(20):
-        N = rng.choice([3, 5, 8, 12])
-        def rnd():
-            return CycNum.from_terms(
-                N, {rng.randrange(N): rng.randint(-4, 4) for _ in range(2)})
-        a = CycMatrix(N, [[rnd(), rnd()], [rnd(), rnd()]])
-        b = CycMatrix(N, [[rnd(), rnd()], [rnd(), rnd()]])
-        prod = CycMatrix(N, [
-            [sum((a[i, k] * b[k, j] for k in range(2)), CycNum.zero(N))
-             for j in range(2)] for i in range(2)])
-        assert prod.det() == a.det() * b.det()
-
-
-def test_det_bareiss_agrees_with_laplace():
-    # 5x5 is above any Gram matrix the CLI builds; compare the Laplace
-    # expansion against the fraction-free elimination oracle
-    import random
-    rng = random.Random(11)
-    for N in (4, 5, 12):
-        rows = [[CycNum.from_terms(N, {rng.randrange(N): rng.randint(-3, 3)})
-                 for _ in range(5)] for _ in range(5)]
-        m = CycMatrix(N, rows)
-        assert det_bareiss(m) == m.det()
-    # and with several terms per entry
-    rows = [[CycNum.from_terms(8, {rng.randrange(8): rng.randint(-3, 3)
-                                   for _ in range(3)})
-             for _ in range(5)] for _ in range(5)]
-    m = CycMatrix(8, rows)
-    assert det_bareiss(m) == m.det()
-
-
-def test_det_singular_5x5():
-    rows = [[root(5, (i * j) % 5) for j in range(5)] for i in range(4)]
-    rows.append(list(rows[0]))  # repeated row
-    assert CycMatrix(5, rows).det().is_zero()
+@pytest.mark.parametrize("n,q", [(2, 11), (2, 13), (1, 7)])
+def test_gram_det_agrees_with_bareiss(n, q):
+    # the Gram matrix built here from value exponents, for k = 1..2|W|
+    # characters on every torus; each torus gives zero entries (a pair
+    # whose ratio is non-trivial on the non-regular points), which the
+    # Laplace expansion skips
+    rng = random.Random(q)
+    spec = GroupSpec(n, q)
+    for tt in enumerate_tori(spec):
+        grp = points(tt)
+        chars = list(enumerate_chars(grp))
+        regular = list(regular_elements(tt))
+        zeros = False
+        for k in range(1, 2 * spec.weyl_order + 1):
+            for sub in [chars[:k]] + [rng.sample(chars, k) for _ in range(6)]:
+                exps = [[ch.value_exponent(e) for e in regular] for ch in sub]
+                rows = [[CycNum.from_terms(grp.exponent,
+                                           [(a - b, 1) for a, b in zip(x, y)])
+                         for y in exps] for x in exps]
+                zeros |= any(g.is_zero() for row in rows for g in row)
+                assert gram_independence(tt, sub).det == det_bareiss(
+                    grp.exponent, rows)
+        assert zeros

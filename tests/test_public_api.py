@@ -24,7 +24,7 @@ def _tracing():
 
 def test_all_is_pinned():
     assert sorted(glchar.__all__) == [
-        "AbChar", "CharacterSheet", "CycMatrix",
+        "AbChar", "CharacterSheet",
         "CycNum", "Expansion", "FinAbGroup", "GeomClassId", "GramReport",
         "GroupSpec", "IrrLabel", "NoExpansionError",
         "NonUniqueError", "QConditionReport", "QConditionViolated",

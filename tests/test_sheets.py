@@ -659,9 +659,24 @@ def test_zeta_level_checked_before_values_are_parsed(monkeypatch):
     monkeypatch.setattr(sheets_mod.CycNum, "from_triples", no_parse)
     data = sheet_to_dict(build_gl2_sheet(3))
     data["zeta_level"] = 24
-    with pytest.raises(SheetFormatError) as exc:
+    with pytest.raises(SheetValidationError) as exc:
         sheet_from_dict(data)
     assert "zeta_level 24 != lcm of torus exponents 8" in str(exc.value)
+
+
+def test_wrong_zeta_level_is_listed_with_the_other_header_violations():
+    # the level is one check of the header pass, not a check of its own
+    # that stops the load first
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
+    data["zeta_level"] = 24
+    (row,) = [r for r in data["irreducibles"] if r["label"] == "onedim:1"]
+    row["dim"] = 2
+    with pytest.raises(SheetValidationError) as exc:
+        sheet_from_dict(data)
+    assert exc.value.report.violations == (
+        "zeta_level 24 != lcm of torus exponents 8",
+        "row onedim:1: dim 2 != 1, its label's",
+        "sum of dim^2 is 51, group order is 48")
 
 
 def test_load_rejects_value_on_nonregular_element(tmp_path):
