@@ -16,8 +16,8 @@ sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
 recovery    expansion search of at most two terms (|W| <= 2 wherever the
             gate passes within the enumeration budget), class assembly,
             unipotence, and the Gram audit, which expands its own <= 4x4
-            determinant; every entry point runs the one exhaustive
-            search, so every answer is proved unique
+            determinant; every answer is checked on the whole regular
+            locus, and the gate with the uncertainty bound makes it unique
 cli         deterministic command line front end
 
 The independent cross-checks (norm/pullback class decider on the points
@@ -33,7 +33,6 @@ from .recovery import (
     Expansion,
     GramReport,
     NoExpansionError,
-    NonUniqueError,
     QConditionViolated,
     RecoveryInconsistencyError,
     RecoveryReport,
@@ -72,8 +71,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AbChar", "FinAbGroup",
     "CycNum", "root",
-    "Expansion", "GramReport", "NoExpansionError", "NonUniqueError",
-    "QConditionViolated", "RecoveryInconsistencyError", "RecoveryReport",
+    "Expansion", "GramReport", "NoExpansionError", "QConditionViolated",
+    "RecoveryInconsistencyError", "RecoveryReport",
     "gram_independence", "is_unipotent", "recover_E", "sparse_decompose",
     "CharacterSheet", "IrrLabel", "SheetFormatError", "SheetRow",
     "SheetValidationError", "build_gl1_sheet", "build_gl2_sheet",

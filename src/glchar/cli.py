@@ -1,8 +1,9 @@
 """Deterministic command line front end.
 
 Every subcommand prints byte-identical output for identical inputs: no
-timestamps, fixed orderings.  recover and unipotent run the exhaustive
-search on every row, so each printed expansion is proved unique.  Exit
+timestamps, fixed orderings.  recover and unipotent search every row and
+print only expansions checked on every regular element, which the density
+gate and the uncertainty bound make unique (glchar.recovery).  Exit
 codes are scriptable: 0 success, 1 usage error (including n and q with
 q^n - 1 over the enumeration budget, refused before any work), 2 density
 gate violation, 3 sheet validation failure, 4 recovery inconsistency.
@@ -20,7 +21,6 @@ from typing import Sequence
 from .abelian import EnumerationBudgetError, enumerate_chars
 from .recovery import (
     NoExpansionError,
-    NonUniqueError,
     QConditionViolated,
     RecoveryInconsistencyError,
     gram_independence,
@@ -316,7 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SheetFormatError, SheetValidationError) as e:
         print(f"error: sheet rejected: {e}", file=sys.stderr)
         return EXIT_SHEET
-    except (NoExpansionError, NonUniqueError, RecoveryInconsistencyError) as e:
+    except (NoExpansionError, RecoveryInconsistencyError) as e:
         print(f"error: recovery inconsistency: {e}", file=sys.stderr)
         return EXIT_RECOVERY
     except BrokenPipeError:

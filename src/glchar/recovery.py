@@ -3,22 +3,33 @@
 The central operation is sparse_decompose: given the restriction of a class
 function to the regular locus of one torus, find the unique expansion as an
 integer combination of at most |W| distinct torus characters.  The search
-is exhaustive over character subsets, so uniqueness is established by scan,
-never assumed.  It covers subsets of at most two characters: |W| = 2 for
-GL_2, and for GL_3 (|W| = 6) the gate first passes at q = 6151, where the
-split torus has 2.3e11 points, far over the enumeration budget, so no
-larger bound can ever run.  recover_E assembles the per-torus expansions
-of one sheet row into the geometric class label (geom_class_id) and the
-unipotence flag; gram_independence audits the independence step.  The
-check against the known GL_2 decomposition pattern is a test oracle
-(tests/oracle_pattern.py).
+covers subsets of at most two characters: |W| = 2 for GL_2, and for GL_3
+(|W| = 6) the gate first passes at q = 6151, where the split torus has
+2.3e11 points, far over the enumeration budget, so no larger bound can
+ever run.  recover_E assembles the per-torus expansions of one sheet row
+into the geometric class label (geom_class_id) and the unipotence flag;
+gram_independence audits the independence step.  The check against the
+known GL_2 decomposition pattern is a test oracle (tests/oracle_pattern.py).
 
-There is one search mode: every entry point scans the whole subset space
-and stops only at a second valid expansion, which is a NonUniqueError, so
-every answer comes with its uniqueness proved.  Each one refuses to run
-when the regular-locus density gate fails (QConditionViolated): outside
-the gate the uniqueness guarantee is void and no output would be
-trustworthy.
+Uniqueness is a theorem, not a scan.  The uncertainty principle for a
+finite abelian group G (Donoho and Stark, SIAM J. Appl. Math. 49, 1989;
+Meshulam, Eur. J. Combin. 27, 2006): a nonzero combination g of k
+characters has |supp g| * k >= |G|.  (With S the sum of |g|^2 over G,
+orthogonality gives S = |G| sum |c_chi|^2, and Cauchy-Schwarz |g(x)|^2
+<= k S / |G|, so S <= |supp g| k S / |G|.)  Let E and E' be expansions of
+at most |W| terms that agree on the regular locus, N the non-regular
+points of T^F:
+
+1. g = E - E' combines at most 2|W| characters, and supp g lies in N.
+2. The gate gives |N| / |T^F| < 2^(1-2|W|) <= 1/(2|W|), as 2^(2w-1) >= 2w
+   for w >= 1; so |supp g| * 2|W| < |T^F|.
+3. So g = 0 on T^F, and as characters are independent there, E = E'.
+
+Every entry point therefore stops at the first expansion that matches f
+on every regular element: none is accepted unchecked, and no second one
+exists.  Each refuses to run when the density gate fails
+(QConditionViolated), where the guarantee is void.  tests/test_recovery.py
+checks step 2 on every gated GL_1 and GL_2 up to q = 64.
 
 Performance note: the subset scan dominates.  Subsets are screened with
 pure integer arithmetic on shifted value vectors f(s) * zeta^{-theta_a(s)},
@@ -30,7 +41,7 @@ equations on a few separating samples fix both coefficients and the second
 character through index lookups (see _scan_pairs).  Every pair that
 satisfies those equations is enumerated and verified against every
 regular element, so the screen affects speed only, never which expansions
-are accepted, and the uniqueness check still sees every valid expansion.
+are accepted.
 
 The integer kernels under the scan run their per-coordinate loops in C
 (map over operator functions, coefficients from itertools.repeat), and
@@ -59,13 +70,12 @@ that the characters take at s*, the first regular sample with f(s*) != 0
 lookup of f' tries E theta_c for each character with theta_c(s*) = x and
 accepts it only if it matches f' on every regular element, so a hash
 collision costs a rejected candidate, never a wrong answer, and the memo
-holds no value vectors.  A verified hit is the unique short expansion:
-f' = E theta_c = f theta_c on the locus, and any short expansion E' of f'
-gives the short expansion E' theta_c^-1 of f, which by the search that
-found E equals E.  A miss runs sparse_decompose, which itself keeps no
-memo.  The memo lives and dies with its sheet, and errors are not kept.
-The expected values are _verify's memo: twists of one expansion expect
-the same values again and again.  A sheet's value table is prepared once
+holds no value vectors.  A verified hit E theta_c has at most |W| terms
+and matches f' on the whole locus, so by the theorem above it is the
+unique short expansion of f'.  A miss runs sparse_decompose, which itself
+keeps no memo.  The memo lives and dies with its sheet, and errors are not
+kept.  The expected values are _verify's memo: twists of one expansion
+expect the same values again and again.  A sheet's value table is prepared once
 per torus and kept on the table (_prepare): at q = 23, preparing it for
 each of the 1,056 torus inputs took a third of the whole recovery.
 """
@@ -95,7 +105,6 @@ from .tori import (
 __all__ = [
     "QConditionViolated",
     "NoExpansionError",
-    "NonUniqueError",
     "RecoveryInconsistencyError",
     "Expansion",
     "RecoveryReport",
@@ -121,14 +130,6 @@ class QConditionViolated(RuntimeError):
 
 class NoExpansionError(ValueError):
     """No short integer character combination matches the input function."""
-
-
-class NonUniqueError(RuntimeError):
-    """Two distinct valid expansions match the same input function."""
-
-    def __init__(self, msg: str, expansions: tuple["Expansion", ...]):
-        self.expansions = expansions
-        super().__init__(msg)
 
 
 class RecoveryInconsistencyError(RuntimeError):
@@ -472,7 +473,7 @@ def _verify(solver: _TorusSolver, fvec, idxs, coeffs, memo: dict) -> bool:
 
 def _scan_singles(solver: _TorusSolver, fvec, cap: int,
                   shift=None) -> list[tuple[int, int]]:
-    """All valid one-term expansions (index, coefficient), index order."""
+    """The first cap valid one-term expansions (index, coefficient)."""
     if shift is None:
         shift = _shifter(solver, fvec)
     memo: dict = {}  # of _verify, for this call
@@ -536,7 +537,9 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
     Both branches derive (c_a, c_b) from equations that every valid pair
     satisfies, so every pair matching the sample equations is enumerated;
     each one is then verified on the whole locus.  The hit list is exactly
-    that of the pairwise scan, and exhaustive uniqueness still holds.
+    that of the pairwise scan (tests/test_pair_oracle.py compares them);
+    sparse_decompose takes the first hit, which by the uncertainty bound is
+    the only one (module docstring).
     """
     if shift is None:
         shift = _shifter(solver, fvec)
@@ -649,11 +652,14 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
     character terms, K the number of characters of T^F.
 
     f must be total on the regular locus of T (dlog tuples to cyclotomic
-    values).  The search runs over all character subsets of that size in
-    lexicographic order; a subset is accepted when its nonzero integer
-    coefficients, read off the sample equations, match f on every regular
-    element.  The whole space is scanned, stopping only at a second valid
-    expansion, which raises NonUniqueError.  Groups with |W| > 2 are
+    values).  The zero function is the empty expansion.  Else the one-term
+    scan runs, then the two-term scan if it found nothing, and each stops at
+    the first subset whose integer coefficients, read off the sample
+    equations, match f on every regular element.  That is the only short
+    expansion: another would differ from it by some g of at most 2|W|
+    characters with supp g in the non-regular points N, and the gate gives
+    |supp g| * 2|W| <= |N| * 2|W| < |T^F|, which the uncertainty bound
+    allows only for g = 0 (module docstring).  Groups with |W| > 2 are
     refused (ValueError: see the module docstring).
     """
     spec = T.spec
@@ -665,33 +671,21 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
             f"the split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
     _require_gate(spec)
     level, fvec, s = _prepare(f, T)
+    if s is None:
+        return Expansion(T, ())
     solver = _solver(T, level)
     bound = min(spec.weyl_order, len(solver.chars))
 
     shift = _shifter(solver, fvec)
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if s is None:
-        found.append(((), ()))
-    found += [((ia,), (c,)) for ia, c in
-              _scan_singles(solver, fvec, 2 - len(found), shift)]
-    if len(found) < 2 and bound >= 2:
-        found += [((ia, ib), (ca, cb)) for ia, ib, ca, cb in
-                  _scan_pairs(solver, fvec, 2 - len(found), shift)]
-
-    if not found:
+    hits = [((ia, c),) for ia, c in _scan_singles(solver, fvec, 1, shift)]
+    if not hits and bound >= 2:
+        hits = [((ia, ca), (ib, cb)) for ia, ib, ca, cb in
+                _scan_pairs(solver, fvec, 1, shift)]
+    if not hits:
         raise NoExpansionError(
             f"no expansion with at most {bound} nonzero integer terms "
             f"matches the function on torus {T.label} at q = {spec.q}")
-    expansions = tuple(
-        Expansion(T, tuple((solver.chars[i], c)
-                           for i, c in zip(idxs, coeffs)))
-        for idxs, coeffs in found[:2])
-    if len(found) >= 2:
-        a, b = expansions
-        raise NonUniqueError(
-            f"two valid expansions on torus {T.label}: "
-            f"[{a.describe()}] and [{b.describe()}]", (a, b))
-    return expansions[0]
+    return Expansion(T, tuple((solver.chars[i], c) for i, c in hits[0]))
 
 
 # -- the twist memo -----------------------------------------------------------
@@ -705,9 +699,10 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
     expansion, and None to the empty expansion of the zero function
     (module docstring).  A candidate E theta_c is accepted only after
     _verify has checked it on every regular element, with expected as its
-    memo.  A miss runs the search through the module global, so a wrapper
-    sees every search; errors are not stored, and an input _prepare
-    refuses stores nothing.
+    memo; it is then the unique short expansion, as a searched one is.  A
+    miss runs the search through the module global, so a wrapper sees
+    every search; errors are not stored, and an input _prepare refuses
+    stores nothing.
     """
     level, fvec, s = _prepare(f, T)
     twists, expected = memo.setdefault((T, level), ({}, {}))
@@ -740,16 +735,16 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
               jobs: int = 1) -> RecoveryReport:
     """Per-torus expansions of one row, with the shared geometric class.
 
-    Each torus runs the exhaustive search of sparse_decompose, or takes a
-    verified twist of an expansion that search found earlier on this
-    sheet, so a second valid expansion is a NonUniqueError, and every
-    support has at most |W| terms (a twist has the length of what it
-    twists).  Hard errors: empty support on every torus, or supports in
+    Each torus runs the search of sparse_decompose, or takes a verified
+    twist of an expansion that search found earlier on this sheet.  Either
+    answer matches the row on every regular element and has at most |W|
+    terms (a twist has the length of what it twists), so it is the unique
+    short expansion (module docstring).  Hard errors: empty support on every torus, or supports in
     more than one geometric conjugacy class.  The unipotence flag records
     whether the trivial character appears in some support.
 
-    The sheet is not checked: each answer is proved by its own search
-    (glchar.sheets checks a sheet where it enters).  The search is serial.
+    The sheet is not checked: each answer is proved by its own check on
+    the whole locus (glchar.sheets checks a sheet where it enters).  The search is serial.
     validate and jobs are accepted and ignored: they stay only until the
     benchmark probe (perfbench/tracing.py) stops passing them.
     """

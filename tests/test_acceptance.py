@@ -53,8 +53,9 @@ class ScanResult:
 def exhaustive_scan():
     """Single-threaded recovery of every row at q = 11 and 13.
 
-    recover_E always runs the exhaustive search, so any NonUniqueError
-    would propagate and fail every dependent criterion.
+    recover_E checks every answer on the whole regular locus, so a row
+    with no short expansion would raise and fail every dependent
+    criterion.
     """
     out = {}
     for q in (11, 13):

@@ -27,7 +27,7 @@ def test_all_is_pinned():
         "AbChar", "CharacterSheet",
         "CycNum", "Expansion", "FinAbGroup", "GeomClassId", "GramReport",
         "GroupSpec", "IrrLabel", "NoExpansionError",
-        "NonUniqueError", "QConditionReport", "QConditionViolated",
+        "QConditionReport", "QConditionViolated",
         "RecoveryInconsistencyError", "RecoveryReport", "SheetFormatError",
         "SheetRow", "SheetValidationError", "TorusType", "__version__",
         "build_gl1_sheet", "build_gl2_sheet", "check_q_condition",

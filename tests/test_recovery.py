@@ -20,7 +20,6 @@ from glchar.cyclotomic import CycNum, _context, root
 from glchar.recovery import (
     Expansion,
     NoExpansionError,
-    NonUniqueError,
     QConditionViolated,
     RecoveryInconsistencyError,
     _TorusSolver,
@@ -47,8 +46,8 @@ from glchar.sheets import (
     zeta_level_for,
 )
 from glchar.tori import (
-    GroupSpec, TorusType, enumerate_tori, points, positions,
-    regular_elements)
+    GroupSpec, TorusType, check_q_condition, enumerate_tori, is_prime_power,
+    points, positions, regular_elements)
 
 from oracle_conjugacy import weyl_orbit
 from oracle_pairs import solve_subset_reference
@@ -213,24 +212,33 @@ def test_gate_refusal_is_total():
         gram_independence(tt, [grp.char((0, 0))])
 
 
-def test_nonunique_merge_is_reported(monkeypatch):
-    # the gate provably excludes this on honest data, so simulate a
-    # corrupted scan to pin the merge and report behavior
-    import glchar.recovery as rec
+def test_first_hit_is_verified_on_the_whole_locus():
+    # the search stops at its first hit, so that hit must still be checked
+    # on every regular element: a one-term function changed only at the
+    # last sample the check reads has no expansion at all
     f = char_fn(SPLIT11, [((2, 5), 1)])
-
-    real = rec._scan_singles
-
-    def fake(solver, fvec, cap, shift=None):
-        hits = real(solver, fvec, 2, shift)
-        return (hits + [(99, 7)])[:cap]
-
-    monkeypatch.setattr(rec, "_scan_singles", fake)
-    with pytest.raises(NonUniqueError) as info:
+    solver = _solver(SPLIT11, 10)
+    last = regular_elements(SPLIT11)[solver.order[-1]]
+    f[last] = f[last] + root(10, 0)
+    with pytest.raises(NoExpansionError, match="at most 2 nonzero"):
         sparse_decompose(f, SPLIT11)
-    first, second = info.value.expansions
-    assert terms_of(first) == [((2, 5), 1)]
-    assert second.m == 1
+
+
+def test_uniqueness_hypothesis_holds_wherever_the_gate_passes():
+    # the search takes its first verified expansion as the only one, by the
+    # uncertainty bound: that needs every non-regular ratio below
+    # 1/(2|W|), which the gate's 2^(1-2|W|) implies for every |W| >= 1
+    for w in range(1, 721):
+        assert Fraction(1, 2 ** (2 * w - 1)) <= Fraction(1, 2 * w), w
+    gated = 0
+    for n in (1, 2):
+        for q in filter(is_prime_power, range(2, 65)):
+            rep = check_q_condition(GroupSpec(n, q))
+            if rep.ok:
+                gated += 1
+                for tt, r in rep.ratios:
+                    assert r * 2 * rep.spec.weyl_order < 1, (n, q, tt.label)
+    assert gated == 27 + 20  # every GL_1, and GL_2 from q = 11 on
 
 
 def planted_sheet():
@@ -847,20 +855,19 @@ def test_unipotent_rows_gl2():
     assert not is_unipotent(sheet, "cuspidal:1")
 
 
-def test_unipotent_search_is_exhaustive(monkeypatch):
-    # a corrupted one-term scan that reports a second hit must surface as
-    # NonUniqueError: is_unipotent runs the same exhaustive search as
-    # recover_E instead of stopping at the first hit
-    import glchar.recovery as rec
-    real = rec._scan_singles
+def test_one_term_answers_run_no_pair_scan(monkeypatch):
+    # a one-term hit, or the zero function, ends the search: no pair scan
+    # runs, and the zero function runs no scan at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan ran")
 
-    def fake(solver, fvec, cap, shift=None):
-        hits = real(solver, fvec, 2, shift)
-        return (hits + [(99, 7)])[:cap]
-
-    monkeypatch.setattr(rec, "_scan_singles", fake)
-    with pytest.raises(NonUniqueError):
-        is_unipotent(build_gl2_sheet(11), "onedim:3")
+    monkeypatch.setattr(recovery, "_scan_pairs", refuse)
+    e = sparse_decompose(char_fn(SPLIT11, [((2, 5), 3)]), SPLIT11)
+    assert terms_of(e) == [((2, 5), 3)]
+    assert not is_unipotent(build_gl2_sheet(11), "onedim:3")
+    monkeypatch.setattr(recovery, "_scan_singles", refuse)
+    zero = {e: CycNum.zero(10) for e in regular_elements(SPLIT11)}
+    assert sparse_decompose(zero, SPLIT11).m == 0
 
 
 def constant_on_every_locus(sheet, label):
