@@ -22,6 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
@@ -53,37 +54,34 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _poly_divexact(num: list[int], den: Sequence[int]) -> list[int]:
-    # long division of integer polynomials, divisor monic; remainder must vanish
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(N: int) -> tuple[int, ...]:
     """Coefficients of the N-th cyclotomic polynomial, low degree first.
 
-    Monic of degree phi(N); computed by dividing x^N - 1 by Phi_d over all
-    proper divisors d of N.
+    Monic of degree phi(N).  Phi_N(x) = Phi_r(x^(N/r)) for r the radical
+    of N, and Phi_r is the product over d | r of (x^d - 1)^mu(r/d): the
+    factors with mu = +1 are multiplied in first, so that each of the
+    others then divides exactly.
     """
     if N < 1:
         raise ValueError("level must be >= 1")
-    if N == 1:
-        return (-1, 1)
-    cur = [-1] + [0] * (N - 1) + [1]
-    for d in divisors(N)[:-1]:
-        cur = _poly_divexact(cur, cyclotomic_poly(d))
-    return tuple(cur)
+    primes = list(_factorize(N))
+    terms = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) over d | r
+    for p in primes:
+        terms += [(d * p, -mu) for d, mu in terms]
+    poly = [1]
+    for d, mu in sorted(terms, key=lambda t: -t[1]):
+        if mu > 0:
+            poly = list(map(sub, [0] * d + poly, poly + [0] * d))
+        else:  # poly / (x^d - 1): q[i] = q[i - d] - poly[i]
+            quo = [0] * d
+            for c in poly[:-d]:
+                quo.append(quo[-d] - c)
+            poly = quo[d:]
+    step = N // math.prod(primes)
+    out = [0] * (step * (len(poly) - 1) + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 class _Context:
@@ -309,14 +307,15 @@ class CycNum:
         Powers index the power basis (0 <= p < phi), so nothing is folded;
         powers may repeat.  The middle slot is a denominator kept by the
         file format: values lie in Z[zeta_N], so any d != 1 is refused
-        (ValueError).  A triple that is not three plain ints (bool and
-        other int subclasses included) raises TypeError: triples are
-        checked by triples_key, unless they are one of its keys already.
+        (ValueError).  Each triple is checked as it is read: one that is
+        not three plain ints (bool and other int subclasses included)
+        raises TypeError.
         """
-        key = triples if type(triples) is _TriplesKey else triples_key(triples)
         phi = _context(level).phi
         vec = [0] * phi
-        for t in key:
+        for t in map(tuple, triples):
+            if len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is int):
+                raise TypeError(f"triple {list(t)} is not three integers")
             n, d, p = t
             if d != 1:
                 raise ValueError(f"triple {list(t)} has denominator {d}; "
@@ -325,24 +324,6 @@ class CycNum:
                 raise ValueError(f"power {p} outside basis range at level {level}")
             vec[p] += n
         return cls._raw(level, tuple(vec))
-
-
-class _TriplesKey(tuple):
-    """Value triples that triples_key has checked: a tuple of tuples of
-    three plain ints, hashable and compared as a tuple."""
-
-    __slots__ = ()
-
-
-def triples_key(triples: Iterable[Sequence[int]]) -> _TriplesKey:
-    """The checked, hashable form of value triples; TypeError unless each
-    is three plain ints.  Equal keys name equal values, so a loader can
-    intern on them: 1.0 and True never reach a key."""
-    key = _TriplesKey(map(tuple, triples))
-    for t in key:
-        if len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is int):
-            raise TypeError(f"triple {list(t)} is not three integers")
-    return key
 
 
 def _require_int(c) -> None:

@@ -11,10 +11,10 @@ Built-in generators cover GL_1 and GL_2 at any prime power q (GL_2 by
 the classical value formulas over tables keyed by exponent residue).  No
 CharacterSheet with n >= 3 can be made: the constructor refuses one, and
 load_sheet refuses a file as soon as it reads n.  save_sheet writes JSON
-format 2 (distinct values plus index rows); load_sheet also reads
-version 1.  A sheet is checked only where it enters: sheet_from_dict and
-load_sheet validate it, and built ones are valid by construction (the
-tests validate them).
+format 2 (distinct values plus index rows), the one format load_sheet
+reads: a version 1 file is refused.  A sheet is checked only where it
+enters: sheet_from_dict and load_sheet validate it, and built ones are
+valid by construction (the tests validate them).
 
 In memory a row on a torus is an IndexRow, a read-only Mapping over an
 array of indices into a ValueTable (copy one with dict(...) to edit it).
@@ -36,7 +36,7 @@ from itertools import count, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .abelian import EnumerationBudgetError
-from .cyclotomic import CycNum, root, triples_key
+from .cyclotomic import CycNum, root
 from .tori import (
     GroupSpec,
     TorusType,
@@ -452,16 +452,16 @@ def validate_sheet(sheet: CharacterSheet) -> SheetValidationReport:
 # ------------------------------------------------------ JSON serialization
 
 def sheet_from_dict(data) -> CharacterSheet:
-    """The validated sheet of a file's dict, in format 2 or version 1.
+    """The validated sheet of a file's dict, in format 2.
 
-    Both share the checks of validate_sheet, its header pass before any
-    value is parsed and its value pass at the end, and one CycNum per
-    distinct value triples.  They differ in a row's list for one torus:
-    format 2 has indices into the file's "values" table, one per regular
-    element in regular_elements order; version 1 (no "format" key) has
-    {"element", "value"} entries.  SheetFormatError for a schema
-    violation or n >= 3, SheetValidationError for a sheet that fails
-    validation, raised before any torus is enumerated if its header does.
+    It runs the checks of validate_sheet: its header pass before any
+    value is parsed, and its value pass at the end.  Each entry of the
+    "values" table is parsed once, into one ValueTable, and a row's list
+    for one torus holds indices into it, one per regular element in
+    regular_elements order.  SheetFormatError for a schema violation, a
+    version 1 file (no "format" key) or n >= 3, SheetValidationError for
+    a sheet that fails validation, raised before any torus is enumerated
+    if its header does.
     """
     def need(d, key, kind):
         if not isinstance(d, dict) or key not in d:
@@ -474,9 +474,12 @@ def sheet_from_dict(data) -> CharacterSheet:
 
     if need(data, "group", str) != "GL":
         raise SheetFormatError("group must be 'GL'")
-    v2 = "format" in data
-    if v2 and need(data, "format", int) != 2:
-        raise SheetFormatError("format must be 2, or absent for version 1")
+    if "format" not in data:
+        raise SheetFormatError(
+            'no "format" key: a version 1 sheet file, which is no longer '
+            "read; write the sheet again with glchar table --q Q --out F")
+    if need(data, "format", int) != 2:
+        raise SheetFormatError("format must be 2")
     n = need(data, "n", int)
     if n >= 3:  # before the budget check; CharacterSheet refuses it too
         raise SheetFormatError(_NO_RANK.format(n))
@@ -506,58 +509,16 @@ def sheet_from_dict(data) -> CharacterSheet:
     report = SheetValidationReport(tuple(_header_violations(sheet)))
     if not report.ok:
         raise SheetValidationError(report)
-    interned: dict[tuple[tuple[int, int, int], ...], CycNum] = {}  # per load
-
-    def value(triples, where: str) -> CycNum:
-        try:
-            tkey = triples_key(triples)
-            v = interned.get(tkey)
-            if v is None:
-                v = interned[tkey] = CycNum.from_triples(zeta_level, tkey)
-            return v
-        except (ValueError, TypeError) as err:
-            raise SheetFormatError(
-                f"{where}: bad value triples: {err}") from None
-
-    def from_indices(indices: list, tt: TorusType, where: str) -> IndexRow:
-        pos = positions(tt)
-        if len(indices) != len(pos):
-            raise SheetFormatError(f"{where}: {len(indices)} indices for "
-                                   f"{len(pos)} regular elements")
-        if indices and (set(map(type, indices)) != {int}  # True is an int
-                        or min(indices) < 0 or max(indices) >= len(table)):
-            raise SheetFormatError(f"{where}: an index is not an int in "
-                                   f"range({len(table)})")
-        return IndexRow(pos, table, indices)
-
-    def from_entries(entries: list, tt: TorusType, where: str) -> Mapping:
-        grp = points(tt)
-        # before any entry is parsed: more entries than points must repeat one
-        if len(entries) > grp.order:
-            raise SheetFormatError(f"{where}: {len(entries)} entries for "
-                                   f"{grp.order} points")
-        vals: dict[tuple[int, ...], CycNum] = {}
-        rank = len(grp.moduli)
-        for ent in entries:
-            e = need(ent, "element", list)
-            key = tuple(e)
-            if len(key) != rank or not all(type(x) is int for x in key):
-                raise SheetFormatError(f"{where}: bad element {e}")
-            v = value(need(ent, "value", list), where)
-            if key in vals:
-                raise SheetFormatError(f"{where}: duplicate element {key}")
-            vals[key] = v
-        row = index_row(vals, tt)
-        return vals if row is None else row
-
-    if v2:
-        table = need(data, "values", list)
-        # before any value is parsed: each value fills at least one slot
-        slots = len(items) * sum(len(regular_elements(tt)) for tt in tori)
-        if len(table) > slots:
-            raise SheetFormatError(f"{len(table)} values for {slots} slots "
-                                   f"(rows times regular elements)")
-        table = ValueTable(value(t, "values") for t in table)
+    table = need(data, "values", list)
+    # before any value is parsed: each value fills at least one slot
+    slots = len(items) * sum(len(regular_elements(tt)) for tt in tori)
+    if len(table) > slots:
+        raise SheetFormatError(f"{len(table)} values for {slots} slots "
+                               f"(rows times regular elements)")
+    try:
+        table = ValueTable(CycNum.from_triples(zeta_level, t) for t in table)
+    except (ValueError, TypeError) as err:
+        raise SheetFormatError(f"values: bad value triples: {err}") from None
     by_label = {tt.label: tt for tt in tori}
     for row, item in zip(rows, items):
         label = row.label
@@ -566,11 +527,18 @@ def sheet_from_dict(data) -> CharacterSheet:
             if tlab not in values_in:
                 raise SheetFormatError(
                     f"row {label!r}: no values for torus {tlab}")
-            entries = values_in[tlab]
-            if not isinstance(entries, list):
+            indices = values_in[tlab]
+            if not isinstance(indices, list):
                 raise SheetFormatError(f"row {label!r}: values must be a list")
-            row.values[tt.blocks] = (from_indices if v2 else from_entries)(
-                entries, tt, f"row {label!r}, torus {tlab}")
+            pos, where = positions(tt), f"row {label!r}, torus {tlab}"
+            if len(indices) != len(pos):
+                raise SheetFormatError(f"{where}: {len(indices)} indices for "
+                                       f"{len(pos)} regular elements")
+            if indices and (set(map(type, indices)) != {int}  # True is an int
+                            or min(indices) < 0 or max(indices) >= len(table)):
+                raise SheetFormatError(f"{where}: an index is not an int in "
+                                       f"range({len(table)})")
+            row.values[tt.blocks] = IndexRow(pos, table, indices)
         if values_in.keys() - by_label:
             raise SheetFormatError(f"row {label!r}: values for unknown tori")
     report = SheetValidationReport(tuple(_value_violations(sheet)))

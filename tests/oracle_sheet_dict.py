@@ -5,11 +5,11 @@ sheets.sheet_to_json_text, which interns values by identity and by value.
 sheet_to_dict_v2 builds the same document as plain dicts and lists, the
 layout README.md documents, keyed on each value's triples, so
 json.dumps(sheet_to_dict_v2(sheet), separators=(",", ":")) + "\\n" is the
-oracle of the emitter's bytes.  sheet_to_dict builds the version 1
-document (no "format" key, one {"element", "value"} entry per regular
-element), which glchar still reads: json.dumps(..., indent=1) of it is
-the version 1 writer for tests.  Tests that edit a file's fields start
-from either.
+oracle of the emitter's bytes.  Tests that edit a file's fields start
+from it.  sheet_to_dict builds the version 1 document (no "format" key,
+one {"element", "value"} entry per regular element), which glchar
+refuses: v1_text, json.dumps(..., indent=1) of it, writes the version 1
+files that the tests check are refused.
 """
 
 import json

@@ -20,7 +20,7 @@ from glchar.sheets import (SheetFormatError, SheetValidationError,
 from glchar.tori import GroupSpec, torus_from_label
 
 from oracle_conjugacy import weyl_orbit
-from oracle_sheet_dict import sheet_to_dict, sheet_to_dict_v2, v1_text
+from oracle_sheet_dict import sheet_to_dict_v2, v1_text
 
 
 def run(capsys, *argv):
@@ -512,25 +512,28 @@ def test_q16_sheet_file_recovers_like_the_builtin_sheet(capsys, tmp_path):
     assert builtin[0] == 0 and builtin[1].startswith("cuspidal:1 | ")
 
 
-@pytest.mark.parametrize("q", [3, 11, 16])
-def test_version_1_file_reads_like_format_2(capsys, tmp_path, q):
+V1_REFUSAL = ('error: sheet rejected: no "format" key: a version 1 sheet '
+              "file, which is no longer read; write the sheet again with "
+              "glchar table --q Q --out F\n")
+
+
+@pytest.mark.parametrize("argv", [["recover"], ["table"], ["unipotent"]])
+def test_version_1_file_exits_3_before_values_are_parsed(
+        capsys, tmp_path, monkeypatch, argv):
     # files written before format 2 have no "format" key and one
-    # {"element", "value"} entry per regular element
-    sheet = build_gl2_sheet(q)
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    v1.write_text(v1_text(sheet))
-    save_sheet(sheet, str(v2))
-    assert v1.read_text().startswith('{\n "group": "GL",\n "n": 2,')
-    if q == 11:  # the bytes `table --q 11 --out` wrote before format 2
-        assert hashlib.sha256(v1.read_bytes()).hexdigest() == (
-            "aa2948fed6100452b013a076325f835924db99c9076b1fb50ddb89d620573562")
-    assert load_sheet(str(v1)) == load_sheet(str(v2)) == sheet
-    from_v1 = run(capsys, "recover", "--sheet", str(v1), "--json")
-    assert from_v1 == run(capsys, "recover", "--sheet", str(v2), "--json")
-    assert from_v1 == run(capsys, "recover", "--q", str(q), "--json")
-    assert from_v1[0] == (2 if q == 3 else 0)  # q = 3 fails the gate
-    assert (run(capsys, "table", "--sheet", str(v1), "--json")
-            == run(capsys, "table", "--q", str(q), "--json"))
+    # {"element", "value"} entry per regular element: refused on that key
+    def no_parse(*args):
+        raise AssertionError("a value was parsed")
+
+    monkeypatch.setattr(CycNum, "from_triples", no_parse)
+    path = tmp_path / "v1.json"
+    path.write_text(v1_text(build_gl2_sheet(11)))
+    # the bytes `table --q 11 --out` wrote before format 2
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "aa2948fed6100452b013a076325f835924db99c9076b1fb50ddb89d620573562")
+    with pytest.raises(SheetFormatError):
+        load_sheet(str(path))
+    assert run(capsys, *argv, "--sheet", str(path)) == (3, "", V1_REFUSAL)
 
 
 def test_q32_sheet_file_recovers_like_the_builtin_sheet(capsys, tmp_path):
@@ -557,7 +560,7 @@ def test_table_text_summary(capsys):
 # -- invalid and inconsistent sheets --------------------------------------
 
 def test_invalid_sheet_file_exits_3(capsys, tmp_path):
-    data = sheet_to_dict(build_gl2_sheet(11))
+    data = sheet_to_dict_v2(build_gl2_sheet(11))
     data["irreducibles"][0]["dim"] = -5
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -569,7 +572,7 @@ def test_invalid_sheet_file_exits_3(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["table"], ["recover"]])
 def test_row_label_without_parameters_exits_3(capsys, tmp_path, argv):
-    data = sheet_to_dict(build_gl2_sheet(3))
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
     data["irreducibles"][-1]["label"] = "cuspidal:"
     path = tmp_path / "bare.json"
     path.write_text(json.dumps(data))
@@ -596,15 +599,14 @@ def test_row_dim_not_its_labels_exits_3(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [["table"], ["recover"], ["unipotent"]])
 def test_value_with_denominator_exits_3(capsys, tmp_path, argv):
-    # values lie in Z[zeta_N]: the class function 1/2 (every value of
+    # values lie in Z[zeta_N]: the class function 1/2 (the one value of
     # onedim:0 written as [1, 2, 0]) is refused at load, before any
     # recovery runs
-    data = sheet_to_dict(build_gl2_sheet(11))
+    data = sheet_to_dict_v2(build_gl2_sheet(11))
     (row,) = [r for r in data["irreducibles"] if r["label"] == "onedim:0"]
-    for entries in row["values"].values():
-        for ent in entries:
-            assert ent["value"] == [[1, 1, 0]]
-            ent["value"] = [[1, 2, 0]]
+    (one,) = {i for indices in row["values"].values() for i in indices}
+    assert data["values"][one] == [[1, 1, 0]]
+    data["values"][one] = [[1, 2, 0]]
     path = tmp_path / "half.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *argv, "--sheet", str(path))
@@ -615,7 +617,7 @@ def test_value_with_denominator_exits_3(capsys, tmp_path, argv):
 @pytest.mark.parametrize("key", ["dim", "zeta_level"])
 def test_bool_integer_field_exits_3(tmp_path, key):
     # True equals the dim 1 and the zeta level 1 of GL_1(F_2)
-    data = sheet_to_dict(build_gl1_sheet(2))
+    data = sheet_to_dict_v2(build_gl1_sheet(2))
     (data["irreducibles"][0] if key == "dim" else data)[key] = True
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(data))
@@ -630,7 +632,7 @@ def test_bool_integer_field_exits_3(tmp_path, key):
 def test_huge_zeta_level_exits_3_before_values_are_parsed(tmp_path):
     # parsing values at level 10**6 would allocate ~4e11 ints; the level
     # must be refused first (the timeout only guards against a hang)
-    data = sheet_to_dict(build_gl2_sheet(3))
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
     data["zeta_level"] = 1000000
     path = tmp_path / "huge-level.json"
     path.write_text(json.dumps(data))
@@ -665,9 +667,10 @@ def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q,
     # alone rejects the file, before the trial division of q and the
     # partitions of n; a header within the budget that validation refuses
     # is refused before any torus is enumerated (the subprocess timeout
-    # only guards against a hang)
-    # in version 1 and in format 2
-    for extra in ({}, {"format": 2, "values": []}):
+    # only guards against a hang); with no "format" key the version 1
+    # refusal comes first
+    for extra, want in (({}, V1_REFUSAL),
+                        ({"format": 2, "values": []}, stderr)):
         path = tmp_path / "hostile.json"
         path.write_text(json.dumps({"group": "GL", "n": n, "q": q,
                                     "zeta_level": 1, "tori": [],
@@ -681,7 +684,7 @@ def test_hostile_sheet_header_exits_3_within_a_second(capsys, tmp_path, n, q,
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "sheet rejected" in err
-        assert stderr is None or err == proc.stderr == stderr
+        assert want is None or err == proc.stderr == want
 
 
 # bytes whose parse raises something other than json.JSONDecodeError
@@ -742,8 +745,7 @@ HOSTILE_V2 = {
     "bad triple in values": (_put("values", 1, value=[[1.0, 1, 0]]),
                              "values: bad value triples"),
     "format true": (_put("format", value=True), "key 'format' has wrong type"),
-    "format 3": (_put("format", value=3),
-                 "format must be 2, or absent for version 1"),
+    "format 3": (_put("format", value=3), "format must be 2"),
     "format string": (_put("format", value="2"),
                       "key 'format' has wrong type"),
     "no values": (lambda data: data.pop("values"), "missing key 'values'"),
@@ -807,10 +809,10 @@ def test_unrecoverable_class_function_exits_4(capsys, tmp_path):
 @pytest.mark.parametrize("where", [0, -1])
 def test_overlong_value_list_exits_3_before_entries_are_parsed(
         capsys, tmp_path, where):
-    # a torus list longer than the torus has points is refused on its
-    # length; its entries (not even dicts here) are never looked at
-    data = sheet_to_dict(build_gl2_sheet(11))
-    data["irreducibles"][where]["values"]["1+1"] = [0] * 200_000
+    # an index list longer than the torus has regular elements is refused
+    # on its length; its entries (not even ints here) are never looked at
+    data = sheet_to_dict_v2(build_gl2_sheet(11))
+    data["irreducibles"][where]["values"]["1+1"] = ["x"] * 200_000
     path = tmp_path / "overlong.json"
     path.write_text(json.dumps(data))
     start = time.perf_counter()
@@ -818,7 +820,7 @@ def test_overlong_value_list_exits_3_before_entries_are_parsed(
                        "--rho", "onedim:0")
     assert time.perf_counter() - start < 5.0
     assert code == 3
-    assert "200000 entries for 100 points" in err
+    assert "200000 indices for 90 regular elements" in err
 
 
 # -- interpreter entry point ----------------------------------------------

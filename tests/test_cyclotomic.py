@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,18 +36,31 @@ def poly_mul(a, b):
 
 
 def poly_divexact(num, den):
+    # long division by a monic divisor, over its nonzero terms; the
+    # remainder must vanish
+    assert den[-1] == 1
     num = list(num)
     dn = len(den) - 1
+    terms = [(j - dn, c) for j, c in enumerate(den) if c]
     out = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
-            assert den[-1] == 1
             out[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
+            for j, dj in terms:
+                num[i + j] -= c * dj
     assert not any(num)
     return out
+
+
+@lru_cache(maxsize=None)
+def phi_by_division(N):
+    """Phi_N as x^N - 1 divided exactly by Phi_d for every proper divisor
+    d of N, the largest first, which keeps each quotient sparse."""
+    cur = [-1] + [0] * (N - 1) + [1]
+    for d in reversed([d for d in range(1, N) if N % d == 0]):
+        cur = poly_divexact(cur, phi_by_division(d))
+    return tuple(cur)
 
 
 # textbook cyclotomic polynomials, low degree first
@@ -72,6 +86,16 @@ def test_cyclotomic_poly_12_against_division_oracle():
     expected = poly_divexact(x12, den)
     assert expected == [1, 0, -1, 0, 1]  # x^4 - x^2 + 1
     assert list(cyclotomic_poly(12)) == expected
+
+
+def test_cyclotomic_poly_matches_the_divisor_recursion():
+    # every level up to 2000 (1680 is q=41's), then the levels of q=64,
+    # of gram --q 97 on the elliptic torus, and of q=101
+    try:
+        for N in [*range(1, 2001), 4095, 9408, 10200]:
+            assert cyclotomic_poly(N) == phi_by_division(N), N
+    finally:
+        phi_by_division.cache_clear()
 
 
 def test_cyclotomic_poly_degree_and_root():

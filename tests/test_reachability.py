@@ -42,7 +42,8 @@ TRAFFIC = [
     ["table", "--q", "3", "--out", "{sheet}"],
     ["table", "--sheet", "{sheet}"],
     ["recover", "--sheet", "{sheet}", "--rho", "onedim:1"],
-    ["recover", "--sheet", "{v1_sheet}", "--rho", "onedim:1"],  # version 1
+    # a version 1 file: refused with exit 3 before any value is parsed
+    ["recover", "--sheet", "{v1_sheet}", "--rho", "onedim:1"],
     ["frobnicate"],                       # usage error: argparse
     ["recover", "--q", "6"],              # usage error: not a prime power
 ]

@@ -38,7 +38,7 @@ from glchar.tori import (
 import oracle_dixon
 import oracle_formulas
 from oracle_conjugacy import weyl_orbit
-from oracle_sheet_dict import sheet_to_dict, sheet_to_dict_v2, v1_text, v2_text
+from oracle_sheet_dict import sheet_to_dict_v2, v2_text
 
 
 def test_label_canonicalization():
@@ -182,8 +182,7 @@ def test_built_and_loaded_sheets_hold_tuple_tables():
     # cannot change once made
     built = build_gl2_sheet(11)
     sheets = [build_gl1_sheet(7), built,
-              sheet_from_dict(json.loads(sheet_to_json_text(built))),
-              sheet_from_dict(json.loads(v1_text(built)))]
+              sheet_from_dict(json.loads(sheet_to_json_text(built)))]
     for sheet in sheets:
         for r in sheet.rows:
             for tt in sheet.tori:
@@ -334,8 +333,7 @@ def test_builders_match_the_slotwise_formulas(q):
 
 def test_built_and_loaded_sheets_hold_index_arrays():
     # 511,104 slots at q=23: a dict entry per slot retained about 20 MiB
-    # either way; one value table plus two-byte indices stay under 4 MiB,
-    # and a version 1 load, with a table per row and torus, under 6 MiB
+    # either way; one value table plus two-byte indices stay under 4 MiB
     def retained(make):
         tracemalloc.start()
         try:
@@ -348,17 +346,10 @@ def test_built_and_loaded_sheets_hold_index_arrays():
     sheet, built = retained(lambda: build_gl2_sheet(23))
     data = json.loads(sheet_to_json_text(sheet))
     loaded, parsed = retained(lambda: sheet_from_dict(data))
-    # the document json.loads makes of the version 1 text, without the
-    # 95 MB text
-    data = sheet_to_dict(sheet)
-    from_v1, parsed_v1 = retained(lambda: sheet_from_dict(data))
-    del data
-    assert from_v1 == sheet
-    for s in (loaded, from_v1):
-        assert {(type(v), v.idx.typecode) for r in s.rows
-                for v in r.values.values()} == {(IndexRow, "H")}
+    assert loaded == sheet
+    assert {(type(v), v.idx.typecode) for r in loaded.rows
+            for v in r.values.values()} == {(IndexRow, "H")}
     assert built <= 4 << 20 and parsed <= 4 << 20, (built, parsed)
-    assert parsed_v1 <= 6 << 20, parsed_v1
 
 
 def _dict_maps(sheet):
@@ -436,20 +427,17 @@ def _swap_dims(data):
 def test_row_dim_must_be_its_labels(monkeypatch):
     # refused with the header, before any value is parsed
     import glchar.sheets as sheets_mod
-    sheet = build_gl2_sheet(3)
-    files = [_swap_dims(to_dict(sheet))
-             for to_dict in (sheet_to_dict, sheet_to_dict_v2)]
+    data = _swap_dims(sheet_to_dict_v2(build_gl2_sheet(3)))
 
     def no_parse(*args):
         raise AssertionError("a value was parsed before the header check")
 
     monkeypatch.setattr(sheets_mod.CycNum, "from_triples", no_parse)
-    for data in files:
-        with pytest.raises(SheetValidationError) as exc:
-            sheet_from_dict(data)
-        assert exc.value.report.violations == (
-            "row steinberg:0: dim 4 != 3, its label's",
-            "row principal:0,1: dim 3 != 4, its label's")
+    with pytest.raises(SheetValidationError) as exc:
+        sheet_from_dict(data)
+    assert exc.value.report.violations == (
+        "row steinberg:0: dim 4 != 3, its label's",
+        "row principal:0,1: dim 3 != 4, its label's")
 
 
 def test_load_runs_the_header_pass_once(monkeypatch):
@@ -464,10 +452,8 @@ def test_load_runs_the_header_pass_once(monkeypatch):
 
     monkeypatch.setattr(sheets_mod, "_header_violations", counted)
     sheet = build_gl2_sheet(5)
-    for text in (v1_text(sheet), sheet_to_json_text(sheet)):
-        calls.clear()
-        assert sheet_from_dict(json.loads(text)) == sheet
-        assert len(calls) == 1
+    assert sheet_from_dict(json.loads(sheet_to_json_text(sheet))) == sheet
+    assert len(calls) == 1
 
 
 def test_no_gl3_sheet_can_be_made():
@@ -477,7 +463,7 @@ def test_no_gl3_sheet_can_be_made():
     with pytest.raises(ValueError) as made:
         CharacterSheet(spec, zeta_level_for(spec), enumerate_tori(spec), [])
     with pytest.raises(SheetFormatError) as loaded:
-        sheet_from_dict({"group": "GL", "n": 3, "q": 5})
+        sheet_from_dict({"group": "GL", "format": 2, "n": 3, "q": 5})
     assert str(made.value) == str(loaded.value) == text
 
 
@@ -537,12 +523,10 @@ def test_sheet_value_triples_are_numerator_denominator_power():
 def test_emitter_matches_json_dumps(n, q):
     sheet = build_sheet(n, q)
     assert sheet_to_json_text(sheet) == v2_text(sheet)
-    # a version 1 file and a format 2 file reload to sheets that emit the
-    # same bytes
-    for text in (v1_text(sheet), v2_text(sheet)):
-        loaded = sheet_from_dict(json.loads(text))
-        assert loaded == sheet
-        assert sheet_to_json_text(loaded) == v2_text(sheet)
+    # the file reloads to a sheet that emits the same bytes
+    loaded = sheet_from_dict(json.loads(v2_text(sheet)))
+    assert loaded == sheet
+    assert sheet_to_json_text(loaded) == v2_text(sheet)
 
 
 def test_emitter_matches_json_dumps_on_direct_sheets():
@@ -577,37 +561,26 @@ def test_emitter_matches_json_dumps_on_direct_sheets():
                                  [1, 1, "0"], [1, 1], [1, 1, 0, 0], 1,
                                  [1, 2, 0], [1, 0, 0]])
 def test_hostile_triple_rejected_wherever_it_sits(bad):
-    # every onedim:0 value is [[1, 1, 0]]: the bad triple is equal (or close)
-    # to an interned one when it comes second, and meets an empty cache first
-    data = sheet_to_dict(build_gl2_sheet(3))
-    entries = data["irreducibles"][0]["values"]["1+1"]
-    assert entries[0]["value"] == entries[1]["value"] == [[1, 1, 0]]
+    # the bad triple as the first value of the table, as its last, and
+    # after a good triple within a value: each is checked as it is read
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
+    assert data["values"][0] == [[1, 1, 0]]
     messages = []
-    for pos in (0, 1):
+    for pos, value in ((0, [bad]), (-1, [bad]), (0, [[1, 1, 0], bad])):
         hostile = copy.deepcopy(data)
-        hostile["irreducibles"][0]["values"]["1+1"][pos]["value"] = [bad]
+        hostile["values"][pos] = value
         with pytest.raises(SheetFormatError) as exc:
             sheet_from_dict(hostile)
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-    assert "bad value triples" in messages[0]
-
-
-def test_bool_element_rejected_after_equal_int_element():
-    data = sheet_to_dict(build_gl2_sheet(3))
-    entries = data["irreducibles"][1]["values"]["2"]
-    assert entries[0]["element"] == [1]
-    entries[0]["element"] = [True]
-    with pytest.raises(SheetFormatError) as exc:
-        sheet_from_dict(data)
-    assert "bad element" in str(exc.value)
+    assert len(set(messages)) == 1
+    assert messages[0].startswith("values: bad value triples: ")
 
 
 @pytest.mark.parametrize("key", ["dim", "zeta_level"])
 def test_bool_integer_field_rejected(key):
     # GL_1(F_2): its one row has dim 1 and its zeta level is 1, so True
     # would compare equal to the right value
-    data = sheet_to_dict(build_gl1_sheet(2))
+    data = sheet_to_dict_v2(build_gl1_sheet(2))
     fields = data["irreducibles"][0] if key == "dim" else data
     assert fields[key] == 1
     fields[key] = True
@@ -617,32 +590,26 @@ def test_bool_integer_field_rejected(key):
 
 
 def test_load_checks_each_value_once(monkeypatch):
-    # version 1: one triples check per entry, also for the entry that
-    # builds a value; format 2: one per entry of the values table
-    import glchar.cyclotomic as cyc_mod
+    # one CycNum.from_triples call per entry of the values table, not one
+    # per slot
     import glchar.sheets as sheets_mod
     calls = []
-    real = cyc_mod.triples_key
+    real = CycNum.from_triples
 
-    def counting(triples):
+    def counting(level, triples):
         calls.append(triples)
-        return real(triples)
+        return real(level, triples)
 
-    monkeypatch.setattr(cyc_mod, "triples_key", counting)
-    monkeypatch.setattr(sheets_mod, "triples_key", counting)
-    sheet = sheet_from_dict(sheet_to_dict(build_gl2_sheet(5)))
-    entries = sum(len(vals) for r in sheet.rows for vals in r.values.values())
-    assert len(calls) == entries
-    assert CycNum.from_triples(24, [[1, 1, 0]]) == 1  # raw triples: checked
-    assert len(calls) == entries + 1
-    calls.clear()
-    data = sheet_to_dict_v2(build_gl2_sheet(5))
+    monkeypatch.setattr(sheets_mod.CycNum, "from_triples", counting)
+    sheet = build_gl2_sheet(5)
+    data = sheet_to_dict_v2(sheet)
     assert sheet_from_dict(data) == sheet
-    assert len(calls) == len(data["values"]) < entries
+    slots = sum(len(vals) for r in sheet.rows for vals in r.values.values())
+    assert calls == data["values"] and len(calls) < slots
 
 
 def test_load_shares_equal_values_and_elements():
-    sheet = sheet_from_dict(sheet_to_dict(build_gl2_sheet(5)))
+    sheet = sheet_from_dict(sheet_to_dict_v2(build_gl2_sheet(5)))
     sp = sheet.tori[0]
     a = sheet.row("onedim:0").values[sp.blocks]
     b = sheet.row("steinberg:0").values[sp.blocks]
@@ -657,7 +624,7 @@ def test_zeta_level_checked_before_values_are_parsed(monkeypatch):
         raise AssertionError("a value was parsed before the level check")
 
     monkeypatch.setattr(sheets_mod.CycNum, "from_triples", no_parse)
-    data = sheet_to_dict(build_gl2_sheet(3))
+    data = sheet_to_dict_v2(build_gl2_sheet(3))
     data["zeta_level"] = 24
     with pytest.raises(SheetValidationError) as exc:
         sheet_from_dict(data)
@@ -679,19 +646,9 @@ def test_wrong_zeta_level_is_listed_with_the_other_header_violations():
         "sum of dim^2 is 51, group order is 48")
 
 
-def test_load_rejects_value_on_nonregular_element(tmp_path):
-    sheet = build_gl2_sheet(3)
-    data = sheet_to_dict(sheet)
-    data["irreducibles"][0]["values"]["2"].append(
-        {"element": [0], "value": [[1, 1, 0]]})  # dlog 0 is central
-    with pytest.raises(SheetValidationError) as exc:
-        sheet_from_dict(data)
-    assert "non-regular" in str(exc.value)
-
-
 def test_load_rejects_wrong_row_count(tmp_path):
     sheet = build_gl2_sheet(3)
-    data = sheet_to_dict(sheet)
+    data = sheet_to_dict_v2(sheet)
     del data["irreducibles"][3]
     with pytest.raises(SheetValidationError) as exc:
         sheet_from_dict(data)
@@ -700,28 +657,19 @@ def test_load_rejects_wrong_row_count(tmp_path):
 
 def test_load_rejects_schema_violations():
     sheet = build_gl2_sheet(3)
-    data = sheet_to_dict(sheet)
+    data = sheet_to_dict_v2(sheet)
     data2 = copy.deepcopy(data)
     del data2["zeta_level"]
     with pytest.raises(SheetFormatError):
         sheet_from_dict(data2)
     data3 = copy.deepcopy(data)
-    data3["irreducibles"][0]["values"]["2"][0]["element"] = [1, 2]
+    data3["irreducibles"][0]["values"]["2"][0] = [1, 2]
     with pytest.raises(SheetFormatError):
         sheet_from_dict(data3)
     data4 = copy.deepcopy(data)
     data4["q"] = 6
     with pytest.raises(SheetFormatError):
         sheet_from_dict(data4)
-
-
-def test_missing_regular_element_rejected():
-    sheet = build_gl2_sheet(3)
-    data = sheet_to_dict(sheet)
-    del data["irreducibles"][0]["values"]["2"][0]
-    with pytest.raises(SheetValidationError) as exc:
-        sheet_from_dict(data)
-    assert "missing" in str(exc.value)
 
 
 def _restricted_sheet_rows(sheet):
