@@ -20,6 +20,10 @@ recovery    expansion search of at most two terms (|W| <= 2 wherever the
             locus, and the gate with the uncertainty bound makes it unique
 cli         deterministic command line front end
 
+Each layer is imported on first use of one of its names here (PEP 562),
+so a program that only gates and builds sheets never compiles
+glchar.recovery or imports json.
+
 The independent cross-checks (norm/pullback class decider on the points
 at Frobenius level m, the Weyl-orbit walker, the Bareiss Gram
 determinant, the rational subset solver, the packed convolution, the
@@ -27,58 +31,37 @@ GL_2 decomposition pattern, the dict form of a sheet file) live in the
 tests as oracles.
 """
 
-from .abelian import AbChar, FinAbGroup
-from .cyclotomic import CycNum, root
-from .recovery import (
-    Expansion,
-    GramReport,
-    NoExpansionError,
-    QConditionViolated,
-    RecoveryInconsistencyError,
-    RecoveryReport,
-    gram_independence,
-    is_unipotent,
-    recover_E,
-    sparse_decompose,
-)
-from .sheets import (
-    CharacterSheet,
-    IrrLabel,
-    SheetFormatError,
-    SheetRow,
-    SheetValidationError,
-    build_gl1_sheet,
-    build_gl2_sheet,
-    load_sheet,
-    save_sheet,
-    sheet_from_dict,
-    validate_sheet,
-)
-from .tori import (
-    GeomClassId,
-    GroupSpec,
-    QConditionReport,
-    TorusType,
-    check_q_condition,
-    enumerate_tori,
-    geom_class_id,
-    is_regular,
-    regular_elements,
-)
+# the public names, by the layer that defines them
+_EXPORTS = {
+    "abelian": ("AbChar", "FinAbGroup"),
+    "cyclotomic": ("CycNum", "root"),
+    "recovery": (
+        "Expansion", "GramReport", "NoExpansionError", "QConditionViolated",
+        "RecoveryInconsistencyError", "RecoveryReport",
+        "gram_independence", "is_unipotent", "recover_E", "sparse_decompose"),
+    "sheets": (
+        "CharacterSheet", "IrrLabel", "SheetFormatError", "SheetRow",
+        "SheetValidationError", "build_gl1_sheet", "build_gl2_sheet",
+        "load_sheet", "save_sheet", "sheet_from_dict", "validate_sheet"),
+    "tori": (
+        "GeomClassId", "GroupSpec", "QConditionReport", "TorusType",
+        "check_q_condition", "enumerate_tori", "geom_class_id", "is_regular",
+        "regular_elements"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbChar", "FinAbGroup",
-    "CycNum", "root",
-    "Expansion", "GramReport", "NoExpansionError", "QConditionViolated",
-    "RecoveryInconsistencyError", "RecoveryReport",
-    "gram_independence", "is_unipotent", "recover_E", "sparse_decompose",
-    "CharacterSheet", "IrrLabel", "SheetFormatError", "SheetRow",
-    "SheetValidationError", "build_gl1_sheet", "build_gl2_sheet",
-    "load_sheet", "save_sheet", "sheet_from_dict", "validate_sheet",
-    "GeomClassId", "GroupSpec", "QConditionReport", "TorusType",
-    "check_q_condition", "enumerate_tori", "geom_class_id", "is_regular",
-    "regular_elements",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib, which -X importtime does not see
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    return globals().setdefault(name, getattr(module, name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

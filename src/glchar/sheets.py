@@ -27,12 +27,12 @@ is read value by value.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections.abc import Mapping
-from functools import cache, partial
-from itertools import count, repeat
+from functools import partial
+from itertools import count
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .abelian import EnumerationBudgetError
@@ -214,10 +214,19 @@ class CharacterSheet:
                 == (other.spec, other.zeta_level, other.tori, other.rows))
 
     def row(self, label: str) -> SheetRow:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(f"no row labeled {label!r}")
+        """The row with this label, by a {label: position} index beside
+        recover_E's memo, rebuilt when its position holds another label,
+        so rows appended, deleted or renamed are found.  A rebuild takes
+        the first row of a label; validate_sheet refuses a duplicate."""
+        rows = self.rows
+        i = vars(self).get("_row_at", {}).get(label, len(rows))
+        if i >= len(rows) or rows[i].label != label:
+            at = self._row_at = {
+                r.label: i for i, r in reversed(list(enumerate(rows)))}
+            if label not in at:
+                raise KeyError(f"no row labeled {label!r}")
+            i = at[label]
+        return rows[i]
 
     def labels(self) -> list[str]:
         return [r.label for r in self.rows]
@@ -232,14 +241,10 @@ def build_gl1_sheet(q: int) -> CharacterSheet:
     spec = GroupSpec(1, q)
     (tt,) = enumerate_tori(spec)
     N = q - 1
-    roots = ValueTable(root(N, m) for m in range(N))
-    rows = []
-    for k in range(q - 1):
-        label = IrrLabel.make(spec, "onedim", (k,))
-        vals = IndexRow(positions(tt), roots,
-                        [k * e % N for (e,) in regular_elements(tt)])
-        rows.append(SheetRow(label.format(), 1, {tt.blocks: vals}))
-    return CharacterSheet(spec, N, (tt,), rows)
+    roots, pos = ValueTable(root(N, m) for m in range(N)), positions(tt)
+    return CharacterSheet(spec, N, (tt,), [SheetRow(f"onedim:{k}", 1, {
+        tt.blocks: IndexRow(pos, roots, [k * e % N for (e,) in pos])})
+        for k in range(N)])
 
 
 def build_gl2_sheet(q: int) -> CharacterSheet:
@@ -261,58 +266,66 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
 
     A value depends on its slot only through a residue: m = k(i+j) or ka
     mod q-1, (u, v) = (ki+lj, kj+li) mod q-1, or ca mod N.  Rows read
-    tables keyed by residue, of indices into the table of distinct values.
+    tables keyed by residue, of indices into the table of distinct values,
+    which are sums of root vectors.  A principal row's key is a sum of
+    per-element arrays, one of k and one of l, so the row is two maps; a
+    row that is zero on a torus copies that torus's one array of zeros.
     """
     spec = GroupSpec(2, q)
     N = q * q - 1
     r = q - 1
     sp, el = enumerate_tori(spec)
-    regs_sp = regular_elements(sp)
-    regs_el = regular_elements(el)
-
-    labels = [IrrLabel.make(spec, fam, (k,))
-              for fam in ("onedim", "steinberg") for k in range(q - 1)]
-    labels += [IrrLabel.make(spec, "principal", (k, l))
-               for k in range(q - 1) for l in range(k + 1, q - 1)]
-    labels += {IrrLabel.make(spec, "cuspidal", (c,))
-               for c in range(1, N) if c % (q + 1)}
+    pos_sp, pos_el = positions(sp), positions(el)
 
     index: dict[CycNum, int] = {}  # of each distinct value in the table
 
-    @cache
-    def val(sign: int, *exps: int) -> int:
-        v = CycNum.from_terms(N, [(e, sign) for e in exps])
+    def at(v: CycNum) -> int:
         return index.setdefault(v, len(index))
 
-    det = {s: [[val(s, k * m % r * (q + 1)) for m in range(r)]
-               for k in range(r)] for s in (1, -1)}
-    pair = [val(1, x // r * (q + 1), x % r * (q + 1)) for x in range(r * r)]
-    cusp = [val(-1, m, m * q) for m in range(N)]
-    zero = val(1)
+    zeta = [root(N, m * (q + 1)) for m in range(r)]  # z^{m(q+1)}, m mod q-1
+    plus, minus = [at(z) for z in zeta], [at(-z) for z in zeta]
+    det = {s: [[tab[k * m % r] for m in range(r)] for k in range(r)]
+           for s, tab in ((1, plus), (-1, minus))}
+    pair, cusp = [0] * (r * r), []  # each symmetric value made once
+    for u in range(r):
+        for v in range(u, r):
+            pair[u * r + v] = pair[v * r + u] = at(zeta[u] + zeta[v])
+    for m in range(N):
+        mq = m * q % N
+        cusp.append(cusp[mq] if mq < m else at(-(root(N, m) + root(N, mq))))
+    zero = at(CycNum.zero(N))
     table = ValueTable(index)
-    sums = [(i + j) % r for i, j in regs_sp]
-    ells = [a % r for (a,) in regs_el]
+    zeros_sp, zeros_el = (IndexRow(pos, table, [zero] * len(pos)).idx
+                          for pos in (pos_sp, pos_el))
+    sums, ells = [(i + j) % r for i, j in pos_sp], [a % r for (a,) in pos_el]
+    # wide[a * w + b] = pair[a % r * r + b % r]: a principal row keys its
+    # value by a = ki%r + lj%r and b = kj%r + li%r, left unreduced
+    w = 2 * r - 1
+    wide = [pair[x // w % r * r + x % w % r] for x in range(w * w)]
+    # of k and of l, arrays, not lists: 2(q-1) as long as the split locus
+    ks, ls = ([array("I", [k * i % r * w + k * j % r for i, j in ij])
+               for k in range(r)]
+              for ij in (pos_sp, [p[::-1] for p in pos_sp]))
 
-    rows = []
-    for lab in sorted(labels, key=IrrLabel.sort_key):
-        fam, par = lab.family, lab.params
-        if fam == "onedim" or fam == "steinberg":
-            k, s = par[0], 1 if fam == "onedim" else -1
-            vsp = map(det[1][k].__getitem__, sums)
-            vel = map(det[s][k].__getitem__, ells)
-        elif fam == "principal":
-            k, l = par
-            vsp = map(pair.__getitem__, [
-                (k * i + l * j) % r * r + (k * j + l * i) % r
-                for i, j in regs_sp])
-            vel = repeat(zero, len(regs_el))
-        else:
-            c = par[0]
-            vsp = repeat(zero, len(regs_sp))
-            vel = map(cusp.__getitem__, [c * a % N for (a,) in regs_el])
-        rows.append(SheetRow(lab.format(), lab.dim(spec), {
-            sp.blocks: IndexRow(positions(sp), table, vsp),
-            el.blocks: IndexRow(positions(el), table, vel)}))
+    rows = []  # in IrrLabel.sort_key order, each label canonical
+
+    def put(label: str, dim: int, vsp: Iterable[int], vel: Iterable[int]):
+        rows.append(SheetRow(label, dim, {
+            sp.blocks: IndexRow(pos_sp, table, vsp),
+            el.blocks: IndexRow(pos_el, table, vel)}))
+
+    for fam, dim, s in (("onedim", 1, 1), ("steinberg", q, -1)):
+        for k in range(r):
+            put(f"{fam}:{k}", dim, list(map(det[1][k].__getitem__, sums)),
+                list(map(det[s][k].__getitem__, ells)))
+    for k in range(r):
+        for l in range(k + 1, r):
+            put(f"principal:{k},{l}", q + 1, list(map(
+                wide.__getitem__, map(add, ks[k], ls[l]))), zeros_el)
+    for c in range(1, N):
+        if c < c * q % N:  # the least of c and cq, off the (q+1)-multiples
+            put(f"cuspidal:{c}", q - 1, zeros_sp,
+                [cusp[c * a % N] for (a,) in pos_el])
     return CharacterSheet(spec, N, (sp, el), rows)
 
 
@@ -558,6 +571,8 @@ def sheet_to_json_text(sheet: CharacterSheet) -> str:
     only a map whose keys are not the regular elements is read value by
     value.  So a built sheet and its reload give the same bytes.
     """
+    import json  # here and in load_sheet: a cold build never imports it
+
     index: dict[CycNum, int] = {}  # of each distinct value, in order
     # by id of each table, kept alive: its indices to theirs in index
     remaps: dict[int, tuple[Sequence[CycNum], dict[int, int]]] = {}
@@ -591,6 +606,8 @@ def save_sheet(sheet: CharacterSheet, path: str) -> None:
 
 
 def load_sheet(path: str) -> CharacterSheet:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)

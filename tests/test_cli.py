@@ -301,6 +301,12 @@ PINNED_STDOUT = [
      "403b5b5a856392f38c52814dde013b5ea3fe6b35d1e71563e6304eae9d9fee27"),
     (["gram", "--q", "7", "--torus", "1", "--chars", "0;3"],
      "18b53123170d886c16e509dd695ded3d0e2ccbab528e18cc13a21d04d9e284df"),
+    # the builder's edge cases: at q=2 the split torus has no regular
+    # element, so its arrays are empty; q=4 is even
+    (["table", "--q", "2", "--json"],
+     "272cad8ac2191592d30ab2d0bfc964bf2f2d11b344cb896e5e329b76e4c5fc10"),
+    (["table", "--q", "4", "--json"],
+     "725e9b8bc019102f88f9d42fd1dc6e6ac1e7a88c07127e2c558425d972f89d46"),
 ]
 
 

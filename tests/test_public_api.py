@@ -10,6 +10,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import glchar
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -38,6 +40,20 @@ def test_all_is_pinned():
     ]
     for name in glchar.__all__:
         assert hasattr(glchar, name), name
+    # each name is loaded from the module that defines it, on first use
+    for name in set(glchar.__all__) - {"__version__"}:
+        obj = getattr(glchar, name)
+        assert obj.__module__.startswith("glchar."), name
+        home = importlib.import_module(obj.__module__)
+        assert getattr(home, name) is obj, name
+    assert set(glchar.__all__) <= set(dir(glchar))
+    for name in ("no_such_name", "recover_e", "cli_main"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(glchar, name)
+    namespace = {}
+    exec("from glchar import *", namespace)
+    assert {name: namespace[name] for name in glchar.__all__} == {
+        name: getattr(glchar, name) for name in glchar.__all__}
 
 
 def test_names_the_probe_wraps_exist():

@@ -415,6 +415,35 @@ def test_validate_flags_noncanonical_label():
     assert any("canonical form" in v for v in report.violations)
 
 
+def test_row_agrees_with_a_scan_as_rows_change():
+    # the label index of row() follows rows appended, deleted, renamed or
+    # replaced, as the recovery tests do to a built sheet
+    sheet = build_gl2_sheet(5)
+
+    def agrees():
+        for label in {*sheet.labels(), "onedim:0", "principal:0,1", "none"}:
+            first = [r for r in sheet.rows if r.label == label][:1]
+            if first:
+                assert sheet.row(label) is first[0], label
+            else:
+                with pytest.raises(KeyError, match="no row labeled"):
+                    sheet.row(label)
+
+    agrees()
+    sheet.rows.append(SheetRow("hostile", 1, {}))
+    agrees()
+    sheet.rows.append(SheetRow("onedim:0", 1, {}))  # the first one wins
+    agrees()
+    del sheet.rows[0]  # now the appended onedim:0 is the only one
+    agrees()
+    sheet.rows.insert(3, SheetRow("steinberg:1", 5, {}))
+    agrees()
+    sheet.row("principal:0,1").label = "principal:1,0"
+    agrees()
+    sheet.rows = sheet.rows[::-1]
+    agrees()
+
+
 def _swap_dims(data):
     """The dict with the dims of steinberg:0 (q) and principal:0,1 (q + 1)
     swapped, so the sum of dim^2 is still the group order."""

@@ -5,7 +5,9 @@ orders, and with them the CLI's stdout, do not depend on how the types
 are made.  Their reprs, the normalization their constructors do (in
 _replace too) and the errors they raise are pinned here.  A CLI process
 imports no dataclasses and no inspect: each costs every process several
-milliseconds at startup.
+milliseconds at startup.  A process that only gates and builds a sheet
+imports neither glchar.recovery nor json: the package loads a layer on
+first use of one of its names.
 """
 
 import os
@@ -179,3 +181,21 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_a_cold_build_imports_neither_recovery_nor_json():
+    # -S as above; a recovery name then loads its layer
+    code = ("import sys; "
+            "from glchar import GroupSpec, build_gl2_sheet, check_q_condition; "
+            "check_q_condition(GroupSpec(2, 13)); build_gl2_sheet(13); "
+            "print(sorted(m for m in sys.modules if m.startswith('glchar.'))); "
+            "print(sorted({'glchar.recovery', 'glchar.cli', 'json', "
+            "'argparse'} & set(sys.modules))); "
+            "from glchar import recover_E; "
+            "print('glchar.recovery' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "['glchar.abelian', 'glchar.cyclotomic', 'glchar.sheets', "
+        "'glchar.tori']", "[]", "True"]
