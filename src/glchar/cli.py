@@ -5,8 +5,9 @@ timestamps, fixed orderings.  recover and unipotent search every row and
 print only expansions checked on every regular element, which the density
 gate and the uncertainty bound make unique (glchar.recovery).  Exit
 codes are scriptable: 0 success, 1 usage error (including n and q with
-q^n - 1 over the enumeration budget, refused before any work), 2 density
-gate violation, 3 sheet validation failure, 4 recovery inconsistency.
+q^n - 1 over the enumeration budget, or a built-in sheet over
+sheets.MAX_SHEET_SLOTS, refused before any work), 2 density gate
+violation, 3 sheet validation failure, 4 recovery inconsistency.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ def _load_or_build(args) -> CharacterSheet:
     """The sheet named by --sheet (validated on load) or the built-in one."""
     if args.sheet is not None:
         return load_sheet(args.sheet)
-    check_budget(args.n, args.q)
     return build_sheet(args.n, args.q)
 
 

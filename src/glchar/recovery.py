@@ -381,18 +381,20 @@ class _TorusSolver:
         return tuple(out)
 
     @cached_property
-    def dirs(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        """Primitive direction of the power-basis tail of zeta^d -> [(d, k)].
+    def dirs(self) -> dict[int, list[tuple[int, int]]]:
+        """Hash of the primitive direction of the power-basis tail of
+        zeta^d -> [(d, k)], so no phi - 1 long tuple is kept.
 
         Only exponents d taken at sample 0 by some character are listed;
-        the tail of zeta^d is k times its direction.
+        the tail of zeta^d is k times its direction.  A colliding hash
+        lists entries of another direction, whose pairs fail at sample 0.
         """
-        out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        out: dict[int, list[tuple[int, int]]] = {}
         for d in sorted(set(self.col(0))):
             tail = self.red[d][1:]
             if any(tail):
                 key, k = _direction(tail)
-                out.setdefault(key, []).append((d, k))
+                out.setdefault(hash(key), []).append((d, k))
         return out
 
     @cached_property
@@ -526,11 +528,12 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
     character b - a.  Instead of walking every b, the pair is read off:
 
     - If the power-basis tail of g_0 is nonzero, zeta^{d(s0)} is not +-1
-      and its tail is proportional to that of g_0.  The direction lookup
-      lists each exponent d(s0) with that tail direction, and each fixes
-      c_b (exact division) and c_a.  On every further separating sample,
-      (g_s - c_a) / c_b must be a root of unity zeta^{d(s)}; the exponent
-      tuple on the separating samples names d, hence b, through pin.
+      and its tail is proportional to that of g_0.  dirs, under the hash of
+      that direction, lists each exponent d(s0) with it (a collision adds
+      others, whose pairs fail at s0), and each fixes c_b (exact division)
+      and c_a.  On every further separating sample, (g_s - c_a) / c_b must
+      be a root of unity zeta^{d(s)}; the exponent tuple on the separating
+      samples names d, hence b, through pin.
     - If the tail is zero, zeta^{d(s0)} = +-1 for every valid pair, and the
       pivot screen runs over just those difference characters.
 
@@ -562,7 +565,7 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
             if any(g0[1:]):
                 key, m = _direction(g0[1:])
                 cands = []
-                for d, k in dirs.get(key, ()):
+                for d, k in dirs.get(hash(key), ()):
                     cb, rem = divmod(m, k)
                     ca = g0[0] - cb * red[d][0]
                     if not rem and ca:

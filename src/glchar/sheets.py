@@ -46,10 +46,14 @@ from .tori import (
     points,
     positions,
     regular_elements,
+    rs_ratio,
     torus_from_label,
 )
 
 FAMILIES = ("onedim", "steinberg", "principal", "cuspidal")
+# the most slots (rows times regular elements) build_sheet fills: GL_2 up
+# to q = 64 (32,506,110 slots), GL_1 up to q = 5,791
+MAX_SHEET_SLOTS = 1 << 25
 # GL_3 first passes the density gate at q = 6151, over the budget
 _NO_RANK = "n = {}: no GL_n sheet with n >= 3 recovers"
 
@@ -197,8 +201,8 @@ class SheetRow:
 
 class CharacterSheet:
     """A GL_1 or GL_2 sheet: ValueError for n >= 3.  Equal when its four
-    fields are, so the memo that recover_E keeps in its __dict__ stays out
-    of equality."""
+    fields are, so the memo that recover_E keeps in its __dict__, the one
+    entry beside them, stays out of equality."""
 
     def __init__(self, spec: GroupSpec, zeta_level: int,
                  tori: tuple[TorusType, ...], rows: list[SheetRow]):
@@ -214,19 +218,12 @@ class CharacterSheet:
                 == (other.spec, other.zeta_level, other.tori, other.rows))
 
     def row(self, label: str) -> SheetRow:
-        """The row with this label, by a {label: position} index beside
-        recover_E's memo, rebuilt when its position holds another label,
-        so rows appended, deleted or renamed are found.  A rebuild takes
-        the first row of a label; validate_sheet refuses a duplicate."""
-        rows = self.rows
-        i = vars(self).get("_row_at", {}).get(label, len(rows))
-        if i >= len(rows) or rows[i].label != label:
-            at = self._row_at = {
-                r.label: i for i, r in reversed(list(enumerate(rows)))}
-            if label not in at:
-                raise KeyError(f"no row labeled {label!r}")
-            i = at[label]
-        return rows[i]
+        """The first row in rows with this label, found by a scan;
+        validate_sheet refuses a duplicate label."""
+        for r in self.rows:
+            if r.label == label:
+                return r
+        raise KeyError(f"no row labeled {label!r}")
 
     def labels(self) -> list[str]:
         return [r.label for r in self.rows]
@@ -329,12 +326,26 @@ def build_gl2_sheet(q: int) -> CharacterSheet:
     return CharacterSheet(spec, N, (sp, el), rows)
 
 
+def _row_count(spec: GroupSpec) -> int:
+    """The number of irreducibles of GL_1 or GL_2, so of a sheet's rows."""
+    return spec.q - 1 if spec.n == 1 else spec.q**2 - 1
+
+
 def build_sheet(n: int, q: int) -> CharacterSheet:
-    if n == 1:
-        return build_gl1_sheet(q)
-    if n == 2:
-        return build_gl2_sheet(q)
-    raise ValueError(f"no built-in sheet generator for n = {n}")
+    """The built-in sheet, refused before any work (ValueError) when its
+    rows times regular elements exceed MAX_SHEET_SLOTS."""
+    if n not in (1, 2):
+        raise ValueError(f"no built-in sheet generator for n = {n}")
+    check_budget(n, q)
+    spec = GroupSpec(n, q)
+    # regular elements from the gate's closed form: none is listed
+    regular = sum(points(t).order * (1 - rs_ratio(t))
+                  for t in enumerate_tori(spec))
+    slots = _row_count(spec) * int(regular)
+    if slots > MAX_SHEET_SLOTS:
+        raise ValueError(f"the GL_{n}(F_{q}) sheet has {slots} slots (rows "
+                         f"times regular elements), over {MAX_SHEET_SLOTS}")
+    return build_gl1_sheet(q) if n == 1 else build_gl2_sheet(q)
 
 
 # ------------------------------------------------------------- validation
@@ -393,7 +404,7 @@ def _header_violations(sheet: CharacterSheet) -> Iterator[str]:
         canon.setdefault(c, lab)
         if r.dim != label.dim(spec):
             yield f"row {lab}: dim {r.dim} != {label.dim(spec)}, its label's"
-    expected_rows = spec.q - 1 if spec.n == 1 else spec.q**2 - 1
+    expected_rows = _row_count(spec)
     if len(sheet.rows) != expected_rows:
         yield f"row count {len(sheet.rows)} != {expected_rows}"
 

@@ -175,19 +175,28 @@ HUGE_Q = str(2**61 - 1)
     ["table", "--q", HUGE_Q],
     ["recover", "--q", HUGE_Q, "--rho", "onedim:0"],
     ["unipotent", "--n", "1", "--q", HUGE_Q],
+    # within the budget, but a sheet over MAX_SHEET_SLOTS
+    ["table", "--q", "997", "--out", "F"],
+    ["recover", "--q", "997", "--json"],
+    ["recover", "--q", "997", "--rho", "onedim:0"],
+    ["unipotent", "--q", "997"],
 ])
-def test_hostile_n_q_exit_1_within_a_second(capsys, argv):
+def test_hostile_n_q_exit_1_within_a_second(capsys, tmp_path, argv):
     # q^n - 1 over the enumeration budget is refused before the trial
-    # division of q, the partitions of n and any table (the subprocess
+    # division of q, the partitions of n and any table, and a sheet with
+    # more slots than MAX_SHEET_SLOTS before it is built (the subprocess
     # timeout only guards against a hang)
+    argv = [str(tmp_path / a) if a == "F" else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "glchar", *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     start = time.perf_counter()
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert "enumeration budget" in err
+    assert out == proc.stdout == ""
+    assert not list(tmp_path.iterdir())
+    assert ("slots" if "997" in argv else "enumeration budget") in err
 
 
 # -- recover -------------------------------------------------------------

@@ -429,10 +429,8 @@ def test_value_memo_lives_on_the_sheet():
     for lab in sheet.labels():
         recover_E(sheet, lab)
     memo = vars(sheet)["_memo"]
-    # the two per-sheet entries, beside the four fields: the memo and the
-    # label index of CharacterSheet.row
-    assert set(vars(sheet)) == {
-        "spec", "zeta_level", "tori", "rows", "_memo", "_row_at"}
+    # the one per-sheet entry beside the four fields
+    assert set(vars(sheet)) == {"spec", "zeta_level", "tori", "rows", "_memo"}
     # one memo of expected values per (torus, level), beside its twists
     assert set(memo) == {(tt, sheet.zeta_level) for tt in sheet.tori}
     assert all(not isinstance(v, dict) for twists, _ in memo.values()

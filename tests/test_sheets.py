@@ -87,6 +87,36 @@ def test_gl2_sheet_q3_shape():
         build_sheet(3, 5)
 
 
+@pytest.mark.parametrize("n, admitted, refused", [(2, 64, 67), (1, 5791, 5801)])
+def test_build_sheet_slot_cap_at_its_edges(monkeypatch, n, admitted, refused):
+    # the cap counts rows times regular elements from closed forms, before
+    # any sheet is built, and admits a sheet of exactly MAX_SHEET_SLOTS
+    import glchar.sheets as sheets_mod
+
+    built = []
+    for name in ("build_gl1_sheet", "build_gl2_sheet"):
+        monkeypatch.setattr(sheets_mod, name, built.append)
+
+    def slots(q):
+        spec = GroupSpec(n, q)
+        rows = q - 1 if n == 1 else q * q - 1
+        return rows * sum(len(regular_elements(t)) for t in enumerate_tori(spec))
+
+    assert slots(admitted) <= sheets_mod.MAX_SHEET_SLOTS < slots(refused)
+    assert [p for p in range(admitted + 1, refused)
+            if is_prime_power(p)] == []
+    build_sheet(n, admitted)
+    assert built == [admitted]
+    with pytest.raises(ValueError, match=f"has {slots(refused)} slots"):
+        build_sheet(n, refused)
+    monkeypatch.setattr(sheets_mod, "MAX_SHEET_SLOTS", slots(admitted))
+    build_sheet(n, admitted)
+    monkeypatch.setattr(sheets_mod, "MAX_SHEET_SLOTS", slots(admitted) - 1)
+    with pytest.raises(ValueError, match=f"has {slots(admitted)} slots"):
+        build_sheet(n, admitted)
+    assert built == [admitted] * 2
+
+
 def test_gl2_row_count_general():
     for q in (2, 3, 4, 5, 7, 8, 11, 16):
         sheet = build_gl2_sheet(q)
@@ -416,8 +446,8 @@ def test_validate_flags_noncanonical_label():
 
 
 def test_row_agrees_with_a_scan_as_rows_change():
-    # the label index of row() follows rows appended, deleted, renamed or
-    # replaced, as the recovery tests do to a built sheet
+    # row() finds what a scan finds after rows are appended, deleted,
+    # renamed or replaced, as the recovery tests do to a built sheet
     sheet = build_gl2_sheet(5)
 
     def agrees():
@@ -442,6 +472,11 @@ def test_row_agrees_with_a_scan_as_rows_change():
     agrees()
     sheet.rows = sheet.rows[::-1]
     agrees()
+    # replaced in place by a row that takes a later row's label: the
+    # replacement comes first, so it is the one found
+    sheet.rows[0] = SheetRow(sheet.rows[5].label, 99, {})
+    agrees()
+    assert sheet.row(sheet.rows[5].label).dim == 99
 
 
 def _swap_dims(data):
