@@ -5,8 +5,9 @@ indexes an irreducible character of a finite general linear group by a
 geometric conjugacy class of torus characters, using nothing but the
 character's values on regular semisimple torus elements.  The layers:
 
-cyclotomic  exact arithmetic in Z[zeta_N] on the power basis (no
-            division, no linear solving, no matrices)
+cyclotomic  exact arithmetic in Z[zeta_N] on the power basis: sums and
+            integer multiples (no product of two values, no division,
+            no linear solving, no matrices)
 abelian     finite abelian groups in exponent coordinates: elements are
             plain exponent tuples, characters are AbChar
 tori        maximal torus types, their rational points T^F as a group,
@@ -15,9 +16,10 @@ tori        maximal torus types, their rational points T^F as a group,
 sheets      character value tables (built-in GL_1/GL_2 generators, JSON IO)
 recovery    expansion search of at most two terms (|W| <= 2 wherever the
             gate passes within the enumeration budget), class assembly,
-            unipotence, and the Gram audit, which expands its own <= 4x4
-            determinant; every answer is checked on the whole regular
-            locus, and the gate with the uncertainty bound makes it unique
+            unipotence, and the Gram audit, whose determinant is an
+            integer formula in |T^F| and the non-regular points; every
+            answer is checked on the whole regular locus, and the gate
+            with the uncertainty bound makes it unique
 cli         deterministic command line front end
 
 Each layer is imported on first use of one of its names here (PEP 562),
@@ -26,9 +28,9 @@ glchar.recovery or imports json.
 
 The independent cross-checks (norm/pullback class decider on the points
 at Frobenius level m, the Weyl-orbit walker, the Bareiss Gram
-determinant, the rational subset solver, the packed convolution, the
-GL_2 decomposition pattern, the dict form of a sheet file) live in the
-tests as oracles.
+determinant over Z[zeta_L], the rational subset solver, the packed
+product of two values, the GL_2 decomposition pattern, the dict form of
+a sheet file) live in the tests as oracles.
 """
 
 # the public names, by the layer that defines them

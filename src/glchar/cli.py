@@ -244,8 +244,10 @@ def cmd_gram(args) -> int:
             "q": spec.q,
             "torus": tt.label,
             "size": rep.size,
-            "level": rep.det.level,
-            "det": rep.det.to_triples(),
+            # det in the triple form of a value at the torus exponent:
+            # the integer is one constant term
+            "level": grp.exponent,
+            "det": [[rep.det, 1, 0]],
             "nonzero": rep.nonzero,
         })
     else:

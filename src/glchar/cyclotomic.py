@@ -16,8 +16,9 @@ Conventions used throughout:
   source level divides the target level).
 - Complex conjugation and inversion are deliberately absent:
   callers that need inverse root values invert on the group side
-  (s -> s^-1) instead.  There is no matrix type: the one determinant,
-  the Gram audit's (recovery.gram_independence), is expanded there.
+  (s -> s^-1) instead.  Values are multiplied by integers only: nothing
+  in the package multiplies two values, and the Gram audit's
+  determinant (recovery.gram_independence) is an integer formula.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-level tables: reduction rows for zeta^e and polynomial products."""
+    """Per-level table: the reduction rows of zeta^e."""
 
     __slots__ = ("N", "phi", "red")
 
@@ -94,15 +95,13 @@ class _Context:
         poly = cyclotomic_poly(N)
         phi = len(poly) - 1
         self.phi = phi
-        # red[e] = power-basis integer vector of zeta^e; e runs far enough to
-        # fold any schoolbook product (degree 2*phi-2) and any exponent mod N
+        # red[e] = power-basis integer vector of zeta^e, for 0 <= e < N
         top = tuple(-c for c in poly[:phi])  # x^phi = sum top[i] x^i
-        count = max(N, 2 * phi - 1)
         rows: list[tuple[int, ...]] = []
         cur = [0] * phi
         cur[0] = 1
         rows.append(tuple(cur))
-        for _ in range(1, count):
+        for _ in range(1, N):
             lead = cur[phi - 1]
             cur = [0] + cur[: phi - 1]
             if lead:
@@ -112,22 +111,6 @@ class _Context:
                         cur[i] += lead * t
             rows.append(tuple(cur))
         self.red = tuple(rows)
-
-    def mul_vec(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Product of two integer power-basis vectors, reduced mod Phi_N.
-
-        Schoolbook over the nonzero coefficients, then one fold of the
-        degree >= phi part through the reduction table.
-        """
-        phi = self.phi
-        prod = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        tail = _fold(self.red, zip(range(phi, 2 * phi - 1), prod[phi:]))
-        return list(map(add, prod, tail))
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +226,10 @@ class CycNum:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        # by an integer only: a product of two values is a TypeError
         if isinstance(other, int):
             return CycNum._raw(self.level, tuple(_scaled(self.num, other)))
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        vec = _context(self.level).mul_vec(self.num, other.num)
-        return CycNum._raw(self.level, tuple(vec))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -278,22 +258,8 @@ class CycNum:
     def __bool__(self):
         return not self.is_zero()
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, n in enumerate(self.num):
-            if not n:
-                continue
-            mag = abs(n)
-            z = f"z{self.level}" if i == 1 else f"z{self.level}^{i}"
-            body = str(mag) if i == 0 else z if mag == 1 else f"{mag}*{z}"
-            parts.append(("- " if n < 0 else "+ ") + body)
-        s = " ".join(parts)
-        return "-" + s[2:] if s.startswith("- ") else s[2:]
-
     def __repr__(self):
-        return f"CycNum({self.level}, {self})"
+        return f"CycNum({self.level}, {self.num})"
 
     # -- serialization: list of [numerator, 1, power] triples --
 

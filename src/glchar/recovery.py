@@ -85,8 +85,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import compress, count, repeat
-from operator import add, attrgetter, floordiv, mod, mul, sub
+from itertools import compress, count, product, repeat
+from operator import add, attrgetter, floordiv, mod, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .abelian import DEFAULT_BUDGET, AbChar, _Normalized, enumerate_chars
@@ -96,8 +96,10 @@ from .tori import (
     GeomClassId,
     GroupSpec,
     TorusType,
+    check_budget,
     check_q_condition,
     geom_class_id,
+    is_regular,
     points,
     regular_elements,
 )
@@ -787,11 +789,11 @@ def is_unipotent(sheet: CharacterSheet, label: str) -> bool:
 class GramReport(NamedTuple):
     torus: TorusType
     size: int
-    det: CycNum
+    det: int
 
     @property
     def nonzero(self) -> bool:
-        return not self.det.is_zero()
+        return self.det != 0
 
     def __bool__(self) -> bool:
         return self.nonzero
@@ -804,10 +806,27 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar]) -> GramReport:
     determinant certifies linear independence of the restrictions.  Two
     expansions of at most |W| terms differ by at most 2|W| characters, so
     that many are audited, and |W| <= 2 wherever the gate passes within
-    the enumeration budget: k <= 4.  G is symmetric (s -> s^-1 swaps i and
-    j), so each of its k(k+1)/2 distinct entries is counted once, and the
-    determinant is a division-free Laplace expansion memoized on the
-    remaining columns that skips zero entries, common off the diagonal.
+    the enumeration budget: k <= 4.
+
+    The determinant is an integer formula.  Let H be the non-regular
+    points of T^F.  The sum over regular s is the sum over T^F less the
+    sum over H.  The first is |T^F| [i = j], as the characters are
+    distinct.  The gate passes within the budget only for n <= 2, and
+    there H is empty in GL_1, where every point is regular, and the
+    subgroup of scalars F_q^* on either GL_2 torus (tests/test_tori.py
+    checks both).  So the second sum is |H| exactly when theta_i and
+    theta_j agree on H, and 0 otherwise:
+
+        G = |T^F| I - |H| J,  J[i][j] = 1 when theta_i = theta_j on H.
+
+    Grouping the characters by their restriction to H makes J block
+    diagonal, one all-ones block J_m per group of size m, and
+    det(a I_m - b J_m) = a^(m-1) (a - m b), as J_m has the eigenvalue m
+    once and 0 otherwise.  So det G is the product over the groups of
+    |T^F|^(m-1) (|T^F| - m |H|).  The gate gives |H| 2|W| < |T^F|, and
+    m <= k <= 2|W|, so every factor and the determinant are positive.
+    The points are walked once, lazily, to find H; no value of Z[zeta_L]
+    is built.
     """
     spec = T.spec
     _require_gate(spec)
@@ -821,29 +840,10 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar]) -> GramReport:
     for ch in chars:
         if ch.group != grp:
             raise ValueError("character is not on the torus points")
-    L = grp.exponent
-    cols = [[ch.value_exponent(e) for e in regular_elements(T)]
-            for ch in chars]
-    g = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            counts = Counter(map(mod, map(sub, cols[i], cols[j]), repeat(L)))
-            g[i][j] = g[j][i] = CycNum.from_terms(L, counts)
-
-    memo: dict[tuple[int, ...], CycNum] = {}
-
-    def det(rest: tuple[int, ...]) -> CycNum:
-        # expanded along row k - len(rest), over the columns in rest
-        row = g[k - len(rest)]
-        if len(rest) == 1:
-            return row[rest[0]]
-        if rest not in memo:
-            acc = CycNum.zero(L)
-            for t, c in enumerate(rest):
-                if not row[c].is_zero():
-                    term = row[c] * det(rest[:t] + rest[t + 1:])
-                    acc = acc - term if t % 2 else acc + term
-            memo[rest] = acc
-        return memo[rest]
-
-    return GramReport(T, k, det(tuple(range(k))))
+    check_budget(spec.n, spec.q)
+    H = [e for e in product(*map(range, grp.moduli)) if not is_regular(T, e)]
+    groups = Counter(tuple(map(ch.value_exponent, H)) for ch in chars)
+    order, h = grp.order, len(H)
+    det = math.prod(order ** (m - 1) * (order - m * h)
+                    for m in groups.values())
+    return GramReport(T, k, det)

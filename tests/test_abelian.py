@@ -21,6 +21,7 @@ from oracle_conjugacy import (
     orbit,
     pullback,
 )
+from oracle_product import mul
 
 
 def inverse(G, g):
@@ -71,7 +72,7 @@ def test_evaluate_inverse_element():
     G = FinAbGroup((5, 8))
     chi = G.char((2, 3))
     for g in [(1, 1), (4, 7), (3, 2)]:
-        assert (evaluate(chi, g) * evaluate(chi, inverse(G, g))
+        assert (mul(evaluate(chi, g), evaluate(chi, inverse(G, g)))
                 == root(G.exponent, 0))
 
 
@@ -180,7 +181,7 @@ def test_duality_and_orthogonality_exhaustive():
             for c2 in chars[:6]:
                 s = CycNum.zero(L)
                 for g in elts:
-                    s = s + evaluate(c1, g) * evaluate(c2, inverse(G, g))
+                    s = s + mul(evaluate(c1, g), evaluate(c2, inverse(G, g)))
                 expected = G.order if c1 == c2 else 0
                 assert s == expected
 
@@ -216,4 +217,5 @@ def test_evaluate_is_multiplicative(moduli, data):
     chi = G.char(tuple(data.draw(st.integers(0, m - 1)) for m in moduli))
     a = tuple(data.draw(st.integers(0, m - 1)) for m in moduli)
     b = tuple(data.draw(st.integers(0, m - 1)) for m in moduli)
-    assert evaluate(chi, multiply(G, a, b)) == evaluate(chi, a) * evaluate(chi, b)
+    assert evaluate(chi, multiply(G, a, b)) == mul(evaluate(chi, a),
+                                                   evaluate(chi, b))

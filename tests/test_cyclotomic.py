@@ -2,8 +2,10 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,8 @@ from glchar.cyclotomic import (
 )
 from glchar.recovery import gram_independence
 from glchar.tori import GroupSpec, enumerate_tori, points, regular_elements
+
+from oracle_product import mul, mul_packed
 
 
 # ---------------------------------------------------------------- oracles
@@ -107,7 +111,7 @@ def test_cyclotomic_poly_degree_and_root():
         zp = root(N, 0)
         for c in poly:
             acc = acc + c * zp
-            zp = zp * z
+            zp = mul(zp, z)
         assert acc.is_zero()
 
 
@@ -115,7 +119,7 @@ def test_root_basics():
     assert root(4, 2) == -1
     s = root(3, 0) + root(3, 1) + root(3, 2)
     assert s.is_zero()
-    assert root(5, 3) * root(5, 4) == root(5, 2)
+    assert mul(root(5, 3), root(5, 4)) == root(5, 2)
 
 
 def test_root_periodicity():
@@ -130,7 +134,7 @@ def test_mul_hand_oracle_level5():
     a = root(5, 0) + root(5, 1)
     b = root(5, 0) + root(5, 4)
     expected = CycNum.from_terms(5, {0: 2, 1: 1, 4: 1})
-    assert a * b == expected
+    assert mul(a, b) == expected
 
 
 def test_rational_helpers():
@@ -157,8 +161,11 @@ def test_rational_helpers():
 def test_level_mismatch_rejected():
     with pytest.raises(LevelMismatchError):
         root(3, 1) + root(4, 1)
-    with pytest.raises(LevelMismatchError):
+    # values multiply by integers only, at any level
+    with pytest.raises(TypeError):
         root(3, 1) * root(6, 1)
+    with pytest.raises(TypeError):
+        root(3, 1) * root(3, 1)
     with pytest.raises(LevelMismatchError):
         root(3, 1) == root(6, 2)
 
@@ -176,10 +183,10 @@ def test_str_and_triples_roundtrip():
     t = x.to_triples()
     assert t == [[2, 1, 0], [-3, 1, 2]]
     assert CycNum.from_triples(12, t) == x
-    assert str(x) == "2 - 3*z12^2"
-    assert str(-root(12, 1)) == "-z12"
-    assert str(CycNum.zero(5)) == "0"
-    assert str(root(5, 0)) == "1"
+    assert repr(x) == "CycNum(12, (2, 0, -3, 0))"
+    assert repr(-root(12, 1)) == "CycNum(12, (0, -1, 0, 0))"
+    assert repr(CycNum.zero(5)) == "CycNum(5, (0, 0, 0, 0))"
+    assert repr(root(5, 0)) == str(root(5, 0)) == "CycNum(5, (1, 0, 0, 0))"
     with pytest.raises(ValueError):
         CycNum.from_triples(4, [[1, 1, 7]])  # power outside basis
     # the middle slot is a denominator, and values lie in Z[zeta_N]
@@ -215,18 +222,18 @@ def test_field_axioms(xyz):
     x, y, z = xyz
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
-    assert (x * y) * z == x * (y * z)
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, y) == mul(y, x)
+    assert mul(x, y + z) == mul(x, y) + mul(x, z)
     assert (x + (-x)).is_zero()
-    assert x * root(x.level, 0) == x
+    assert mul(x, root(x.level, 0)) == x
 
 
 @given(cycnum_triples())
 def test_lift_is_ring_embedding(xyz):
     x, y, _ = xyz
     M = x.level * 3
-    assert (x * y).lift(M) == x.lift(M) * y.lift(M)
+    assert mul(x, y).lift(M) == mul(x.lift(M), y.lift(M))
     assert (x + y).lift(M) == x.lift(M) + y.lift(M)
     assert (x.lift(M) == y.lift(M)) == (x == y)
 
@@ -260,43 +267,6 @@ def test_from_triples_takes_plain_ints_only():
             CycNum.from_triples(4, [bad])
 
 
-def mul_packed(N, a, b):
-    """Oracle product of two power-basis vectors at level N: one big-integer
-    multiplication by Kronecker substitution, then long division by Phi_N."""
-    phi = len(a)
-    amax = max(max(a), -min(a))
-    bmax = max(max(b), -min(b))
-    B = (phi * amax * bmax).bit_length() + 2
-    xa = sum(c << (i * B) for i, c in enumerate(a))
-    xb = sum(c << (i * B) for i, c in enumerate(b))
-    x = xa * xb
-    full = 1 << B
-    prod = []
-    for _ in range(2 * phi - 1):
-        # balanced digits with borrow propagation
-        d = x & (full - 1)
-        if d >= full >> 1:
-            d -= full
-        x = (x - d) >> B
-        prod.append(d)
-    assert x == 0, "packed convolution leaked digits"
-    poly = cyclotomic_poly(N)
-    for i in range(len(prod) - 1, phi - 1, -1):
-        c = prod[i]
-        for j in range(phi + 1):
-            prod[i - phi + j] -= c * poly[j]
-    return prod[:phi]
-
-
-@given(st.sampled_from(LEVELS), st.data())
-def test_packed_convolution_matches_schoolbook(N, data):
-    ctx = _context(N)
-    vec = st.lists(st.integers(-50, 50), min_size=ctx.phi, max_size=ctx.phi)
-    a = data.draw(vec)
-    b = data.draw(vec)
-    assert ctx.mul_vec(a, b) == mul_packed(N, a, b)
-
-
 # ------------------------------------------------------------- matrices
 
 def _int_vec_inverse(ctx, vec):
@@ -314,8 +284,8 @@ def _int_vec_inverse(ctx, vec):
                         rj = row[j]
                         if rj:
                             conj[j] += c * rj
-            prod_t = tuple(ctx.mul_vec(prod_t, conj))
-    nrm = ctx.mul_vec(prod_t, vec)
+            prod_t = tuple(mul_packed(N, prod_t, conj))
+    nrm = mul_packed(N, prod_t, vec)
     if any(nrm[1:]):
         raise ArithmeticError("norm not rational")
     r = nrm[0]
@@ -350,10 +320,11 @@ def det_bareiss(level, rows):
             inv_num, inv_den = _int_vec_inverse(ctx, prev)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = [x - y for x, y in zip(ctx.mul_vec(pivot, mat[i][j]),
-                                             ctx.mul_vec(mat[i][k], mat[k][j]))]
+                num = [x - y for x, y in zip(
+                    mul_packed(level, pivot, mat[i][j]),
+                    mul_packed(level, mat[i][k], mat[k][j]))]
                 if prev is not None:
-                    num = ctx.mul_vec(num, inv_num)
+                    num = mul_packed(level, num, inv_num)
                     if any(v % inv_den for v in num):
                         raise ArithmeticError("inexact Bareiss division")
                     num = [v // inv_den for v in num]
@@ -366,26 +337,41 @@ def det_bareiss(level, rows):
     return CycNum(level, vec)
 
 
-@pytest.mark.parametrize("n,q", [(2, 11), (2, 13), (1, 7)])
+@pytest.mark.parametrize("n,q", [(2, 11), (2, 13), (2, 16), (1, 7)])
 def test_gram_det_agrees_with_bareiss(n, q):
     # the Gram matrix built here from value exponents, for k = 1..2|W|
-    # characters on every torus; each torus gives zero entries (a pair
-    # whose ratio is non-trivial on the non-regular points), which the
-    # Laplace expansion skips
+    # characters on every torus: the first k, the first k of a largest
+    # set that agrees on the non-regular points H, and six random
+    # k-subsets.  Between them every group size m = 1..2|W| of the closed
+    # form occurs, and each torus gives zero entries (a pair whose ratio
+    # is non-trivial on H); q = 16 has characteristic 2
     rng = random.Random(q)
     spec = GroupSpec(n, q)
     for tt in enumerate_tori(spec):
         grp = points(tt)
         chars = list(enumerate_chars(grp))
         regular = list(regular_elements(tt))
-        zeros = False
+        H = sorted(set(product(*map(range, grp.moduli))) - set(regular))
+
+        def on_h(ch):
+            return tuple(ch.value_exponent(h) for h in H)
+
+        classes = {}
+        for ch in chars:
+            classes.setdefault(on_h(ch), []).append(ch)
+        agree = max(classes.values(), key=len)
+        zeros, sizes = False, set()
         for k in range(1, 2 * spec.weyl_order + 1):
-            for sub in [chars[:k]] + [rng.sample(chars, k) for _ in range(6)]:
+            subs = [chars[:k], agree[:k]]
+            for sub in subs + [rng.sample(chars, k) for _ in range(6)]:
                 exps = [[ch.value_exponent(e) for e in regular] for ch in sub]
                 rows = [[CycNum.from_terms(grp.exponent,
                                            [(a - b, 1) for a, b in zip(x, y)])
                          for y in exps] for x in exps]
                 zeros |= any(g.is_zero() for row in rows for g in row)
-                assert gram_independence(tt, sub).det == det_bareiss(
-                    grp.exponent, rows)
+                sizes |= set(Counter(map(on_h, sub)).values())
+                det = gram_independence(tt, sub).det
+                assert det > 0
+                assert det == det_bareiss(grp.exponent, rows)
         assert zeros
+        assert sizes == set(range(1, 2 * spec.weyl_order + 1))

@@ -53,6 +53,16 @@ ALLOWED = {
         "library API; sheet values share one level, so only library calls "
         "with mixed-level values lift (test_cyclotomic, and "
         "test_recovery::test_mixed_level_values_are_lifted)",
+    "cyclotomic.CycNum.from_terms":
+        "library API; a value from (exponent, coefficient) terms. The Gram "
+        "audit is an integer formula, so no command builds one; the "
+        "oracles of six test files do",
+    "cyclotomic.CycNum.is_zero":
+        "library API; no command tests a value for zero since the Gram "
+        "audit became an integer formula (test_cyclotomic, test_recovery)",
+    "cyclotomic._require_int":
+        "the coefficient check of the CycNum constructor and of from_terms, "
+        "which only library calls reach (test_cyclotomic)",
     "sheets.validate_sheet":
         "library API; the check of a sheet made or edited in memory. The "
         "loader runs its header pass before any value is parsed and its "

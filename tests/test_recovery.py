@@ -457,9 +457,15 @@ def test_value_memo_lives_on_the_sheet():
 
 
 def twist(f, ttype, cexps, level=120):
-    """f times the character theta_cexps, pointwise."""
-    theta = char_fn(ttype, [(cexps, 1)], level)
-    return {e: v * theta[e] for e, v in f.items()}
+    """f times the character theta_cexps, pointwise: theta(e) is a root
+    zeta^x, so each power-basis term n zeta^i of f(e) moves to
+    n zeta^(i + x)."""
+    grp = points(ttype)
+    theta, scale = AbChar(grp, cexps), level // grp.exponent
+    return {e: CycNum.from_terms(level, (
+                (i + scale * theta.value_exponent(e), n)
+                for i, n in enumerate(v.num)))
+            for e, v in f.items()}
 
 
 @settings(max_examples=30, deadline=None)
@@ -931,7 +937,7 @@ def test_gram_off_diagonal_entry_is_sum_over_locus():
         g21 = g21 + root(120, 11 * a - a)
     assert g12 == g21 == -10
     rep = gram_independence(ELL11, [grp.char((1,)), grp.char((11,))])
-    assert rep.det == len(regs) ** 2 - g12 * g21
+    assert rep.det == len(regs) ** 2 - 100
 
 
 def test_gram_four_subset_nonzero():
@@ -949,6 +955,22 @@ def test_gram_input_validation():
     bad = points(ELL11).char((1,))
     with pytest.raises(ValueError, match="torus points"):
         gram_independence(SPLIT11, [bad])
+
+
+def test_gram_builds_no_cyclotomic_context():
+    # the determinant is an integer formula, so no table of Z[zeta_L] is
+    # built: not at level 9,408 for the elliptic torus of q = 97, nor at
+    # level 65,535 for GL_1 at q = 65,536, a table of 65,535 rows of
+    # phi = 32,768 ints
+    ell97 = TorusType(GroupSpec(2, 97), (2,))
+    gl1 = TorusType(GroupSpec(1, 65536), (1,))
+    for tt, cexps, det in [(ell97, [0, 1, 5, 7], (9408 - 96) ** 4),
+                           (gl1, [0, 1], 65535 ** 2)]:
+        grp = points(tt)
+        before = _context.cache_info().currsize
+        rep = gram_independence(tt, [grp.char((c,)) for c in cexps])
+        assert _context.cache_info().currsize == before, tt
+        assert rep.det == det
 
 
 # -- verify_dl_consistency ----------------------------------------------------

@@ -38,6 +38,7 @@ from glchar.tori import (
 import oracle_dixon
 import oracle_formulas
 from oracle_conjugacy import weyl_orbit
+from oracle_product import mul
 from oracle_sheet_dict import sheet_to_dict_v2, v2_text
 
 
@@ -548,7 +549,7 @@ def test_restricted_orthogonality_bound():
         vals = r.values[sp.blocks]
         acc = CycNum.zero(sheet.zeta_level)
         for (i, j), v in vals.items():
-            acc = acc + v * vals[((-i) % (q - 1), (-j) % (q - 1))]
+            acc = acc + mul(v, vals[((-i) % (q - 1), (-j) % (q - 1))])
         assert not any(acc.num[1:])
         assert 0 <= acc.num[0] <= group_order
 

@@ -123,6 +123,32 @@ def test_regular_elements_counts():
     assert regular_elements(split2(q))[0] == (0, 1)
 
 
+def test_non_regular_points_form_a_subgroup_wherever_the_gate_passes():
+    # the premise of the Gram audit's closed form: on every torus of every
+    # gated GL_2 with q <= 64 the non-regular points H contain 0 and are
+    # closed under addition modulo the moduli, so H is a subgroup (the
+    # scalars, q - 1 points); in GL_1 every point is regular, H is empty
+    checked = 0
+    for q in filter(is_prime_power, range(2, 65)):
+        spec = GroupSpec(2, q)
+        if not check_q_condition(spec).ok:
+            continue
+        for tt in enumerate_tori(spec):
+            moduli = points(tt).moduli
+            H = {e for e in product(*map(range, moduli))
+                 if not is_regular(tt, e)}
+            assert (0,) * len(moduli) in H and len(H) == q - 1, tt
+            for a in H:
+                for b in H:
+                    assert tuple((x + y) % m for x, y, m
+                                 in zip(a, b, moduli)) in H, (tt, a, b)
+            checked += 1
+    assert checked == 2 * 20  # q = 11, 13, 16, ..., 61, 64
+    for q in (2, 7, 16, 1024):
+        tt = TorusType(GroupSpec(1, q), (1,))
+        assert len(regular_elements(tt)) == points(tt).order == q - 1
+
+
 def test_rs_ratio_closed_forms():
     for q in (3, 5, 7, 9, 11, 13, 16):
         assert rs_ratio(split2(q)) == Fraction(1, q - 1)

@@ -70,7 +70,7 @@ VALUES = {
     "GramReport": (
         lambda: gram_independence(GL1, [theta(GL1, 0)]),
         "GramReport(torus=TorusType(spec=GroupSpec(n=1, q=5), "
-        "blocks=(1,)), size=1, det=CycNum(4, 4))"),
+        "blocks=(1,)), size=1, det=4)"),
 }
 
 
