@@ -33,7 +33,7 @@ checks step 2 on every gated GL_1 and GL_2 up to q = 64.
 
 Performance note: the subset scan dominates.  Subsets are screened with
 pure integer arithmetic on shifted value vectors f(s) * zeta^{-theta_a(s)},
-memoized once per call and shared by the one- and two-term scans.  A shift
+memoized once per search and shared by the one- and two-term scans.  A shift
 next to a cached one at the same sample is one companion step, O(phi),
 instead of a fold, O(nnz * phi) (see _shifter).  The two-term scan does
 not walk all K(K-1)/2 pairs: for each first character a, the sample
@@ -56,28 +56,28 @@ lies in both, and chi(g) = chi(gx) / chi(x) = 1.  Under the density gate
 the regular locus is such a set, so every non-trivial character moves on
 it, and any two characters differ there.
 
-Many rows restrict to twists of one function on a torus: f' = f theta_c
-for a torus character theta_c (at q = 13 the 336 torus inputs of the
-sheet fall into 18 such classes).  Multiplying by theta_c is a bijection
-on functions on the regular locus that maps expansions with at most two
-terms onto expansions with at most two terms, so f' has exactly one short
-expansion, E(f) theta_c, exactly when f has one.  recover_E therefore
-keeps one memo on the CharacterSheet instance: for each (T, level), the
-twists, and the expected values that verify them.  Each searched
-expansion is indexed by (s*, hash of f(s*) zeta^x) for every exponent x
-that the characters take at s*, the first regular sample with f(s*) != 0
-(a twist keeps the zero set; the zero function is kept under None).  A
-lookup of f' tries E theta_c for each character with theta_c(s*) = x and
-accepts it only if it matches f' on every regular element, so a hash
-collision costs a rejected candidate, never a wrong answer, and the memo
-holds no value vectors.  A verified hit E theta_c has at most |W| terms
-and matches f' on the whole locus, so by the theorem above it is the
-unique short expansion of f'.  A miss runs sparse_decompose, which itself
-keeps no memo.  The memo lives and dies with its sheet, and errors are not
-kept.  The expected values are _verify's memo: twists of one expansion
-expect the same values again and again.  A sheet's value table is prepared once
-per torus and kept on the table (_prepare): at q = 23, preparing it for
-each of the 1,056 torus inputs took a third of the whole recovery.
+Many rows restrict to twists of one function on a torus: f' = f theta_c for
+a torus character theta_c (at q = 13 the 336 torus inputs of the sheet fall
+into 18 such classes).  Multiplying by theta_c is a bijection on functions
+on the regular locus that maps expansions with at most two terms onto
+expansions with at most two terms, so f' has exactly one short expansion,
+E(f) theta_c, exactly when f has one.  recover_E therefore keeps one memo on
+the CharacterSheet instance: for each (T, level), the twists, and the
+expected values that verify them.  Each searched expansion is indexed by
+(s*, hash of f(s*) zeta^x) for every exponent x that the characters take at
+s*, the first regular sample with f(s*) != 0 (a twist keeps the zero set;
+the zero function is never looked up).  A lookup of f' tries E theta_c for
+each character with theta_c(s*) = x and accepts it only if it matches f' on
+every regular element, so a hash collision costs a rejected candidate, never
+a wrong answer, and the memo holds no value vectors.  A verified hit E
+theta_c has at most |W| terms and matches f' on the whole locus, so by the
+theorem above it is the unique short expansion of f'.  A miss runs _search
+with one shifter, which then makes the new entry's keys, and with the
+expected values as _verify's memo: twists and later searches expect the same
+values again and again.  The memo lives and dies with its sheet; errors are
+not kept.  A sheet's value table is prepared once per torus and kept on the
+table (_prepare): at q = 23, preparing it for each of the 1,056 torus inputs
+took a third of the whole recovery.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ from .tori import (
     is_regular,
     points,
     regular_elements,
+    rs_ratio,
 )
 
 __all__ = [
@@ -413,7 +414,7 @@ def _solver(ttype: TorusType, level: int) -> _TorusSolver:
 def _shifter(solver: _TorusSolver, fvec):
     """shift(s, e) = f(s) * zeta^-e, memoized for one input function.
 
-    One decomposition shares it between the one- and two-term scans.  On
+    One search shares it between its scans and its twist-memo keys.  On
     the split torus theta_a(s) takes q - 1 values, so K characters cost
     only q - 1 products per sample.  A shift whose neighbour e - 1 at the
     same sample is cached costs one companion step, O(phi): coordinates
@@ -453,8 +454,8 @@ def _verify(solver: _TorusSolver, fvec, idxs, coeffs, memo: dict) -> bool:
     by `is`, then `==`; an equal compare stores f(s) itself.  An entry
     always holds the value its key names, so a rejected compare leaves
     nothing that accepts later.  One memo serves one (torus, level), as
-    red depends on the level: recover_E keeps it on the sheet, each scan
-    makes its own, and none is module-level or on the cached solver.
+    red depends on the level: recover_E keeps one on the sheet, for twists
+    and scans alike, and none is module-level or on the cached solver.
     """
     red, ca, cb = solver.red, coeffs[0], coeffs[-1]
     ea = solver.exps(idxs[0])
@@ -475,12 +476,9 @@ def _verify(solver: _TorusSolver, fvec, idxs, coeffs, memo: dict) -> bool:
     return True
 
 
-def _scan_singles(solver: _TorusSolver, fvec, cap: int,
-                  shift=None) -> list[tuple[int, int]]:
+def _scan_singles(solver: _TorusSolver, fvec, shift, memo: dict,
+                  cap: int) -> list[tuple[int, int]]:
     """The first cap valid one-term expansions (index, coefficient)."""
-    if shift is None:
-        shift = _shifter(solver, fvec)
-    memo: dict = {}  # of _verify, for this call
     hits: list[tuple[int, int]] = []
     for ia, e in enumerate(solver.col(0)):
         g0 = shift(0, e)
@@ -521,8 +519,8 @@ def _pivot_screen(solver: _TorusSolver, shift, ia: int, di: int, s1: int,
     return ca, cb
 
 
-def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
-                shift=None) -> list[tuple[int, int, int, int]]:
+def _scan_pairs(solver: _TorusSolver, fvec, shift, memo: dict,
+                cap: int | None = None) -> list[tuple[int, int, int, int]]:
     """The first cap (None: all) valid two-term expansions (ia, ib, ca, cb).
 
     For a first character a, every valid pair satisfies, at each sample s,
@@ -543,12 +541,9 @@ def _scan_pairs(solver: _TorusSolver, fvec, cap: int | None = None,
     satisfies, so every pair matching the sample equations is enumerated;
     each one is then verified on the whole locus.  The hit list is exactly
     that of the pairwise scan (tests/test_pair_oracle.py compares them);
-    sparse_decompose takes the first hit, which by the uncertainty bound is
-    the only one (module docstring).
+    _search takes the first hit, which by the uncertainty bound is the only
+    one (module docstring).
     """
-    if shift is None:
-        shift = _shifter(solver, fvec)
-    memo: dict = {}  # of _verify, for this call
     red, pin, dirs, exp_of = solver.red, solver.pin, solver.dirs, solver.exp_of
     rest = [(s, solver.col(s)) for s in solver.sep[1:]]
     # case-1 candidates (d, ca, cb) by the exponent theta_a(s0); None marks
@@ -651,6 +646,23 @@ def _prepare(f: Mapping[tuple[int, ...], CycNum],
             next(compress(count(), map(nonzero.__getitem__, idx)), None))
 
 
+def _search(solver: _TorusSolver, fvec, shift,
+            memo: dict) -> tuple[tuple[int, int], ...]:
+    """The first verified expansion of a nonzero f, by the one-term and
+    then the two-term scan, as (index, coefficient) pairs; the scans share
+    shift and memo (_verify's).  NoExpansionError if neither finds one."""
+    for ia, c in _scan_singles(solver, fvec, shift, memo, 1):
+        return ((ia, c),)
+    T = solver.ttype
+    bound = min(T.spec.weyl_order, len(solver.chars))
+    if bound >= 2:
+        for ia, ib, ca, cb in _scan_pairs(solver, fvec, shift, memo, 1):
+            return ((ia, ca), (ib, cb))
+    raise NoExpansionError(
+        f"no expansion with at most {bound} nonzero integer terms "
+        f"matches the function on torus {T.label} at q = {T.spec.q}")
+
+
 def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
                      T: TorusType) -> Expansion:
     """The unique expansion of f as <= min(|W|, K) nonzero integer
@@ -679,18 +691,8 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
     if s is None:
         return Expansion(T, ())
     solver = _solver(T, level)
-    bound = min(spec.weyl_order, len(solver.chars))
-
-    shift = _shifter(solver, fvec)
-    hits = [((ia, c),) for ia, c in _scan_singles(solver, fvec, 1, shift)]
-    if not hits and bound >= 2:
-        hits = [((ia, ca), (ib, cb)) for ia, ib, ca, cb in
-                _scan_pairs(solver, fvec, 1, shift)]
-    if not hits:
-        raise NoExpansionError(
-            f"no expansion with at most {bound} nonzero integer terms "
-            f"matches the function on torus {T.label} at q = {spec.q}")
-    return Expansion(T, tuple((solver.chars[i], c) for i, c in hits[0]))
+    terms = _search(solver, fvec, _shifter(solver, fvec), {})
+    return Expansion(T, tuple((solver.chars[i], c) for i, c in terms))
 
 
 # -- the twist memo -----------------------------------------------------------
@@ -701,20 +703,17 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
 
     memo maps (T, level) to (twists, expected).  twists maps (s*, hash of
     f(s*) zeta^x) to the (x, indices, coefficients) of every searched
-    expansion, and None to the empty expansion of the zero function
-    (module docstring).  A candidate E theta_c is accepted only after
-    _verify has checked it on every regular element, with expected as its
-    memo; it is then the unique short expansion, as a searched one is.  A
-    miss runs the search through the module global, so a wrapper sees
-    every search; errors are not stored, and an input _prepare refuses
-    stores nothing.
+    expansion (module docstring).  A candidate E theta_c is accepted only
+    after _verify has checked it on every regular element, with expected
+    as its memo; it is then the unique short expansion, as a searched one
+    is.  A miss runs _search with expected and one shifter, which then
+    indexes the new entry; errors and inputs _prepare refuses store
+    nothing.  The caller checks the gate; a sheet has n <= 2, so |W| <= 2.
     """
     level, fvec, s = _prepare(f, T)
-    twists, expected = memo.setdefault((T, level), ({}, {}))
     if s is None:
-        if None not in twists:
-            twists[None] = sparse_decompose(f, T)
-        return twists[None]
+        return Expansion(T, ())
+    twists, expected = memo.setdefault((T, level), ({}, {}))
     solver = _solver(T, level)
     at = solver.at(s)
     for x, idxs, coeffs in twists.get((s, hash(fvec[s])), ()):
@@ -723,15 +722,14 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
             if _verify(solver, fvec, twisted, coeffs, expected):
                 return Expansion(T, tuple(
                     (solver.chars[i], co) for i, co in zip(twisted, coeffs)))
-    e = sparse_decompose(f, T)
-    entry = (tuple(solver.chars.index(th) for th, _ in e.terms),
-             tuple(co for _, co in e.terms))
-    # f(s*) zeta^x = shift(s*, k), k = -x mod N, for the x taken at s*
     shift = _shifter(solver, fvec)
+    terms = _search(solver, fvec, shift, expected)
+    entry = tuple(zip(*terms))  # (indices, coefficients)
+    # f(s*) zeta^x = shift(s*, k), k = -x mod N, for the x taken at s*
     for k in sorted(-x % level for x in at):
         twists.setdefault((s, hash(shift(s, k))), []).append(
             (-k % level, *entry))
-    return e
+    return Expansion(T, tuple((solver.chars[i], co) for i, co in terms))
 
 
 # -- assembled operations ---------------------------------------------------
@@ -740,7 +738,7 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
               jobs: int = 1) -> RecoveryReport:
     """Per-torus expansions of one row, with the shared geometric class.
 
-    Each torus runs the search of sparse_decompose, or takes a verified
+    Each torus runs _search, as sparse_decompose does, or takes a verified
     twist of an expansion that search found earlier on this sheet.  Either
     answer matches the row on every regular element and has at most |W|
     terms (a twist has the length of what it twists), so it is the unique
@@ -825,8 +823,8 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar]) -> GramReport:
     once and 0 otherwise.  So det G is the product over the groups of
     |T^F|^(m-1) (|T^F| - m |H|).  The gate gives |H| 2|W| < |T^F|, and
     m <= k <= 2|W|, so every factor and the determinant are positive.
-    The points are walked once, lazily, to find H; no value of Z[zeta_L]
-    is built.
+    H is found by one lazy walk of the points, or is empty with no walk
+    when rs_ratio is 0 (GL_1); no value of Z[zeta_L] is built.
     """
     spec = T.spec
     _require_gate(spec)
@@ -841,7 +839,8 @@ def gram_independence(T: TorusType, chars: Sequence[AbChar]) -> GramReport:
         if ch.group != grp:
             raise ValueError("character is not on the torus points")
     check_budget(spec.n, spec.q)
-    H = [e for e in product(*map(range, grp.moduli)) if not is_regular(T, e)]
+    H = [e for e in product(*map(range, grp.moduli))
+         if not is_regular(T, e)] if rs_ratio(T) else []
     groups = Counter(tuple(map(ch.value_exponent, H)) for ch in chars)
     order, h = grp.order, len(H)
     det = math.prod(order ** (m - 1) * (order - m * h)

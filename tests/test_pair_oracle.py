@@ -43,12 +43,13 @@ def solver_input(values, tt):
 
 def assert_same_hits(values, tt, reference=None):
     solver, fvec = solver_input(values, tt)
-    hits = _scan_pairs(solver, fvec)
+    hits = _scan_pairs(solver, fvec, _shifter(solver, fvec), {})
     if reference is None:
         reference = scan_pairs_reference(solver, fvec)
     assert hits == reference
-    # the capped scan, as sparse_decompose runs it
-    assert _scan_pairs(solver, fvec, 1) == hits[:1]
+    # the capped scan, as _search runs it
+    capped = _scan_pairs(solver, fvec, _shifter(solver, fvec), {}, 1)
+    assert capped == hits[:1]
     return solver, fvec, hits
 
 

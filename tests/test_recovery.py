@@ -25,6 +25,7 @@ from glchar.recovery import (
     _TorusSolver,
     _scan_pairs,
     _scan_singles,
+    _shifter,
     _solver,
     gram_independence,
     is_unipotent,
@@ -302,46 +303,45 @@ def test_planted_violation_spares_other_rows_and_fails_the_loader():
 # -- per-sheet memo ------------------------------------------------------------
 
 def counting(monkeypatch):
-    """Wrap sparse_decompose so each real search is logged."""
+    """Wrap _search so each real search is logged."""
     calls = []
-    real = recovery.sparse_decompose
+    real = recovery._search
 
-    def wrapper(f, T, **kw):
-        calls.append((T, len(f)))
-        return real(f, T, **kw)
+    def wrapper(solver, fvec, shift, memo):
+        calls.append((solver.ttype, len(fvec)))
+        return real(solver, fvec, shift, memo)
 
-    monkeypatch.setattr(recovery, "sparse_decompose", wrapper)
+    monkeypatch.setattr(recovery, "_search", wrapper)
     return calls
 
 
-@pytest.mark.parametrize("q, searches", [(11, 16), (13, 18)])
+@pytest.mark.parametrize("q, searches", [(11, 14), (13, 16)])
 def test_sheet_memo_matches_fresh_sheet_per_row(monkeypatch, q, searches):
     sheet = build_gl2_sheet(q)
     calls = counting(monkeypatch)
     whole = [recover_E(sheet, lab) for lab in sheet.labels()]
-    # one search per twist class of (torus, function) inputs
+    # one search per twist class of nonzero (torus, function) inputs; the
+    # zero function is the empty expansion with no search
     assert len(calls) == searches
     assert len(sheet.rows) * len(sheet.tori) == {11: 240, 13: 336}[q]
     # one (twists, expected) per (torus, level); each search is stored
-    # once: the zero function under None, any other expansion under the
-    # rotations (s*, v) of its first nonzero value
+    # once, under the rotations (s*, v) of its first nonzero value
     memo = vars(sheet)["_memo"]
     assert set(memo) == {(tt, sheet.zeta_level) for tt in sheet.tori}
     twists = [t for t, _ in memo.values()]
     stored = {(id(t), k[0], entry[1:]) for t in twists
-              for k, entries in t.items() if k is not None
-              for entry in entries}
-    assert len(stored) + sum(None in t for t in twists) == searches
-    assert all(k is None or len(k) == 2 for t in twists for k in t)
+              for k, entries in t.items() for entry in entries}
+    assert len(stored) == searches
+    assert all(len(k) == 2 for t in twists for k in t)
     for lab, rep in zip(sheet.labels(), whole):
         # a new instance per row carries an empty memo, so every torus runs
-        # its own search
+        # its own search, but for the zero function
         fresh = CharacterSheet(sheet.spec, sheet.zeta_level, sheet.tori,
                                sheet.rows)
         assert "_memo" not in vars(fresh)
         del calls[:]
         assert recover_E(fresh, lab) == rep
-        assert len(calls) == len(sheet.tori)
+        assert len(calls) == sum(e.m > 0 for e in rep.expansions)
 
 
 @pytest.mark.parametrize("change", ["extra", "missing"])
@@ -370,12 +370,13 @@ def test_memo_never_serves_a_different_domain(monkeypatch, change):
 def test_two_sheets_do_not_share_a_memo(monkeypatch):
     first, second = build_gl2_sheet(11), build_gl2_sheet(11)
     calls = counting(monkeypatch)
+    # principal:2,5 is zero on the elliptic torus: one search a sheet
     rep = recover_E(first, "principal:2,5")
     assert recover_E(first, "principal:2,5") == rep
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert "_memo" not in vars(second)
     assert recover_E(second, "principal:2,5") == rep
-    assert len(calls) == 4
+    assert len(calls) == 2
     one, two = vars(first)["_memo"], vars(second)["_memo"]
     assert one is not two and set(one) == set(two)
     assert all(x is not y for key in one for x, y in zip(one[key], two[key]))
@@ -456,6 +457,36 @@ def test_value_memo_lives_on_the_sheet():
     assert all(theirs[k][1] is not memo[k][1] for k in theirs)
 
 
+def test_one_shifter_per_search(monkeypatch):
+    # a miss searches and then indexes its entry with one shifter; a twist
+    # hit and the zero function make none.  The q=13 sheet runs 16
+    # searches (test_sheet_memo_matches_fresh_sheet_per_row)
+    sheet = build_gl2_sheet(13)
+    made = []
+    real = recovery._shifter
+    monkeypatch.setattr(recovery, "_shifter",
+                        lambda *a: made.append(1) or real(*a))
+    for lab in sheet.labels():
+        recover_E(sheet, lab)
+    assert len(made) == 16
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_expected_memo_holds_the_values_its_keys_name(q):
+    # the scans and the twist checks write into one memo per (T, level):
+    # every entry is c_a zeta^{theta_a} (+ c_b zeta^{theta_b}) for its key
+    sheet = build_gl2_sheet(q)
+    for lab in sheet.labels():
+        recover_E(sheet, lab)
+    for (tt, level), (_, expected) in vars(sheet)["_memo"].items():
+        red = _context(level).red
+        assert any(len(k) == 4 for k in expected), tt.label
+        for key, v in expected.items():
+            ca, cb, ta, tb = key if len(key) == 4 else (key[0], 0, key[1], 0)
+            assert v == tuple(a * ca + b * cb
+                              for a, b in zip(red[ta], red[tb])), key
+
+
 def twist(f, ttype, cexps, level=120):
     """f times the character theta_cexps, pointwise: theta(e) is a root
     zeta^x, so each power-basis term n zeta^i of f(e) moves to
@@ -505,17 +536,17 @@ def test_twist_memo_zero_function(monkeypatch, ttype):
     zero = {e: CycNum.zero(120) for e in regs}
     memo = {}
     calls = counting(monkeypatch)
+    # the empty expansion at once: no search, and nothing stored
     first = recovery._memo_decompose(memo, zero, ttype)
-    assert first.m == 0 and len(calls) == 1
-    assert memo[ttype, 120][0] == {None: first}
+    assert first == Expansion(ttype, ()) and calls == [] and memo == {}
     assert recovery._memo_decompose(memo, dict(zero), ttype) == first
-    assert len(calls) == 1
+    assert calls == [] and memo == {}
     one_point = dict(zero)
     one_point[regs[-1]] = root(120, 0)
     with pytest.raises(NoExpansionError):
         recovery._memo_decompose(memo, one_point, ttype)
-    assert len(calls) == 2
-    assert memo[ttype, 120][0] == {None: first}
+    assert len(calls) == 1
+    assert memo[ttype, 120][0] == {}
 
 
 def vanishing_rows(q):
@@ -676,7 +707,7 @@ def test_sparse_decompose_reuses_the_prepared_table():
 
 
 def test_memo_miss_prepares_once(monkeypatch):
-    # the search a miss runs reads the entry _memo_decompose just made: the
+    # the search a miss runs reads what _memo_decompose just prepared: the
     # table is passed over as often as by one preparation
     sheet = build_gl2_sheet(11)
     view = sheet.row("principal:2,5").values[SPLIT11.blocks]
@@ -709,9 +740,10 @@ def test_reference_agrees_on_all_small_subsets():
     for planted in ([((1,), 2)], [((2,), 1), ((4,), -3)], []):
         f = char_fn(tt, planted)
         fvec = [f[e].num for e in solver.regs]
-        singles = dict((ia, c) for ia, c in _scan_singles(solver, fvec, K))
-        pairs = {(a, b): (ca, cb)
-                 for a, b, ca, cb in _scan_pairs(solver, fvec)}
+        singles = dict(_scan_singles(solver, fvec, _shifter(solver, fvec),
+                                     {}, K))
+        pairs = {(a, b): (ca, cb) for a, b, ca, cb in
+                 _scan_pairs(solver, fvec, _shifter(solver, fvec), {})}
         for ia in range(K):
             ref = solve_subset_reference(solver, fvec, (ia,))
             assert (ref[0] if ref else None) == singles.get(ia)
@@ -728,8 +760,8 @@ def test_reference_agrees_on_sampled_gl2_pairs():
     row = sheet.row("principal:2,5")
     solver = _solver(SPLIT11, 120)
     fvec = [row.values[(1, 1)][e].num for e in solver.regs]
-    hits = {(a, b): (ca, cb)
-            for a, b, ca, cb in _scan_pairs(solver, fvec)}
+    hits = {(a, b): (ca, cb) for a, b, ca, cb in
+            _scan_pairs(solver, fvec, _shifter(solver, fvec), {})}
     K = len(solver.chars)
     sample = set()
     while len(sample) < 40:
@@ -971,6 +1003,24 @@ def test_gram_builds_no_cyclotomic_context():
         rep = gram_independence(tt, [grp.char((c,)) for c in cexps])
         assert _context.cache_info().currsize == before, tt
         assert rep.det == det
+
+
+def test_gram_on_gl1_walks_no_point(monkeypatch):
+    # every point of a GL_1 torus is regular (rs_ratio is 0), so H is
+    # empty with no point tested; at q = 999,983 the walk took 3 s
+    calls = []
+    real = recovery.is_regular
+    monkeypatch.setattr(recovery, "is_regular",
+                        lambda *a: calls.append(1) or real(*a))
+    for q in (11, 999983):
+        tt = TorusType(GroupSpec(1, q), (1,))
+        grp = points(tt)
+        rep = gram_independence(tt, [grp.char((0,)), grp.char((1,))])
+        assert rep.det == (q - 1) ** 2
+    assert calls == []
+    # a GL_2 torus still walks its 100 points to find its 10 scalars
+    rep = gram_independence(SPLIT11, [points(SPLIT11).char((0, 0))])
+    assert len(calls) == 100 and rep.det == 90
 
 
 # -- verify_dl_consistency ----------------------------------------------------
