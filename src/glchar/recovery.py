@@ -663,8 +663,8 @@ def _search(solver: _TorusSolver, fvec, shift,
         f"matches the function on torus {T.label} at q = {T.spec.q}")
 
 
-def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
-                     T: TorusType) -> Expansion:
+def sparse_decompose(f: Mapping[tuple[int, ...], CycNum], T: TorusType,
+                     *, memo: dict | None = None) -> Expansion:
     """The unique expansion of f as <= min(|W|, K) nonzero integer
     character terms, K the number of characters of T^F.
 
@@ -677,7 +677,8 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
     characters with supp g in the non-regular points N, and the gate gives
     |supp g| * 2|W| <= |N| * 2|W| < |T^F|, which the uncertainty bound
     allows only for g = 0 (module docstring).  Groups with |W| > 2 are
-    refused (ValueError: see the module docstring).
+    refused (ValueError: see the module docstring).  memo is a twist memo
+    to share with other calls, as recover_E shares its sheet's.
     """
     spec = T.spec
     if spec.weyl_order > 2:
@@ -687,19 +688,14 @@ def sparse_decompose(f: Mapping[tuple[int, ...], CycNum],
             f"the enumeration budget (GL_3 first passes at q = 6151, where "
             f"the split torus has 2.3e11 points, over {DEFAULT_BUDGET})")
     _require_gate(spec)
-    level, fvec, s = _prepare(f, T)
-    if s is None:
-        return Expansion(T, ())
-    solver = _solver(T, level)
-    terms = _search(solver, fvec, _shifter(solver, fvec), {})
-    return Expansion(T, tuple((solver.chars[i], c) for i, c in terms))
+    return _memo_decompose(memo, f, T)
 
 
 # -- the twist memo -----------------------------------------------------------
 
-def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
+def _memo_decompose(memo: dict | None, f: Mapping[tuple[int, ...], CycNum],
                     T: TorusType) -> Expansion:
-    """sparse_decompose(f, T), served from the twist memo when it can be.
+    """sparse_decompose(f, T, memo=memo) after its checks.
 
     memo maps (T, level) to (twists, expected).  twists maps (s*, hash of
     f(s*) zeta^x) to the (x, indices, coefficients) of every searched
@@ -708,12 +704,13 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
     as its memo; it is then the unique short expansion, as a searched one
     is.  A miss runs _search with expected and one shifter, which then
     indexes the new entry; errors and inputs _prepare refuses store
-    nothing.  The caller checks the gate; a sheet has n <= 2, so |W| <= 2.
+    nothing.  With no memo, the search gets a fresh one and is not indexed.
     """
     level, fvec, s = _prepare(f, T)
     if s is None:
         return Expansion(T, ())
-    twists, expected = memo.setdefault((T, level), ({}, {}))
+    twists, expected = ({}, {}) if memo is None else memo.setdefault(
+        (T, level), ({}, {}))
     solver = _solver(T, level)
     at = solver.at(s)
     for x, idxs, coeffs in twists.get((s, hash(fvec[s])), ()):
@@ -724,11 +721,12 @@ def _memo_decompose(memo: dict, f: Mapping[tuple[int, ...], CycNum],
                     (solver.chars[i], co) for i, co in zip(twisted, coeffs)))
     shift = _shifter(solver, fvec)
     terms = _search(solver, fvec, shift, expected)
-    entry = tuple(zip(*terms))  # (indices, coefficients)
-    # f(s*) zeta^x = shift(s*, k), k = -x mod N, for the x taken at s*
-    for k in sorted(-x % level for x in at):
-        twists.setdefault((s, hash(shift(s, k))), []).append(
-            (-k % level, *entry))
+    if memo is not None:
+        entry = tuple(zip(*terms))  # (indices, coefficients)
+        # f(s*) zeta^x = shift(s*, k), k = -x mod N, for the x taken at s*
+        for k in sorted(-x % level for x in at):
+            twists.setdefault((s, hash(shift(s, k))), []).append(
+                (-k % level, *entry))
     return Expansion(T, tuple((solver.chars[i], co) for i, co in terms))
 
 
@@ -738,8 +736,8 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
               jobs: int = 1) -> RecoveryReport:
     """Per-torus expansions of one row, with the shared geometric class.
 
-    Each torus runs _search, as sparse_decompose does, or takes a verified
-    twist of an expansion that search found earlier on this sheet.  Either
+    Each torus runs sparse_decompose with the sheet's twist memo: a search,
+    or a verified twist of an expansion found earlier on this sheet.  Either
     answer matches the row on every regular element and has at most |W|
     terms (a twist has the length of what it twists), so it is the unique
     short expansion (module docstring).  Hard errors: empty support on every torus, or supports in
@@ -754,7 +752,7 @@ def recover_E(sheet: CharacterSheet, label: str, *, validate: bool = True,
     _require_gate(sheet.spec)
     row = sheet.row(label)
     memo = vars(sheet).setdefault("_memo", {})  # module docstring
-    expansions = tuple(_memo_decompose(memo, row.values[tt.blocks], tt)
+    expansions = tuple(sparse_decompose(row.values[tt.blocks], tt, memo=memo)
                        for tt in sheet.tori)
     if all(e.m == 0 for e in expansions):
         raise RecoveryInconsistencyError(

@@ -68,10 +68,6 @@ ALLOWED = {
         "loader runs its header pass before any value is parsed and its "
         "value pass at the end, so no command calls it whole (test_sheets "
         "runs it on built sheets at many q)",
-    "recovery.sparse_decompose":
-        "library API; the search of one function on one torus. Commands "
-        "recover whole rows through the twist memo, which runs the same "
-        "search (test_recovery, test_dl_oracle)",
     "abelian._Normalized._make":
         "library API; _replace copies a value type through it, and no "
         "command copies one (test_value_types::"

@@ -382,6 +382,23 @@ def test_two_sheets_do_not_share_a_memo(monkeypatch):
     assert all(x is not y for key in one for x, y in zip(one[key], two[key]))
 
 
+def test_recover_e_calls_sparse_decompose_per_torus(monkeypatch):
+    # the benchmark probe (perfbench/tracing.py) times recovery by wrapping
+    # this module global, so every torus input, hit or miss, goes through it
+    sheet = build_gl2_sheet(11)
+    seen = []
+    real = recovery.sparse_decompose
+
+    def wrapper(f, T, **kw):
+        seen.append((T, kw["memo"] is vars(sheet)["_memo"]))
+        return real(f, T, **kw)
+
+    monkeypatch.setattr(recovery, "sparse_decompose", wrapper)
+    for label in ("principal:2,5", "principal:2,5", "cuspidal:1"):
+        recover_E(sheet, label)
+    assert seen == [(tt, True) for tt in sheet.tori] * 3
+
+
 SOLVER_ATTRS = {"ttype", "level", "group", "regs", "red", "phi", "chars",
                 "_col", "_pivot", "_at", "sep", "order", "gens", "pin",
                 "rational", "dirs", "exp_of"}
